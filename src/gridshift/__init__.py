@@ -1,7 +1,7 @@
 """Carbon-aware load shifting on a three-bus network.
 
-A flexible load block of size ``L`` sits at bus 1 and can move a slice
-``delta`` of itself to bus 2.  The package solves the underlying economic
+A flexible load block of size ``L`` sits at bus 2 and can move a slice
+``delta`` of itself to bus 1.  The package solves the underlying economic
 dispatch as a linear program to extract locational prices and marginal
 emission factors, evaluates the blended price-plus-carbon objectives of the
 two settlement designs (device-charging vs. system-wide), reproduces both
@@ -25,10 +25,8 @@ from .dispatch import (
     DeltaRangeError,
     DispatchInfeasibleError,
     DispatchOutcome,
-    UnmappedPriceError,
     build_ed,
     dc_cost_numeric,
-    lme_from_lmp,
     solve_ed,
     solve_ed_detailed,
     sw_cost_numeric,
@@ -57,7 +55,6 @@ from .lp_core import (
     LpInputError,
     LpSolution,
     SolverFailure,
-    dual_objective,
     format_lp,
     solve,
     verify_kkt,
@@ -101,7 +98,6 @@ __all__ = [
     "SweepPoint",
     "ThreeBusScenario",
     "UNBOUNDED",
-    "UnmappedPriceError",
     "ValidityReport",
     "VerificationReport",
     "alignment_cutoffs",
@@ -113,12 +109,10 @@ __all__ = [
     "dc_cost_numeric",
     "default_f01_range",
     "delta_grid",
-    "dual_objective",
     "eta",
     "format_lp",
     "heatmap_cells",
     "heatmap_csv_lines",
-    "lme_from_lmp",
     "objective_dc",
     "objective_sw",
     "optimal_shift_dc",

@@ -2,8 +2,9 @@
 classification, and the analytic-vs-numeric verification gate.
 
 Exit codes: 0 success, 1 scenario fails validation (or a downstream
-structural error), 2 scenario cannot be parsed / usage error, 3 verification
-failed.  All CSV output is byte-deterministic for identical inputs.
+structural error), 2 scenario cannot be parsed / usage error / output cannot
+be written, 3 verification failed.  All CSV output is byte-deterministic for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -35,12 +36,28 @@ EXIT_VERIFY_FAILED = 3
 
 def _parse_range(text: str) -> tuple[float, float]:
     try:
-        low, high = text.split(":")
-        return (float(low), float(high))
+        low, high = (float(part) for part in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a 'low:high' range, got {text!r}"
         ) from None
+    if not low <= high:
+        raise argparse.ArgumentTypeError(f"range {text!r} must have low <= high")
+    return (low, high)
+
+
+def _parse_resolution(text: str) -> int:
+    try:
+        resolution = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if resolution < 2:
+        raise argparse.ArgumentTypeError(
+            f"resolution must be at least 2, got {resolution}"
+        )
+    return resolution
 
 
 def _write_lines(destination: str, lines: list[str]) -> None:
@@ -75,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--resolution",
-        type=int,
+        type=_parse_resolution,
         default=None,
         help="grid resolution (default: 200 for sweep/verify, 50 for heatmap)",
     )
@@ -204,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverFailure as exc:
         print(f"error: solver breakdown: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -79,10 +79,60 @@ class Shift(NamedTuple):
     value: float
 
 
-def _validated(s: ThreeBusScenario) -> None:
+def _validated_threshold(s: ThreeBusScenario) -> float:
     report = validate(s)
     if not report.valid:
         raise ScenarioInvalidError(report)
+    return tau(s).value
+
+
+def _covered_loads(s: ThreeBusScenario, agent: str) -> tuple[float, float]:
+    """Bus-1 base load and bus-2 load that ``agent``'s settlement covers: the
+    bill covers only the block, the system settlement every generator-bus
+    load."""
+    return (0.0, s.L) if agent == "dc" else (s.l1, s.l2)
+
+
+def _objective(s: ThreeBusScenario, agent: str, threshold: float) -> PiecewiseObjective:
+    eta1 = eta(s, 1, agent)
+    eta2 = eta(s, 2, agent)
+    base1, load2 = _covered_loads(s, agent)
+    return PiecewiseObjective(
+        breakpoint=threshold,
+        left_intercept=eta2 * load2,
+        left_slope=-eta2,
+        right_intercept=eta1 * base1 + eta2 * load2,
+        right_slope=eta1 - eta2,
+        domain=s.L,
+    )
+
+
+def cutoff(s: ThreeBusScenario, agent: str) -> float:
+    """Smallest threshold at which ``agent`` stops there instead of shifting
+    the whole block: ``L - (eta1/eta2)(L + b1)``, with ``b1`` the covered
+    bus-1 base load that crossing the threshold reprices.  Raises
+    :class:`DegenerateWeightsError` when the blended bus-2 rate is within
+    :data:`DECISION_TOL` of zero."""
+    eta2 = eta(s, 2, agent)
+    if eta2 <= DECISION_TOL:
+        who = "the data center" if agent == "dc" else "the system objective"
+        raise DegenerateWeightsError(
+            f"blended bus-2 rate is zero for {who}; every shift costs the same "
+            "and no optimum is defined"
+        )
+    base1, _ = _covered_loads(s, agent)
+    return s.L - (eta(s, 1, agent) / eta2) * (s.L + base1)
+
+
+def _optimum(s: ThreeBusScenario, agent: str, objective: PiecewiseObjective) -> Shift:
+    # Only two candidates exist because the objective is linear on both sides
+    # and strictly decreasing on the left.  Stop-at-threshold wins at the
+    # cutoff itself (ties resolve to the threshold, the physically
+    # distinguished point).
+    t = objective.breakpoint
+    if t - cutoff(s, agent) >= -DECISION_TOL:
+        return Shift(t, objective.evaluate(t))
+    return Shift(s.L, objective.evaluate(s.L))
 
 
 def objective_dc(s: ThreeBusScenario) -> PiecewiseObjective:
@@ -92,85 +142,25 @@ def objective_dc(s: ThreeBusScenario) -> PiecewiseObjective:
     every shifted unit saves the blended bus-2 rate; above it each extra unit
     trades the bus-2 rate for the bus-1 rate.
     """
-    _validated(s)
-    eta1 = eta(s, 1, "dc")
-    eta2 = eta(s, 2, "dc")
-    return PiecewiseObjective(
-        breakpoint=tau(s).value,
-        left_intercept=eta2 * s.L,
-        left_slope=-eta2,
-        right_intercept=eta2 * s.L,
-        right_slope=eta1 - eta2,
-        domain=s.L,
-    )
+    return _objective(s, "dc", _validated_threshold(s))
 
 
 def objective_sw(s: ThreeBusScenario) -> PiecewiseObjective:
     """System-wide settlement cost as a function of the shift: same regime
     structure as the bill, but covering the full bus-1 and bus-2 loads."""
-    _validated(s)
-    eta1 = eta(s, 1, "sw")
-    eta2 = eta(s, 2, "sw")
-    return PiecewiseObjective(
-        breakpoint=tau(s).value,
-        left_intercept=eta2 * s.l2,
-        left_slope=-eta2,
-        right_intercept=eta1 * s.l1 + eta2 * s.l2,
-        right_slope=eta1 - eta2,
-        domain=s.L,
-    )
-
-
-def _prefers_threshold(threshold_value: float, cutoff: float) -> bool:
-    # Stop-at-threshold wins at the cutoff itself (ties resolve to the
-    # threshold, the physically distinguished point).
-    return threshold_value - cutoff >= -DECISION_TOL
+    return _objective(s, "sw", _validated_threshold(s))
 
 
 def optimal_shift_dc(s: ThreeBusScenario) -> Shift:
-    """Bill-minimizing shift: the threshold or the whole block.
-
-    Only two candidates exist because the bill is linear on both sides and
-    strictly decreasing on the left.  The threshold wins exactly when it is
-    at least ``L - (eta1/eta2) L`` (with the blended data-center rates).
-    """
-    _validated(s)
-    eta1 = eta(s, 1, "dc")
-    eta2 = eta(s, 2, "dc")
-    if eta2 <= DECISION_TOL:
-        raise DegenerateWeightsError(
-            "blended bus-2 rate is zero for the data center; every shift "
-            "costs the same and no optimum is defined"
-        )
-    objective = objective_dc(s)
-    t = objective.breakpoint
-    cutoff = s.L - (eta1 / eta2) * s.L
-    if _prefers_threshold(t, cutoff):
-        return Shift(t, objective.evaluate(t))
-    return Shift(s.L, objective.evaluate(s.L))
+    """Bill-minimizing shift: the threshold when it reaches the data-center
+    :func:`cutoff` ``L - (eta1/eta2) L``, otherwise the whole block."""
+    return _optimum(s, "dc", objective_dc(s))
 
 
 def optimal_shift_sw(s: ThreeBusScenario) -> Shift:
-    """System-optimal shift: the threshold or the whole block.
-
-    Same two candidates as the bill, but the cutoff shifts to
-    ``L - (eta1/eta2)(L + l1)`` because crossing the threshold also reprices
-    the base bus-1 load ``l1`` in the system settlement.
-    """
-    _validated(s)
-    eta1 = eta(s, 1, "sw")
-    eta2 = eta(s, 2, "sw")
-    if eta2 <= DECISION_TOL:
-        raise DegenerateWeightsError(
-            "blended bus-2 rate is zero in the system objective; every shift "
-            "costs the same and no optimum is defined"
-        )
-    objective = objective_sw(s)
-    t = objective.breakpoint
-    cutoff = s.L - (eta1 / eta2) * (s.L + s.l1)
-    if _prefers_threshold(t, cutoff):
-        return Shift(t, objective.evaluate(t))
-    return Shift(s.L, objective.evaluate(s.L))
+    """System-optimal shift: the threshold when it reaches the system
+    :func:`cutoff` ``L - (eta1/eta2)(L + l1)``, otherwise the whole block."""
+    return _optimum(s, "sw", objective_sw(s))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,13 +235,13 @@ def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:
     never below 1, since the system optimum minimizes over the same two
     candidates).
     """
-    dc = optimal_shift_dc(s)
-    sw = optimal_shift_sw(s)
-    sw_objective = objective_sw(s)
-    dc_objective = objective_dc(s)
+    t = _validated_threshold(s)
+    dc_objective = _objective(s, "dc", t)
+    sw_objective = _objective(s, "sw", t)
+    dc = _optimum(s, "dc", dc_objective)
+    sw = _optimum(s, "sw", sw_objective)
 
     aligned = abs(dc.delta - sw.delta) <= DECISION_TOL
-    t = sw_objective.breakpoint
     dc_at_threshold = abs(dc.delta - t) <= DECISION_TOL
     sw_at_threshold = abs(sw.delta - t) <= DECISION_TOL
     if dc_at_threshold and sw_at_threshold:

@@ -2,10 +2,11 @@
 
 Builds the dispatch LP for a given shift ``delta`` of the flexible block from
 bus 2 to bus 1, solves it with :mod:`gridshift.lp_core`, and reads the bus
-prices (equality duals) and marginal emission rates (prices mapped through the
-generator table) off the optimal basis.  Also provides the two settlement-style
-cost evaluations — the data-center bill and the system-wide cost — used to
-cross-check the closed-form objectives numerically.
+prices (equality duals) and marginal emission rates (the same duals with
+emission rates in place of offers) off the optimal basis.  Also provides the
+two settlement-style cost evaluations — the data-center bill and the
+system-wide cost — used to cross-check the closed-form objectives
+numerically.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ _BALANCE = np.array(
 )
 _BALANCE.setflags(write=False)
 
-#: Price must land within this distance of a generator offer (or zero) to be
-#: mapped to an emission rate.
-PRICE_MATCH_TOL = 1e-6
-
 # A basic variable this close to one of its bounds marks the vertex (and
 # possibly the duals) as degenerate.
 _DEGENERACY_TOL = 1e-7
@@ -43,12 +40,6 @@ _DEGENERACY_TOL = 1e-7
 
 class DeltaRangeError(ValueError):
     """Requested shift lies outside the block [0, L]."""
-
-
-class UnmappedPriceError(ValueError):
-    """A bus price matches neither zero nor a generator offer, so no marginal
-    emission rate can be attributed; the scenario is outside the modeled
-    setting."""
 
 
 class DispatchInfeasibleError(RuntimeError):
@@ -69,10 +60,10 @@ class DispatchOutcome:
     """Optimal dispatch at one shift value.
 
     ``lmp`` holds the bus prices ($/MWh, duals of the nodal balances) and
-    ``lme`` the matching marginal emission rates (tCO2/MWh), both indexed by
-    bus 0..2.  ``degenerate`` records that the vertex was degenerate and the
-    duals were therefore taken from the left limit (one solve at a nudged
-    ``delta``)."""
+    ``lme`` the marginal emission rates of the same basis (tCO2/MWh), both
+    indexed by bus 0..2.  ``degenerate`` records that the vertex was
+    degenerate and both were therefore taken from the left limit (one solve
+    at a nudged ``delta``)."""
 
     delta: float
     y0: float
@@ -125,24 +116,6 @@ def build_ed(s: ThreeBusScenario, delta: float) -> lp_core.LinearProgram:
         eq_rhs=rhs,
         lower_bounds=lower,
         upper_bounds=upper,
-    )
-
-
-def lme_from_lmp(s: ThreeBusScenario, price: float) -> float:
-    """Marginal emission rate implied by a bus price.
-
-    A zero price means surplus renewable is marginal (rate 0); a price at a
-    generator's offer means that generator is marginal (its emission rate).
-    Anything else cannot be attributed and raises :class:`UnmappedPriceError`.
-    """
-    candidates = ((0.0, 0.0), (s.c1, s.e1), (s.c2, s.e2))
-    best = min(range(3), key=lambda i: abs(price - candidates[i][0]))
-    anchor, rate = candidates[best]
-    if abs(price - anchor) <= PRICE_MATCH_TOL:
-        return rate
-    raise UnmappedPriceError(
-        f"price {price!r} is not within {PRICE_MATCH_TOL} of 0, c1={s.c1}, or "
-        f"c2={s.c2}; marginal emissions undefined"
     )
 
 
@@ -199,7 +172,7 @@ def solve_ed_detailed(
     if sol.status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
         raise lp_core.SolverFailure(f"unexpected dispatch status {sol.status!r}")
 
-    duals = sol.duals
+    priced = sol
     degenerate = _degenerate_vertex(lp, sol)
     if degenerate:
         # At a degenerate vertex (several optimal bases) the duals depend on
@@ -209,11 +182,18 @@ def solve_ed_detailed(
         if delta > epsilon:
             nudged = lp_core.solve(build_ed(s, delta - epsilon))
             if nudged.status == lp_core.OPTIMAL:
-                duals = nudged.duals
+                priced = nudged
 
+    # Marginal emissions are the emission sensitivities of the basis that
+    # gave the prices: pi = e_B^T B^-1 (Rudkevich & Ruiz 2012).  The balance
+    # rows have full row rank, so the optimal basis always holds three
+    # structural columns and B is the square submatrix they select.
+    basis = list(priced.basis)
+    emissions = np.array([0.0, s.e1, s.e2, 0.0, 0.0, 0.0])
+    rates = np.linalg.solve(_BALANCE[:, basis].T, emissions[basis])
     # "+ 0.0" folds IEEE negative zeros into plain zeros for clean output.
-    lmp = (float(duals[0]) + 0.0, float(duals[1]) + 0.0, float(duals[2]) + 0.0)
-    lme = tuple(lme_from_lmp(s, price) for price in lmp)
+    lmp = tuple(float(price) + 0.0 for price in priced.duals)
+    lme = tuple(float(rate) + 0.0 for rate in rates)
     y0, y1, y2, f01, f02, f12 = (float(v) for v in sol.primal)
     outcome = DispatchOutcome(
         delta=delta,

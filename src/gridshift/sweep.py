@@ -18,6 +18,7 @@ from .closed_form import (
     DegenerateWeightsError,
     ScenarioInvalidError,
     classify_alignment,
+    cutoff,
     objective_dc,
     objective_sw,
 )
@@ -28,7 +29,7 @@ from .dispatch import (
     solve_ed_detailed,
     sw_cost_numeric,
 )
-from .grid_model import ScenarioError, ThreeBusScenario, eta, tau, validate
+from .grid_model import ScenarioError, ThreeBusScenario, tau
 
 #: Grid points this close to the threshold are excluded from cross-path
 #: comparisons: the analytic side switches branches discontinuously there
@@ -205,18 +206,16 @@ def heatmap_cells(
 
 def alignment_cutoffs(s: ThreeBusScenario) -> tuple[float, float]:
     """Threshold levels at which each agent flips from full shift to
-    stopping at the threshold (data-center cutoff, system cutoff)."""
-    eta2_dc = eta(s, 2, "dc")
-    eta2_sw = eta(s, 2, "sw")
-    dc_cutoff = (
-        s.L - (eta(s, 1, "dc") / eta2_dc) * s.L if eta2_dc > 0.0 else math.nan
-    )
-    sw_cutoff = (
-        s.L - (eta(s, 1, "sw") / eta2_sw) * (s.L + s.l1)
-        if eta2_sw > 0.0
-        else math.nan
-    )
-    return dc_cutoff, sw_cutoff
+    stopping at the threshold (data-center cutoff, system cutoff); NaN where
+    the agent's blended weights leave no optimum defined."""
+
+    def or_nan(agent: str) -> float:
+        try:
+            return cutoff(s, agent)
+        except DegenerateWeightsError:
+            return math.nan
+
+    return or_nan("dc"), or_nan("sw")
 
 
 def boundary_rows(
@@ -318,9 +317,6 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     forms reproduce what the LP route measures, everywhere off the
     threshold's immediate neighborhood.
     """
-    report = validate(s)
-    if not report.valid:
-        raise ScenarioInvalidError(report)
     dc_objective = objective_dc(s)
     sw_objective = objective_sw(s)
     t = tau(s)

@@ -9,6 +9,8 @@ disagree.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from gridshift.dispatch import build_ed, solve_ed_detailed
@@ -129,6 +131,50 @@ def random_misaligned_scenario(rng: np.random.Generator, max_tries: int = 500) -
             continue
         return s
     raise RuntimeError("random_misaligned_scenario: no acceptable draw")
+
+
+def random_split_weight_scenario(
+    rng: np.random.Generator, max_tries: int = 500
+) -> ThreeBusScenario:
+    """A scenario whose agents blend price and emissions with different
+    weights, its threshold strictly between the two agents' cutoffs.
+
+    The bus-1 emission rate is drawn independently of bus 2's, so the
+    system's blended bus-1 rate can be the relatively cheaper one.  Then its
+    cutoff can rise above the data center's, and the reverse split (the data
+    center stops at the threshold, the system would shift everything)
+    appears next to the classic one.
+    """
+    for _ in range(max_tries):
+        c1 = float(rng.uniform(0.05, 2.0))
+        c2 = c1 + float(rng.uniform(0.05, 2.0))
+        e1 = float(rng.uniform(0.05, 2.0))
+        e2 = float(rng.uniform(0.05, 2.0))
+        alpha_dc = float(rng.uniform(0.0, 1.0))
+        alpha_sw = float(rng.uniform(0.0, 1.0))
+        block = float(rng.uniform(0.3, 2.0))
+        l1 = float(rng.uniform(0.05, 1.5))
+        cutoffs = []
+        for alpha, base1 in ((alpha_dc, 0.0), (alpha_sw, l1)):
+            eta1 = alpha * c1 + (1.0 - alpha) * e1
+            eta2 = alpha * c2 + (1.0 - alpha) * e2
+            cutoffs.append(block - (eta1 / eta2) * (block + base1))
+        band_low = max(min(cutoffs), 0.0)
+        band_high = min(max(cutoffs), block)
+        if band_high - band_low < 0.05:
+            continue
+        tau_target = band_low + float(rng.uniform(0.1, 0.9)) * (band_high - band_low)
+        f02 = float(rng.uniform(0.05, 1.0))
+        f12 = float(rng.uniform(0.05, 1.0))
+        s = _assemble(rng, c1, c2, e1, e2, alpha_dc, block, l1, f02, f12, tau_target)
+        s = dataclasses.replace(s, alpha_sw=alpha_sw)
+        if not _acceptable(s):
+            continue
+        t = tau(s).value
+        if min(abs(t - c) for c in cutoffs) < 1e-4:
+            continue
+        return s
+    raise RuntimeError("random_split_weight_scenario: no acceptable draw")
 
 
 def _bound_clearance(lp, solution) -> float:

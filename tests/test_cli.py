@@ -168,3 +168,28 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("resolution", ["1", "0", "-3", "many"])
+    def test_bad_resolution_exits_2(self, canonical_path, resolution, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sweep", "--scenario", canonical_path, "--resolution", resolution])
+        assert err.value.code == 2
+        assert "--resolution" in capsys.readouterr().err
+
+    def test_reversed_range_exits_2(self, canonical_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                ["heatmap", "--scenario", canonical_path, "--f01-range", "3:1",
+                 "--out", str(tmp_path / "heat.csv")]
+            )
+        assert err.value.code == 2
+        assert "low <= high" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["sweep", "verify", "classify", "heatmap"])
+    def test_out_in_missing_directory_exits_2(self, canonical_path, tmp_path, mode, capsys):
+        target = tmp_path / "missing" / "out.csv"
+        rc = cli.main(
+            [mode, "--scenario", canonical_path, "--resolution", "3", "--out", str(target)]
+        )
+        assert rc == 2
+        assert "cannot write output" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Unit tests for the closed-form objectives and the alignment verdict."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import scenario_gen
+from gridshift import closed_form
 from gridshift.closed_form import (
     DegenerateWeightsError,
     ScenarioInvalidError,
@@ -14,7 +17,8 @@ from gridshift.closed_form import (
     optimal_shift_dc,
     optimal_shift_sw,
 )
-from gridshift.grid_model import eta, tau
+from gridshift.grid_model import eta, tau, validate
+from gridshift.sweep import verify_scenario
 
 
 class TestObjectiveShapes:
@@ -173,3 +177,62 @@ class TestAlignmentReport:
             assert rep.verdict == "misaligned"
             assert rep.binding_case == "dc-full-sw-threshold"
             assert rep.externality_at_dc_choice > 0.0
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting_validate(s):
+            calls.append(s)
+            return validate(s)
+
+        monkeypatch.setattr(closed_form, "validate", counting_validate)
+        classify_alignment(scenario_gen.canonical_scenario())
+        assert len(calls) == 1
+
+
+def _predicted_case(s):
+    """Binding case read off the two cutoffs ``L - (eta1/eta2)(L + b1)``,
+    with ``b1`` = 0 for the bill and ``l1`` for the system."""
+    t = tau(s).value
+    stops = [
+        t - (s.L - eta(s, 1, agent) / eta(s, 2, agent) * (s.L + base1)) >= -1e-9
+        for agent, base1 in (("dc", 0.0), ("sw", s.l1))
+    ]
+    return {
+        (True, True): "both-threshold",
+        (False, False): "both-full",
+        (False, True): "dc-full-sw-threshold",
+        (True, False): "dc-threshold-sw-full",
+    }[tuple(stops)]
+
+
+class TestSplitWeights:
+    """The two agents blend price and emissions with different weights."""
+
+    def test_band_draws_verify_and_split_both_ways(self):
+        rng = np.random.default_rng(26)
+        cases = set()
+        for _ in range(30):
+            s = scenario_gen.random_split_weight_scenario(rng)
+            assert s.alpha_dc != s.alpha_sw
+            report = verify_scenario(s, resolution=40)
+            assert report.passed, report.to_text()
+            rep = classify_alignment(s)
+            assert rep.verdict == "misaligned"
+            assert rep.binding_case == _predicted_case(s)
+            cases.add(rep.binding_case)
+        assert cases == {"dc-full-sw-threshold", "dc-threshold-sw-full"}
+
+    def test_verdict_matches_cutoffs_on_independent_weights(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            s = dataclasses.replace(
+                scenario_gen.random_valid_scenario(rng),
+                alpha_dc=float(rng.uniform(0.0, 1.0)),
+                alpha_sw=float(rng.uniform(0.0, 1.0)),
+            )
+            rep = classify_alignment(s)
+            assert rep.binding_case == _predicted_case(s)
+            assert (rep.verdict == "aligned") == (
+                rep.binding_case in ("both-threshold", "both-full")
+            )

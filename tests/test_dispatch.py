@@ -10,11 +10,9 @@ from gridshift.dispatch import (
     DeltaRangeError,
     DispatchInfeasibleError,
     DispatchOutcome,
-    UnmappedPriceError,
     build_ed,
     csv_number,
     dc_cost_numeric,
-    lme_from_lmp,
     solve_ed,
     solve_ed_detailed,
     sw_cost_numeric,
@@ -145,19 +143,23 @@ class TestPriceStructure:
 
 class TestEmissionMapping:
     def test_exact_anchors(self):
-        s = scenario_gen.canonical_scenario()
-        assert lme_from_lmp(s, 0.0) == 0.0
-        assert lme_from_lmp(s, 1.0) == 1.0
-        assert lme_from_lmp(s, 2.0) == 2.0
+        # Rates come from the optimal basis, not from the price: e1 and e2
+        # differ from the offers here, and the threshold point reports the
+        # left-limit (renewable) rate like its price.
+        s = scenario_gen.canonical_scenario(e1=5.0, e2=3.0)
+        assert solve_ed(s, 0.05).lme == (0.0, 0.0, 3.0)
+        assert solve_ed(s, 0.1).lme == (0.0, 0.0, 3.0)
+        assert solve_ed(s, 0.5).lme == (0.0, 5.0, 3.0)
 
-    def test_near_anchor_within_tolerance(self):
-        s = scenario_gen.canonical_scenario(e1=5.0)
-        assert lme_from_lmp(s, 1.0 + 5e-7) == 5.0
-
-    def test_unmapped_price_raises(self):
-        s = scenario_gen.canonical_scenario()
-        with pytest.raises(UnmappedPriceError):
-            lme_from_lmp(s, 0.5)
+    def test_free_generator_sets_rate(self):
+        # c1 = 0: the bus-1 price is zero on both sides of the threshold, but
+        # past it generator 1 is the basic, marginal unit.
+        s = scenario_gen.canonical_scenario(c1=0.0, alpha_dc=0.5, alpha_sw=0.5)
+        below = solve_ed(s, 0.05)
+        above = solve_ed(s, 0.5)
+        assert below.lmp[1] == above.lmp[1] == 0.0
+        assert below.lme[1] == 0.0
+        assert above.lme[1] == s.e1
 
 
 class TestCostEvaluations:

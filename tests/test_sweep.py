@@ -151,6 +151,16 @@ class TestAnalyticBoundary:
             expected = "aligned" if t >= dc_cut - 1e-9 else "misaligned"
             assert cell.verdict == expected, (cell.F01, cell.F12)
 
+    def test_degenerate_weights_leave_cutoff_undefined(self):
+        # A bus-2 rate within the decision tolerance of zero leaves the bill
+        # without an optimum, so every cell is invalid and the data-center
+        # boundary column must not report a curve either.
+        s = scenario_gen.canonical_scenario(alpha_dc=0.0, e2=1e-12)
+        assert math.isnan(alignment_cutoffs(s)[0])
+        cell_lines, boundary_lines = heatmap_csv_lines(s, (1.4, 3.0), (0.0, 1.0), 4)
+        assert all(line.endswith(",invalid") for line in cell_lines[1:])
+        assert [line.split(",")[1] for line in boundary_lines[1:]] == ["nan"] * 4
+
 
 class TestVerification:
     def test_canonical_passes(self):
@@ -192,3 +202,13 @@ class TestVerification:
             s = scenario_gen.random_valid_scenario(rng)
             report = verify_scenario(s, resolution=40)
             assert report.passed, report.to_text()
+
+    def test_free_bus1_generator_passes(self):
+        # With c1 = 0 the bus-1 price is zero on both sides of the threshold,
+        # yet past it generator 1 is the marginal unit and sets the emission
+        # rate; the closed forms must still match the dispatch.
+        s = scenario_gen.canonical_scenario(c1=0.0, alpha_dc=0.5, alpha_sw=0.5)
+        report = verify_scenario(s)
+        assert report.passed, report.to_text()
+        assert report.max_dc_deviation <= 1e-12
+        assert report.max_sw_deviation <= 1e-12
