@@ -151,6 +151,12 @@ def objective_sw(s: ThreeBusScenario) -> PiecewiseObjective:
     return _objective(s, "sw", _validated_threshold(s))
 
 
+def objectives(s: ThreeBusScenario) -> tuple[PiecewiseObjective, PiecewiseObjective]:
+    """:func:`objective_dc` and :func:`objective_sw`, validating ``s`` once."""
+    t = _validated_threshold(s)
+    return _objective(s, "dc", t), _objective(s, "sw", t)
+
+
 def optimal_shift_dc(s: ThreeBusScenario) -> Shift:
     """Bill-minimizing shift: the threshold when it reaches the data-center
     :func:`cutoff` ``L - (eta1/eta2) L``, otherwise the whole block."""

@@ -7,11 +7,17 @@ emission rates in place of offers) off the optimal basis.  Also provides the
 two settlement-style cost evaluations — the data-center bill and the
 system-wide cost — used to cross-check the closed-form objectives
 numerically.
+
+:func:`solve_ed` solves one shift cold.  :func:`solve_ed_grid` solves a whole
+shift grid and solves again only where the optimal basis changes: the shift
+moves just the right-hand side, so one basis, with its prices, holds on an
+interval of shifts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -32,6 +38,10 @@ _BALANCE = np.array(
     ]
 )
 _BALANCE.setflags(write=False)
+
+# Change of the balance right-hand side per unit of shift.
+_SHIFT_DIRECTION = np.array([0.0, 1.0, -1.0])
+_SHIFT_DIRECTION.setflags(write=False)
 
 # A basic variable this close to one of its bounds marks the vertex (and
 # possibly the duals) as degenerate.
@@ -160,11 +170,29 @@ def _diagnose_infeasible(s: ThreeBusScenario, delta: float) -> DispatchInfeasibl
     )
 
 
-def solve_ed_detailed(
+def _outcome(
+    lp: lp_core.LinearProgram,
+    delta: float,
+    primal: np.ndarray,
+    lmp: tuple[float, float, float],
+    lme: tuple[float, float, float],
+    degenerate: bool,
+) -> DispatchOutcome:
+    return DispatchOutcome(
+        delta=delta,
+        **{name: float(v) for name, v in zip(VARIABLE_NAMES, primal)},
+        lmp=lmp,
+        lme=lme,
+        total_cost=float(lp.objective @ primal),
+        degenerate=degenerate,
+    )
+
+
+def _solve_ed_lp(
     s: ThreeBusScenario, delta: float
-) -> tuple[DispatchOutcome, lp_core.LpSolution]:
-    """Like :func:`solve_ed` but also returns the raw LP solution, so callers
-    can run independent optimality checks on it."""
+) -> tuple[lp_core.LinearProgram, DispatchOutcome, lp_core.LpSolution]:
+    """Cold solve at ``delta``; also returns the LP it built, so that callers
+    checking the solution need not build it again."""
     lp = build_ed(s, delta)
     sol = lp_core.solve(lp)
     if sol.status == lp_core.INFEASIBLE:
@@ -194,20 +222,15 @@ def solve_ed_detailed(
     # "+ 0.0" folds IEEE negative zeros into plain zeros for clean output.
     lmp = tuple(float(price) + 0.0 for price in priced.duals)
     lme = tuple(float(rate) + 0.0 for rate in rates)
-    y0, y1, y2, f01, f02, f12 = (float(v) for v in sol.primal)
-    outcome = DispatchOutcome(
-        delta=delta,
-        y0=y0,
-        y1=y1,
-        y2=y2,
-        f01=f01,
-        f02=f02,
-        f12=f12,
-        lmp=lmp,
-        lme=lme,
-        total_cost=float(sol.objective_value),
-        degenerate=degenerate,
-    )
+    return lp, _outcome(lp, delta, sol.primal, lmp, lme, degenerate), sol
+
+
+def solve_ed_detailed(
+    s: ThreeBusScenario, delta: float
+) -> tuple[DispatchOutcome, lp_core.LpSolution]:
+    """Like :func:`solve_ed` but also returns the raw LP solution, so callers
+    can run independent optimality checks on it."""
+    _, outcome, sol = _solve_ed_lp(s, delta)
     return outcome, sol
 
 
@@ -216,6 +239,72 @@ def solve_ed(s: ThreeBusScenario, delta: float) -> DispatchOutcome:
     emissions, with left-limit duals at degenerate (threshold) points."""
     outcome, _ = solve_ed_detailed(s, delta)
     return outcome
+
+
+def _clear_interval(
+    lp: lp_core.LinearProgram, sol: lp_core.LpSolution, delta: float
+) -> tuple[np.ndarray, float, float]:
+    """Ratio test along the shift direction for the optimal basis of ``sol``,
+    solved at ``delta``.
+
+    Returns ``(step, low, high)``: the variables move by ``step`` per unit of
+    shift, and for every shift strictly between ``low`` and ``high`` each
+    basic variable stays more than ``2 * _DEGENERACY_TOL`` inside its bounds.
+    The interval is empty (``low >= high``) when no shift keeps them all that
+    far inside.
+    """
+    basis = list(sol.basis)
+    step = np.zeros(lp.n_variables)
+    step[basis] = np.linalg.solve(_BALANCE[:, basis], _SHIFT_DIRECTION)
+    # Twice the degeneracy tolerance: every shift the cold route would call
+    # degenerate falls outside the interval, rounding included.
+    margin = 2.0 * _DEGENERACY_TOL
+    low, high = -np.inf, np.inf
+    for j in basis:
+        x, rate = sol.primal[j], step[j]
+        lo = lp.lower_bounds[j] + margin
+        hi = lp.upper_bounds[j] - margin
+        if rate == 0.0:
+            if not lo < x < hi:
+                return step, 0.0, 0.0
+            continue
+        a, b = (lo - x) / rate, (hi - x) / rate
+        low = max(low, min(a, b))
+        high = min(high, max(a, b))
+    return step, delta + low, delta + high
+
+
+def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[DispatchOutcome]:
+    """:func:`solve_ed` at every shift of ``deltas``, reusing optimal bases.
+
+    A shift moves only the balance right-hand side, along ``(0, +1, -1)``.
+    A basis optimal at one shift is therefore optimal, with the same duals,
+    at every shift where it stays primal feasible (parametric programming,
+    Bertsimas & Tsitsiklis 1997, section 5).  After each non-degenerate cold
+    solve, one ratio test finds the interval on which every basic variable
+    stays clear of its bounds by twice the degeneracy tolerance.  Later shifts
+    inside it reuse that solve's ``lmp`` and ``lme`` and move the basic flows
+    linearly, without a solve.  Every other shift gets the cold solve of
+    :func:`solve_ed`; this includes every shift the cold route would find
+    degenerate, which keeps the left-limit prices there.  A sweep over a
+    valid scenario, with its two price regimes, needs two solves, or four
+    when the threshold lies on a grid node.
+    """
+    outcomes = []
+    low = high = 0.0  # open interval of shifts that reuse the last cold solve
+    for delta in deltas:
+        delta = float(delta)
+        if low < delta < high and 0.0 <= delta <= s.L:
+            x = primal + (delta - base.delta) * step
+            outcomes.append(_outcome(lp, delta, x, base.lmp, base.lme, False))
+            continue
+        lp, base, sol = _solve_ed_lp(s, delta)
+        outcomes.append(base)
+        low = high = 0.0
+        if not base.degenerate:  # a degenerate point's prices come from the nudged basis
+            primal = sol.primal
+            step, low, high = _clear_interval(lp, sol, delta)
+    return outcomes
 
 
 def dc_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome) -> float:

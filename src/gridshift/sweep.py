@@ -19,14 +19,13 @@ from .closed_form import (
     ScenarioInvalidError,
     classify_alignment,
     cutoff,
-    objective_dc,
-    objective_sw,
+    objectives,
 )
 from .dispatch import (
-    build_ed,
+    _solve_ed_lp,
     csv_number,
     dc_cost_numeric,
-    solve_ed_detailed,
+    solve_ed_grid,
     sw_cost_numeric,
 )
 from .grid_model import ScenarioError, ThreeBusScenario, tau
@@ -97,14 +96,15 @@ def sweep_points(s: ThreeBusScenario, resolution: int = 200) -> list[SweepPoint]
 
     Raises :class:`ScenarioInvalidError` on an invalid scenario (via the
     closed-form construction).  Every grid point is emitted, including any
-    that fall on the threshold itself.
+    that fall on the threshold itself.  The dispatch side comes from
+    :func:`~gridshift.dispatch.solve_ed_grid`, which solves only where the
+    optimal basis changes and otherwise returns the prices a cold solve
+    would; :func:`verify_scenario` is the check that cold-solves every point.
     """
-    dc_objective = objective_dc(s)
-    sw_objective = objective_sw(s)
+    dc_objective, sw_objective = objectives(s)
     points = []
-    for d in delta_grid(s.L, resolution):
-        d = float(d)
-        out = solve_ed_detailed(s, d)[0]
+    for out in solve_ed_grid(s, delta_grid(s.L, resolution)):
+        d = out.delta
         regime = "renewable" if abs(out.lmp[1]) <= CROSS_PATH_TOL else "local-generation"
         points.append(
             SweepPoint(
@@ -315,10 +315,11 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     Every solve is also re-certified through the optimality-condition check,
     so a pass means: the LP really solved its instances, and the closed
     forms reproduce what the LP route measures, everywhere off the
-    threshold's immediate neighborhood.
+    threshold's immediate neighborhood.  Unlike :func:`sweep_points`, this
+    solves every grid point cold and reuses no basis, so it checks the
+    basis-reuse route from outside.
     """
-    dc_objective = objective_dc(s)
-    sw_objective = objective_sw(s)
+    dc_objective, sw_objective = objectives(s)
     t = tau(s)
 
     max_dc = max_sw = max_kkt = 0.0
@@ -329,8 +330,8 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
         if abs(d - t.value) <= BREAKPOINT_EXCLUSION:
             skipped += 1
             continue
-        out, sol = solve_ed_detailed(s, d)
-        kkt = lp_core.verify_kkt(build_ed(s, d), sol, tolerance=KKT_TOL)
+        lp, out, sol = _solve_ed_lp(s, d)
+        kkt = lp_core.verify_kkt(lp, sol, tolerance=KKT_TOL)
         max_kkt = max(
             max_kkt,
             kkt.primal_feasibility,

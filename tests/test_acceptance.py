@@ -60,6 +60,9 @@ def test_criterion_1_closed_form_matches_dispatch_everywhere(capsys):
     # must agree within 1e-6 on a 200-point grid for 1,000 random scenarios
     # (grid points within 1e-6 of the threshold excluded: the dispatch path
     # reports left-limit prices there while a nudged analytic branch applies).
+    # The dispatch side is sweep_points' basis-reuse route (solve_ed_grid),
+    # which tests/test_dispatch.py checks against a cold solve at every grid
+    # point, and verify_scenario against cold solves plus optimality checks.
     started = time.perf_counter()
     scenarios = _scenario_mix(seed=101, total=1000, band=100)
     worst_dc = worst_sw = 0.0
@@ -87,6 +90,7 @@ def test_criterion_1_closed_form_matches_dispatch_everywhere(capsys):
 def test_criterion_2_optimal_shift_matches_grid_argmin(capsys):
     # The closed-form optimum must coincide with a brute-force argmin over
     # linspace(0, L, 201) plus the threshold point, for both objectives.
+    started = time.perf_counter()
     scenarios = _scenario_mix(seed=102, total=1000, band=200)
     mismatches = 0
     for s in scenarios:
@@ -100,12 +104,13 @@ def test_criterion_2_optimal_shift_matches_grid_argmin(capsys):
             best = float(grid[int(np.argmin(values))])
             if best != shift.delta:
                 mismatches += 1
+    elapsed = time.perf_counter() - started
     _announce(
         capsys,
         2,
         mismatches == 0,
         f"closed-form optimum equals 202-point grid argmin for both agents "
-        f"on 1000 scenarios ({mismatches} mismatches)",
+        f"on 1000 scenarios ({mismatches} mismatches, {elapsed:.1f}s)",
     )
 
 
@@ -114,6 +119,7 @@ def test_criterion_3_alignment_clause_equals_direct_comparison(capsys):
     # device cutoff, or strictly below the system cutoff) must reproduce the
     # verdict obtained by directly comparing the two optima, on a scenario
     # set that includes at least 50 draws inside the misalignment band.
+    started = time.perf_counter()
     scenarios = _scenario_mix(seed=103, total=1000, band=120)
     disagreements = 0
     band_seen = 0
@@ -131,16 +137,19 @@ def test_criterion_3_alignment_clause_equals_direct_comparison(capsys):
         if not direct:
             band_seen += 1
     passed = disagreements == 0 and band_seen >= 50
+    elapsed = time.perf_counter() - started
     _announce(
         capsys,
         3,
         passed,
         f"interval clause vs direct comparison on 1000 scenarios: "
-        f"{disagreements} disagreements, {band_seen} misaligned draws (need >= 50)",
+        f"{disagreements} disagreements, {band_seen} misaligned draws (need >= 50, "
+        f"{elapsed:.1f}s)",
     )
 
 
 def test_criterion_4_bundled_scenarios_hit_their_verdicts(capsys):
+    started = time.perf_counter()
     expected = {
         "misaligned_full_shift": ("misaligned", "dc-full-sw-threshold"),
         "aligned_expanded_line": ("aligned", "both-threshold"),
@@ -153,13 +162,17 @@ def test_criterion_4_bundled_scenarios_hit_their_verdicts(capsys):
         rep = classify_alignment(s)
         if (rep.verdict, rep.binding_case) != (verdict, case):
             wrong.append(f"{name}: got {rep.verdict}/{rep.binding_case}")
+    elapsed = time.perf_counter() - started
     _announce(
         capsys,
         4,
         not wrong,
-        "all four bundled regime scenarios classify exactly as documented"
-        if not wrong
-        else "; ".join(wrong),
+        (
+            "all four bundled regime scenarios classify exactly as documented"
+            if not wrong
+            else "; ".join(wrong)
+        )
+        + f" ({elapsed:.1f}s)",
     )
 
 
@@ -168,6 +181,7 @@ def test_criterion_5_heatmap_ratio_and_boundary(capsys):
     # ratio is >= 1 (to 1e-9), aligned cells sit at exactly 1, and the
     # analytic boundary (threshold vs device cutoff) classifies every valid
     # cell with zero errors.
+    started = time.perf_counter()
     s = scenario_gen.canonical_scenario()
     f12_lo, f12_hi = 0.0, 1.0
     f01_lo, f01_hi = default_f01_range(s, (f12_lo, f12_hi))
@@ -195,13 +209,14 @@ def test_criterion_5_heatmap_ratio_and_boundary(capsys):
         and aligned_off == 0
         and misclassified == 0
     )
+    elapsed = time.perf_counter() - started
     _announce(
         capsys,
         5,
         passed,
         f"50x50 scan: {valid} valid cells, {ratio_bad} ratio violations, "
         f"{aligned_off} aligned cells off ratio 1, {misclassified} cells "
-        f"misclassified by the analytic boundary",
+        f"misclassified by the analytic boundary ({elapsed:.1f}s)",
     )
 
 
@@ -210,6 +225,7 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
     # statuses must agree, optima must match to 1e-8, and every optimal
     # solution must pass an independent optimality check at 1e-8.  Then the
     # dispatch at the degenerate threshold vertex must still terminate.
+    started = time.perf_counter()
     rng = np.random.default_rng(106)
     status_bad = objective_bad = kkt_bad = 0
     optimal_count = 0
@@ -236,13 +252,15 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
     passed = (
         status_bad == 0 and objective_bad == 0 and kkt_bad == 0 and degenerate_ok == 50
     )
+    elapsed = time.perf_counter() - started
     _announce(
         capsys,
         6,
         passed,
         f"10000 random LPs vs enumeration: {status_bad} status, "
         f"{objective_bad} objective, {kkt_bad} optimality-check mismatches "
-        f"({optimal_count} optimal); 50/50 threshold dispatches terminated",
+        f"({optimal_count} optimal); 50/50 threshold dispatches terminated "
+        f"({elapsed:.1f}s)",
     )
 
 
@@ -250,6 +268,7 @@ def test_criterion_7_prices_match_finite_difference_sensitivities(capsys):
     # Bus prices are load sensitivities: perturb each generator-bus load by
     # h = 1e-5 and compare the dispatch-cost difference quotient against the
     # reported dual, at 5 non-degenerate shifts per scenario, 100 scenarios.
+    started = time.perf_counter()
     rng = np.random.default_rng(107)
     h = 1e-5
     worst = 0.0
@@ -270,16 +289,18 @@ def test_criterion_7_prices_match_finite_difference_sensitivities(capsys):
                 checked += 1
                 if gap > tolerance:
                     failures += 1
+    elapsed = time.perf_counter() - started
     _announce(
         capsys,
         7,
         failures == 0,
         f"finite-difference price check on {checked} (scenario, shift, bus) "
-        f"triples: {failures} failures, worst gap {worst:.3e}",
+        f"triples: {failures} failures, worst gap {worst:.3e} ({elapsed:.1f}s)",
     )
 
 
 def test_criterion_8_cli_output_is_byte_reproducible(capsys, tmp_path):
+    started = time.perf_counter()
     scenario_path = tmp_path / "scenario.txt"
     write_scenario_file(scenario_gen.canonical_scenario(), scenario_path)
     pairs = []
@@ -295,4 +316,10 @@ def test_criterion_8_cli_output_is_byte_reproducible(capsys, tmp_path):
         pairs.append((mode, outputs[0] == outputs[1], len(outputs[0])))
     passed = all(same for _, same, _ in pairs)
     detail = ", ".join(f"{mode}: {size} bytes identical" for mode, same, size in pairs)
-    _announce(capsys, 8, passed, detail if passed else f"mismatch in {pairs}")
+    elapsed = time.perf_counter() - started
+    _announce(
+        capsys,
+        8,
+        passed,
+        (detail if passed else f"mismatch in {pairs}") + f" ({elapsed:.1f}s)",
+    )

@@ -1,5 +1,7 @@
 """Unit tests for the dispatch solve, bus prices, and settlement costs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,12 @@ from gridshift.dispatch import (
     dc_cost_numeric,
     solve_ed,
     solve_ed_detailed,
+    solve_ed_grid,
     sw_cost_numeric,
 )
 from gridshift.grid_model import tau
 from gridshift.lp_core import verify_kkt
+from gridshift.sweep import delta_grid
 
 
 class TestBuildEd:
@@ -160,6 +164,75 @@ class TestEmissionMapping:
         assert below.lmp[1] == above.lmp[1] == 0.0
         assert below.lme[1] == 0.0
         assert above.lme[1] == s.e1
+
+
+def _threshold_on_node(s, rng, resolution):
+    """``s`` with its threshold moved onto an interior node of the shift
+    grid (``F01`` up and ``l0`` down by the same amount)."""
+    node = float(np.linspace(0.0, s.L, resolution)[rng.integers(5, resolution - 5)])
+    shift = node - tau(s).value
+    return dataclasses.replace(s, F01=s.F01 + shift, l0=s.l0 - shift)
+
+
+def _grid_mix():
+    """Fixed-seed scenario mix for the grid-versus-cold comparison: plain,
+    band and unequal-weight draws, thresholds moved onto a grid node, a
+    threshold at the block edge, and a free bus-1 generator."""
+    rng = np.random.default_rng(309)
+    mix = []
+    for _ in range(12):
+        mix.append(scenario_gen.random_valid_scenario(rng))
+        mix.append(scenario_gen.random_misaligned_scenario(rng))
+        mix.append(scenario_gen.random_split_weight_scenario(rng))
+    while len(mix) < 56:
+        s = _threshold_on_node(scenario_gen.random_valid_scenario(rng), rng, 200)
+        if scenario_gen._acceptable(s):
+            mix.append(s)
+    mix.append(scenario_gen.canonical_scenario())
+    mix.append(scenario_gen.canonical_scenario(F01=2.4, l0=-2.9))  # threshold at L
+    mix.append(scenario_gen.canonical_scenario(c1=0.0))
+    mix.append(scenario_gen.canonical_scenario(c1=0.0, alpha_dc=0.5, alpha_sw=0.5))
+    return mix
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestGridDispatch:
+    def test_matches_cold_solves_pointwise(self):
+        """Basis reuse against a cold solve at every grid point.
+
+        ``sweep_points`` (and so acceptance criterion 1) reads its dispatch
+        from ``solve_ed_grid``, which solves only where the basis changes.
+        This is the cold per-point check of that route: prices, emission
+        rates and degeneracy flags identical to the bit, flows and cost to
+        1e-9.
+        """
+        degenerate_points = 0
+        for s in _grid_mix():
+            deltas = delta_grid(s.L, 200)
+            grid = solve_ed_grid(s, deltas)
+            assert len(grid) == deltas.size
+            for d, got in zip(deltas, grid):
+                cold = solve_ed(s, float(d))
+                assert got.delta == cold.delta
+                assert _bits(got.lmp) == _bits(cold.lmp)
+                assert _bits(got.lme) == _bits(cold.lme)
+                assert got.degenerate == cold.degenerate
+                flows = [got.y0, got.y1, got.y2, got.f01, got.f02, got.f12]
+                expected = [cold.y0, cold.y1, cold.y2, cold.f01, cold.f02, cold.f12]
+                np.testing.assert_allclose(flows, expected, rtol=0.0, atol=1e-9)
+                assert got.total_cost == pytest.approx(cold.total_cost, abs=1e-9)
+                degenerate_points += cold.degenerate
+        # The on-node thresholds and the threshold at L put degenerate
+        # vertices on the grid, so the cold fallback is exercised too.
+        assert degenerate_points >= 21
+
+    def test_out_of_block_shift_rejected(self):
+        s = scenario_gen.canonical_scenario()
+        with pytest.raises(DeltaRangeError):
+            solve_ed_grid(s, [0.0, 0.5, s.L + 0.01])
 
 
 class TestCostEvaluations:

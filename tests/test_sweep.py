@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import scenario_gen
+from gridshift import closed_form, lp_core
 from gridshift.closed_form import ScenarioInvalidError
 from gridshift.grid_model import tau
 from gridshift.sweep import (
@@ -23,6 +24,19 @@ from gridshift.sweep import (
     sweep_points,
     verify_scenario,
 )
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` and pass it through."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestDeltaGrid:
@@ -68,6 +82,22 @@ class TestSweep:
     def test_invalid_scenario_raises(self):
         with pytest.raises(ScenarioInvalidError):
             sweep_points(scenario_gen.canonical_scenario(c2=0.5))
+
+    def test_solves_once_per_basis(self, monkeypatch):
+        # Two price regimes, two solves.  linspace(0, 1, 11) puts a node on
+        # the 0.1 threshold: its degenerate vertex costs a cold solve plus
+        # the nudged one, and the next node starts the right regime afresh.
+        solves = _count_calls(monkeypatch, lp_core, "solve")
+        sweep_points(scenario_gen.canonical_scenario(), 200)
+        assert len(solves) <= 2
+        solves.clear()
+        sweep_points(scenario_gen.canonical_scenario(), 11)
+        assert len(solves) <= 4
+
+    def test_validates_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, closed_form, "validate")
+        sweep_points(scenario_gen.canonical_scenario(), 11)
+        assert len(calls) == 1
 
 
 class TestHeatmap:
@@ -188,6 +218,21 @@ class TestVerification:
     def test_invalid_scenario_raises(self):
         with pytest.raises(ScenarioInvalidError):
             verify_scenario(scenario_gen.canonical_scenario(l2=0.5))
+
+    def test_cold_solves_and_certifies_every_point(self, monkeypatch):
+        # verify is the independent check on the sweep's basis reuse: one
+        # cold solve and one optimality check per grid point off the
+        # threshold, plus the nudged solve nowhere (the threshold is skipped).
+        solves = _count_calls(monkeypatch, lp_core, "solve")
+        checks = _count_calls(monkeypatch, lp_core, "verify_kkt")
+        report = verify_scenario(scenario_gen.canonical_scenario(), resolution=11)
+        assert report.points_skipped == 1
+        assert len(solves) == len(checks) == 10
+
+    def test_validates_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, closed_form, "validate")
+        verify_scenario(scenario_gen.canonical_scenario(), resolution=11)
+        assert len(calls) == 1
 
     def test_report_text_layout(self):
         report = verify_scenario(scenario_gen.canonical_scenario(), resolution=20)
