@@ -10,6 +10,7 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 
@@ -41,6 +42,10 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"expected a 'low:high' range, got {text!r}"
         ) from None
+    if not math.isfinite(high - low):  # also catches an infinite or NaN bound
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} must have finite bounds and a finite span"
+        )
     if not low <= high:
         raise argparse.ArgumentTypeError(f"range {text!r} must have low <= high")
     return (low, high)

@@ -15,8 +15,18 @@ from __future__ import annotations
 import dataclasses
 from typing import NamedTuple
 
+import numpy as np
+
 from .dispatch import csv_number
-from .grid_model import ThreeBusScenario, ValidityReport, eta, tau, validate
+from .grid_model import (
+    ThreeBusScenario,
+    ValidityReport,
+    choose,
+    eta,
+    tau,
+    threshold_grid,
+    validate,
+)
 
 #: Two candidate optima closer than this are considered the same choice, and
 #: an exact tie between them resolves to the threshold.
@@ -45,7 +55,8 @@ class PiecewiseObjective:
     itself settles at zero bus-1 price), the right segment beyond it.  The
     function may jump upward at the breakpoint: the bus-1 price snaps from
     zero to the generator offer, instantly repricing whatever that segment's
-    settlement covers at bus 1.
+    settlement covers at bus 1.  On a capacity grid the breakpoint is an
+    array holding one threshold per cell.
     """
 
     breakpoint: float
@@ -60,9 +71,16 @@ class PiecewiseObjective:
             raise ValueError(
                 f"delta={delta!r} outside the shiftable block [0, {self.domain}]"
             )
-        if delta <= self.breakpoint:
-            return self.left_intercept + self.left_slope * delta
-        return self.right_intercept + self.right_slope * delta
+        return self.at(delta)
+
+    def at(self, delta):
+        """:meth:`evaluate` without the domain check, elementwise over an
+        array breakpoint or shift."""
+        return choose(
+            delta <= self.breakpoint,
+            self.left_intercept + self.left_slope * delta,
+            self.right_intercept + self.right_slope * delta,
+        )
 
     def discontinuity(self) -> float:
         """Jump at the breakpoint: right-limit value minus the (left-branch)
@@ -130,9 +148,8 @@ def _optimum(s: ThreeBusScenario, agent: str, objective: PiecewiseObjective) -> 
     # cutoff itself (ties resolve to the threshold, the physically
     # distinguished point).
     t = objective.breakpoint
-    if t - cutoff(s, agent) >= -DECISION_TOL:
-        return Shift(t, objective.evaluate(t))
-    return Shift(s.L, objective.evaluate(s.L))
+    delta = choose(t - cutoff(s, agent) >= -DECISION_TOL, t, s.L)
+    return Shift(delta, objective.at(delta))
 
 
 def objective_dc(s: ThreeBusScenario) -> PiecewiseObjective:
@@ -232,6 +249,35 @@ class AlignmentReport:
         return "\n".join(lines)
 
 
+class _Alignment(NamedTuple):
+    dc_objective: PiecewiseObjective
+    sw_objective: PiecewiseObjective
+    dc: Shift
+    sw: Shift
+    aligned: bool
+    sw_at_dc_choice: float
+    suboptimality_ratio: float
+
+
+def _alignment(s: ThreeBusScenario, threshold) -> _Alignment:
+    """Both optima at ``threshold`` and what the data-center choice costs the
+    system; elementwise when ``threshold`` holds one value per grid cell."""
+    dc_objective = _objective(s, "dc", threshold)
+    sw_objective = _objective(s, "sw", threshold)
+    dc = _optimum(s, "dc", dc_objective)
+    sw = _optimum(s, "sw", sw_objective)
+    sw_at_dc_choice = sw_objective.at(dc.delta)
+    return _Alignment(
+        dc_objective=dc_objective,
+        sw_objective=sw_objective,
+        dc=dc,
+        sw=sw,
+        aligned=abs(dc.delta - sw.delta) <= DECISION_TOL,
+        sw_at_dc_choice=sw_at_dc_choice,
+        suboptimality_ratio=sw_at_dc_choice / sw.value,
+    )
+
+
 def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:
     """Compare the two optima and quantify what the private choice costs.
 
@@ -242,12 +288,8 @@ def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:
     candidates).
     """
     t = _validated_threshold(s)
-    dc_objective = _objective(s, "dc", t)
-    sw_objective = _objective(s, "sw", t)
-    dc = _optimum(s, "dc", dc_objective)
-    sw = _optimum(s, "sw", sw_objective)
-
-    aligned = abs(dc.delta - sw.delta) <= DECISION_TOL
+    a = _alignment(s, t)
+    dc, sw = a.dc, a.sw
     dc_at_threshold = abs(dc.delta - t) <= DECISION_TOL
     sw_at_threshold = abs(sw.delta - t) <= DECISION_TOL
     if dc_at_threshold and sw_at_threshold:
@@ -259,17 +301,58 @@ def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:
     else:
         case = "dc-threshold-sw-full"
 
-    sw_at_dc_choice = sw_objective.evaluate(dc.delta)
     return AlignmentReport(
         delta_star_dc=dc.delta,
         delta_star_sw=sw.delta,
-        verdict="aligned" if aligned else "misaligned",
+        verdict="aligned" if a.aligned else "misaligned",
         binding_case=case,
-        sw_at_dc_choice=sw_at_dc_choice,
+        sw_at_dc_choice=a.sw_at_dc_choice,
         sw_at_sw_choice=sw.value,
-        externality_at_dc_choice=sw_at_dc_choice - sw.value,
-        suboptimality_ratio=sw_at_dc_choice / sw.value,
-        residual_at_dc_choice=sw_at_dc_choice - dc.value,
-        residual_at_sw_choice=sw_objective.evaluate(sw.delta)
-        - dc_objective.evaluate(sw.delta),
+        externality_at_dc_choice=a.sw_at_dc_choice - sw.value,
+        suboptimality_ratio=a.suboptimality_ratio,
+        residual_at_dc_choice=a.sw_at_dc_choice - dc.value,
+        residual_at_sw_choice=a.sw_objective.evaluate(sw.delta)
+        - a.dc_objective.evaluate(sw.delta),
     )
+
+
+class AlignmentGrid(NamedTuple):
+    """:func:`classify_alignment` over a capacity grid, one entry per cell.
+
+    ``verdict`` is "aligned", "misaligned" or "invalid"; the numeric fields
+    are NaN on invalid cells.
+    """
+
+    valid: np.ndarray
+    verdict: np.ndarray
+    delta_star_dc: np.ndarray
+    delta_star_sw: np.ndarray
+    sw_at_dc_choice: np.ndarray
+    sw_at_sw_choice: np.ndarray
+    suboptimality_ratio: np.ndarray
+
+
+def classify_alignment_grid(
+    s: ThreeBusScenario, F01: np.ndarray, F12: np.ndarray
+) -> AlignmentGrid:
+    """Classify ``s`` with its two scanned line limits replaced by each
+    ``(F01[i], F12[i])`` pair, as array expressions over the cells.
+
+    Only the threshold changes from cell to cell, so the rates, cutoffs and
+    objective coefficients are computed once.  A cell is invalid where the
+    replaced scenario could not be built or fails :func:`validate`, and
+    everywhere when either agent's weights are degenerate.
+    """
+    t, valid = threshold_grid(s, F01, F12)
+    verdict = np.full(t.shape, "invalid", dtype=object)
+    columns = [np.full(t.shape, np.nan) for _ in range(5)]
+    try:
+        a = _alignment(s, t[valid])
+    except DegenerateWeightsError:
+        valid[:] = False  # the weights, and so the degeneracy, are every cell's
+    else:
+        verdict[valid] = np.where(a.aligned, "aligned", "misaligned")
+        values = (a.dc.delta, a.sw.delta, a.sw_at_dc_choice, a.sw.value, a.suboptimality_ratio)
+        for column, value in zip(columns, values):
+            column[valid] = value
+    return AlignmentGrid(valid, verdict, *columns)

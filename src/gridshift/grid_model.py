@@ -14,6 +14,8 @@ import math
 from importlib import resources
 from typing import NamedTuple
 
+import numpy as np
+
 TOLERANCE = 1e-9
 
 SCENARIO_KEYS = (
@@ -135,15 +137,49 @@ class ValidityReport:
         return "\n".join(lines)
 
 
-def _check(name: str, margin: float, detail: str) -> ConditionCheck:
-    # Strict inequality with tolerance: margins below TOLERANCE fail, and
-    # anything within TOLERANCE of the knife edge is flagged as borderline.
-    return ConditionCheck(
-        name=name,
-        passed=margin > TOLERANCE,
-        margin=margin,
-        borderline=abs(margin) <= TOLERANCE,
-        detail=detail,
+def choose(condition, if_true, if_false):
+    """``if_true if condition else if_false``, elementwise when ``condition``
+    is an array: Python numbers stay Python numbers, arrays go through
+    ``np.where``.  Lets one formula serve one scenario and a capacity grid."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
+
+
+def _lesser(a, b):
+    # min(a, b) with Python's tie rule: the first argument wins unless the
+    # second is strictly smaller (this keeps the sign of a zero margin).
+    return choose(b < a, b, a)
+
+
+#: The setting conditions, in report order, and whether each must hold
+#: strictly (margin above TOLERANCE) or only to within TOLERANCE.
+_CONDITIONS = (
+    ("bus-1 generation cheaper", True),
+    ("positive system load", True),
+    ("bus-1 load renewable-servable", True),
+    ("bus-2 load exceeds import capacity", True),
+    ("shift threshold positive", True),
+    # Unlike the others this check is non-strict: threshold == L is fine.
+    ("shift threshold within block", False),
+)
+
+
+def _holds(margin, strict: bool):
+    return margin > TOLERANCE if strict else margin >= -TOLERANCE
+
+
+def _margins(s: ThreeBusScenario, F01, F12, threshold) -> tuple:
+    """Signed margins of :data:`_CONDITIONS` with the two scanned line limits
+    given separately; each is a float, or an array over the cells when
+    ``F01``/``F12``/``threshold`` are arrays."""
+    return (
+        s.c2 - s.c1,
+        s.l0 + s.l1 + s.l2,
+        _lesser(F01 + _lesser(s.F02, F12) - s.l1, abs(s.l0) - s.l1),
+        (s.l2 - s.L) - (s.F02 + F12),
+        threshold,
+        s.L - threshold,
     )
 
 
@@ -156,40 +192,26 @@ def validate(s: ThreeBusScenario) -> ValidityReport:
     Pure function; never raises on a structurally well-formed scenario.
     """
     t = tau(s).value
-    checks = (
-        _check(
-            "bus-1 generation cheaper",
-            s.c2 - s.c1,
-            f"c1={s.c1:g} must undercut c2={s.c2:g}",
-        ),
-        _check(
-            "positive system load",
-            s.l0 + s.l1 + s.l2,
-            "total net load l0+l1+l2 must be positive",
-        ),
-        _check(
-            "bus-1 load renewable-servable",
-            min(s.F01 + min(s.F02, s.F12) - s.l1, abs(s.l0) - s.l1),
-            "l1 must stay below both F01+min(F02,F12) and |l0|",
-        ),
-        _check(
-            "bus-2 load exceeds import capacity",
-            (s.l2 - s.L) - (s.F02 + s.F12),
-            "l2-L must exceed F02+F12 so bus 2 always runs local generation",
-        ),
-        _check(
-            "shift threshold positive",
-            t,
-            f"threshold {t:.6g} must be positive",
-        ),
-        # Unlike the others this check is non-strict: threshold == L is fine.
+    details = (
+        f"c1={s.c1:g} must undercut c2={s.c2:g}",
+        "total net load l0+l1+l2 must be positive",
+        "l1 must stay below both F01+min(F02,F12) and |l0|",
+        "l2-L must exceed F02+F12 so bus 2 always runs local generation",
+        f"threshold {t:.6g} must be positive",
+        f"threshold {t:.6g} must not exceed the shiftable block L={s.L:g}",
+    )
+    # Margins within TOLERANCE of the knife edge are flagged as borderline.
+    checks = tuple(
         ConditionCheck(
-            name="shift threshold within block",
-            passed=s.L - t >= -TOLERANCE,
-            margin=s.L - t,
-            borderline=abs(s.L - t) <= TOLERANCE,
-            detail=f"threshold {t:.6g} must not exceed the shiftable block L={s.L:g}",
-        ),
+            name=name,
+            passed=_holds(margin, strict),
+            margin=margin,
+            borderline=abs(margin) <= TOLERANCE,
+            detail=detail,
+        )
+        for (name, strict), margin, detail in zip(
+            _CONDITIONS, _margins(s, s.F01, s.F12, t), details
+        )
     )
     return ValidityReport(checks=checks, valid=all(c.passed for c in checks))
 
@@ -201,6 +223,17 @@ class Threshold(NamedTuple):
     binding: str  # "congestion" | "renewable" | "both"
 
 
+def _threshold(s: ThreeBusScenario, F01, F12):
+    """Threshold value, whether the two capacity terms tie, and whether the
+    congestion term is the smaller; elementwise over ``F01``/``F12``."""
+    congestion_term = F01 - F12
+    renewable_term = -s.l0 - s.F02 - F12
+    tie = abs(congestion_term - renewable_term) <= TOLERANCE
+    congestion_lower = congestion_term < renewable_term
+    value = choose(tie | congestion_lower, congestion_term, renewable_term)
+    return value - s.l1, tie, congestion_lower
+
+
 def tau(s: ThreeBusScenario) -> Threshold:
     """Largest shift the cheap path to bus 1 can absorb at zero price.
 
@@ -209,18 +242,32 @@ def tau(s: ThreeBusScenario) -> Threshold:
     bus 2's imports (``-l0 - F02 - F12``); the threshold is the smaller term
     minus the base load ``l1``.
     """
-    congestion_term = s.F01 - s.F12
-    renewable_term = -s.l0 - s.F02 - s.F12
-    if abs(congestion_term - renewable_term) <= TOLERANCE:
+    value, tie, congestion_lower = _threshold(s, s.F01, s.F12)
+    if tie:
         binding = "both"
-        value = congestion_term
-    elif congestion_term < renewable_term:
+    elif congestion_lower:
         binding = "congestion"
-        value = congestion_term
     else:
         binding = "renewable"
-        value = renewable_term
-    return Threshold(value=value - s.l1, binding=binding)
+    return Threshold(value=value, binding=binding)
+
+
+def threshold_grid(
+    s: ThreeBusScenario, F01: np.ndarray, F12: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`tau` and :func:`validate` for ``s`` with its two scanned line
+    limits replaced by ``F01[i]``/``F12[i]``: the threshold of every cell and
+    whether the cell is a valid scenario.  Cells whose line limits are not
+    finite and nonnegative (which :class:`ThreeBusScenario` rejects) are
+    invalid."""
+    F01 = np.asarray(F01, dtype=float)
+    F12 = np.asarray(F12, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        t, _, _ = _threshold(s, F01, F12)
+        valid = np.isfinite(F01) & np.isfinite(F12) & (F01 >= 0.0) & (F12 >= 0.0)
+        for (_, strict), margin in zip(_CONDITIONS, _margins(s, F01, F12, t)):
+            valid &= _holds(margin, strict)
+    return t, valid
 
 
 def eta(s: ThreeBusScenario, bus: int, agent: str) -> float:

@@ -4,6 +4,14 @@ Everything here produces either structured rows for tests or deterministic
 CSV text for the command-line tool: fixed column order, 12 significant
 digits, LF newlines.  Identical inputs must yield byte-identical output, so
 no timestamps, locales, or dict-ordering tricks are allowed anywhere.
+
+A capacity heatmap is one call to
+:func:`~gridshift.closed_form.classify_alignment_grid` over the flattened
+(F01, F12) grid: only the shift threshold varies between cells, so every
+cell is classified by the same array expressions and no per-cell scenario is
+built.  :func:`heatmap_csv_lines` formats its rows straight from those
+arrays; :func:`heatmap_cells` wraps the same arrays in :class:`HeatmapCell`
+objects.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ import numpy as np
 
 from . import lp_core
 from .closed_form import (
+    AlignmentGrid,
     DegenerateWeightsError,
-    ScenarioInvalidError,
-    classify_alignment,
+    classify_alignment_grid,
     cutoff,
     objectives,
 )
@@ -28,7 +36,7 @@ from .dispatch import (
     solve_ed_grid,
     sw_cost_numeric,
 )
-from .grid_model import ScenarioError, ThreeBusScenario, tau
+from .grid_model import ThreeBusScenario, tau
 
 #: Grid points this close to the threshold are excluded from cross-path
 #: comparisons: the analytic side switches branches discontinuously there
@@ -157,14 +165,27 @@ class HeatmapCell:
         )
 
 
-_INVALID_CELL = dict(
-    delta_star_sw=math.nan,
-    delta_star_dc=math.nan,
-    sw_at_sw_opt=math.nan,
-    sw_at_dc_opt=math.nan,
-    ratio=math.nan,
-    verdict="invalid",
-)
+def _heatmap_grid(
+    s: ThreeBusScenario, f01_values: np.ndarray, f12_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, AlignmentGrid, tuple[np.ndarray, ...]]:
+    """Classify every (F01, F12) pair of the two axes, row-major with F01
+    outer: the cells' line limits, the grid, and its numeric heatmap columns
+    in CSV order."""
+    f01, f12 = np.meshgrid(
+        np.asarray(f01_values, dtype=float),
+        np.asarray(f12_values, dtype=float),
+        indexing="ij",
+    )
+    f01, f12 = f01.ravel(), f12.ravel()
+    grid = classify_alignment_grid(s, f01, f12)
+    numbers = (
+        grid.delta_star_sw,
+        grid.delta_star_dc,
+        grid.sw_at_sw_choice,
+        grid.sw_at_dc_choice,
+        grid.suboptimality_ratio,
+    )
+    return f01, f12, grid, numbers
 
 
 def heatmap_cells(
@@ -178,30 +199,9 @@ def heatmap_cells(
     re-derives everything from its grid values.  All classification here is
     closed-form, so the scan involves no LP solves.
     """
-    cells = []
-    for f01 in f01_values:
-        for f12 in f12_values:
-            try:
-                cell_scenario = dataclasses.replace(
-                    s, F01=float(f01), F12=float(f12)
-                )
-                report = classify_alignment(cell_scenario)
-            except (ScenarioError, ScenarioInvalidError, DegenerateWeightsError):
-                cells.append(HeatmapCell(F01=float(f01), F12=float(f12), **_INVALID_CELL))
-                continue
-            cells.append(
-                HeatmapCell(
-                    F01=float(f01),
-                    F12=float(f12),
-                    delta_star_sw=report.delta_star_sw,
-                    delta_star_dc=report.delta_star_dc,
-                    sw_at_sw_opt=report.sw_at_sw_choice,
-                    sw_at_dc_opt=report.sw_at_dc_choice,
-                    ratio=report.suboptimality_ratio,
-                    verdict=report.verdict,
-                )
-            )
-    return cells
+    f01, f12, grid, numbers = _heatmap_grid(s, f01_values, f12_values)
+    columns = (f01, f12, *numbers, grid.verdict)
+    return [HeatmapCell(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def alignment_cutoffs(s: ThreeBusScenario) -> tuple[float, float]:
@@ -249,8 +249,21 @@ def heatmap_csv_lines(
         raise ValueError("resolution must be at least 2")
     f01_values = np.linspace(f01_range[0], f01_range[1], resolution)
     f12_values = np.linspace(f12_range[0], f12_range[1], resolution)
+    _, _, grid, numbers = _heatmap_grid(s, f01_values, f12_values)
+    # Rows come straight from the arrays in one pass: each axis value is
+    # formatted once, each valid cell's numbers once, and every invalid cell
+    # shares one tail.
+    invalid_tail = ",".join([csv_number(math.nan)] * len(numbers) + ["invalid"])
+    valid = grid.valid
+    valid_tails = map(
+        ",".join,
+        zip(*(map(csv_number, c[valid].tolist()) for c in numbers), grid.verdict[valid].tolist()),
+    )
+    f12_text = [csv_number(f12) for f12 in f12_values.tolist()]
+    heads = (f"{f01},{f12}" for f01 in map(csv_number, f01_values.tolist()) for f12 in f12_text)
     cell_lines = [HEATMAP_HEADER] + [
-        c.to_csv_row() for c in heatmap_cells(s, f01_values, f12_values)
+        f"{head},{next(valid_tails) if ok else invalid_tail}"
+        for head, ok in zip(heads, valid.tolist())
     ]
     boundary_lines = [BOUNDARY_HEADER] + [
         ",".join((csv_number(f12), csv_number(a), csv_number(b)))

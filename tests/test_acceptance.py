@@ -259,7 +259,7 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
         passed,
         f"10000 random LPs vs enumeration: {status_bad} status, "
         f"{objective_bad} objective, {kkt_bad} optimality-check mismatches "
-        f"({optimal_count} optimal); 50/50 threshold dispatches terminated "
+        f"({optimal_count} optimal); {degenerate_ok}/50 threshold dispatches terminated "
         f"({elapsed:.1f}s)",
     )
 

@@ -185,6 +185,19 @@ class TestErrorPaths:
         assert err.value.code == 2
         assert "low <= high" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--f01-range", "--f12-range"])
+    @pytest.mark.parametrize("bounds", ["inf:inf", "-inf:1", "0:inf", "nan:1", "-1e308:1.7e308"])
+    def test_non_finite_range_exits_2(self, canonical_path, tmp_path, option, bounds, capsys):
+        # An infinite bound, or a span too wide for a float, would put NaN
+        # line limits into the scan; the range is refused before any output.
+        out = tmp_path / "heat.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["heatmap", "--scenario", canonical_path, f"{option}={bounds}",
+                      "--out", str(out)])
+        assert err.value.code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["sweep", "verify", "classify", "heatmap"])
     def test_out_in_missing_directory_exits_2(self, canonical_path, tmp_path, mode, capsys):
         target = tmp_path / "missing" / "out.csv"

@@ -4,7 +4,9 @@ The hashes pin the exact bytes of ``sweep``, ``verify``, ``classify`` (CSV
 file and text report) and ``heatmap`` (cells and boundary) at their default
 resolutions, for the five bundled scenarios and three variants of the
 canonical scenario whose two agents weight price and emissions differently.
-A refactor that claims to keep the outputs must leave every hash alone;
+``heatmap`` is also pinned at off-default ranges and resolution, where the
+scan crosses invalid cells below the bus-1 base load and below zero.  A
+refactor that claims to keep the outputs must leave every hash alone;
 criterion 8 only checks that two runs of the same code agree.
 """
 
@@ -141,3 +143,39 @@ def _cli_outputs(name, tmp_path, capsys) -> dict[str, str]:
 )
 def test_cli_outputs_match_golden_hashes(name, tmp_path, capsys):
     assert _cli_outputs(name, tmp_path, capsys) == GOLDEN[name]
+
+
+#: ``heatmap`` away from its defaults: an odd resolution, and ranges that run
+#: below the bus-1 base load and below zero, so the scan crosses every kind
+#: of invalid cell.  Hashes of (cells, boundary), recorded like ``GOLDEN``.
+OFF_DEFAULT_HEATMAP_ARGS = ["--f01-range=0.5:2.5", "--f12-range=-0.2:1.2", "--resolution", "37"]
+
+GOLDEN_OFF_DEFAULT_HEATMAP = {
+    "aligned_clean_bus1": (
+        "292d048d695c021f6cb05e750c20df5f5099ef586affdea98446a6de902a57e5",
+        "8651a5d94639d40bba0cd25df2b1be5738f9e6b6d12ef673ef8915c7d7f8bf19",
+    ),
+    "canonical": (
+        "92ff740db9cfd1a17316e3f925f906f55843a5b69ee2782c6f3500e888bfea29",
+        "774d7a90d5b39599b6ba816fa9cce0724695ae919c4bdce347c8e16adcd4834a",
+    ),
+    "split_classic": (
+        "cade56563e30e837e68fd8ea739b198ed5175dbd789b20e17ceeb252ff28e3ba",
+        "0ffce91c438a946eb846653dfad9c05163380517e6bcc8048a07b2bd951a25f2",
+    ),
+    "split_reverse": (
+        "cfda8069e3405454d62c9e5afafb7c9b6d387032b3ce84c3c2b517c093d3deeb",
+        "38291bd2b511d00e89c8cabdab76dc72589bcb6f0ea44afbc4fced543be08d67",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OFF_DEFAULT_HEATMAP))
+def test_off_default_heatmap_matches_golden_hashes(name, tmp_path):
+    cells, boundary = tmp_path / "heatmap.csv", tmp_path / "boundary.csv"
+    assert cli.main(
+        ["heatmap", "--scenario", _scenario_path(name, tmp_path), "--out", str(cells),
+         "--boundary-out", str(boundary), *OFF_DEFAULT_HEATMAP_ARGS]
+    ) == 0
+    hashes = (_digest(cells.read_bytes()), _digest(boundary.read_bytes()))
+    assert hashes == GOLDEN_OFF_DEFAULT_HEATMAP[name]

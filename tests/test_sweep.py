@@ -1,5 +1,6 @@
 """Unit tests for grid sweeps, capacity heatmaps, and the verification gate."""
 
+import collections
 import dataclasses
 import math
 
@@ -7,9 +8,15 @@ import numpy as np
 import pytest
 
 import scenario_gen
-from gridshift import closed_form, lp_core
-from gridshift.closed_form import ScenarioInvalidError
-from gridshift.grid_model import tau
+from gridshift import closed_form, grid_model, lp_core, sweep
+from gridshift.closed_form import (
+    DECISION_TOL,
+    DegenerateWeightsError,
+    ScenarioInvalidError,
+    cutoff,
+)
+from gridshift.dispatch import csv_number
+from gridshift.grid_model import TOLERANCE, ScenarioError, tau
 from gridshift.sweep import (
     BOUNDARY_HEADER,
     HEATMAP_HEADER,
@@ -143,6 +150,175 @@ class TestHeatmap:
     def test_default_f01_range_starts_at_base_load(self):
         s = scenario_gen.canonical_scenario()
         assert default_f01_range(s, (0.0, 1.0)) == (pytest.approx(1.0), 3.0)
+
+
+#: Unequal-weight variants of the canonical scenario (as in test_golden).
+SPLIT_CLASSIC = dict(alpha_dc=0.6, alpha_sw=0.2, e1=1.6, e2=2.5)
+SPLIT_REVERSE = dict(alpha_dc=1.0, alpha_sw=0.0, e1=0.1, F01=2.1)
+
+
+def _scalar_heatmap_row(s, f01: float, f12: float) -> str:
+    """One heatmap row the per-cell way: build the cell's scenario and run
+    the scalar classification on it."""
+    try:
+        report = closed_form.classify_alignment(dataclasses.replace(s, F01=f01, F12=f12))
+    except (ScenarioError, ScenarioInvalidError, DegenerateWeightsError):
+        numbers, verdict = [math.nan] * 5, "invalid"
+    else:
+        numbers = [
+            report.delta_star_sw,
+            report.delta_star_dc,
+            report.sw_at_sw_choice,
+            report.sw_at_dc_choice,
+            report.suboptimality_ratio,
+        ]
+        verdict = report.verdict
+    return ",".join([csv_number(x) for x in (f01, f12, *numbers)] + [verdict])
+
+
+def _assert_cells_match_scalar(s, f01_values, f12_values) -> list[str]:
+    rows = [c.to_csv_row() for c in heatmap_cells(s, f01_values, f12_values)]
+    expected = [
+        _scalar_heatmap_row(s, float(a), float(b)) for a in f01_values for b in f12_values
+    ]
+    assert rows == expected
+    return [row.rsplit(",", 1)[1] for row in rows]
+
+
+def _offsets(center: float, scale: float) -> np.ndarray:
+    """``center`` itself, its neighbouring floats, and steps of half and
+    twice ``scale`` to either side."""
+    return np.array(
+        [
+            center - 2 * scale,
+            center - scale / 2,
+            np.nextafter(center, -np.inf),
+            center,
+            np.nextafter(center, np.inf),
+            center + scale / 2,
+            center + 2 * scale,
+        ]
+    )
+
+
+class TestHeatmapArrayRoute:
+    """The scan is array expressions over the cells; every row must equal
+    what building the cell's scenario and classifying it alone gives."""
+
+    def test_csv_matches_scalar_reference_on_random_draws(self):
+        rng = np.random.default_rng(404)
+        verdicts = collections.Counter()
+        for _ in range(20):
+            for s in (
+                scenario_gen.random_valid_scenario(rng),
+                scenario_gen.random_misaligned_scenario(rng),
+                scenario_gen.random_split_weight_scenario(rng),
+            ):
+                # Both ranges start below zero (and so below l1) and end past
+                # where the bus-2 and threshold conditions fail.
+                f01_range = (-0.4, s.F01 + s.L + 0.8)
+                f12_range = (-0.3, s.F12 + s.L + 0.5)
+                lines, _ = heatmap_csv_lines(s, f01_range, f12_range, 17)
+                f01_values = np.linspace(*f01_range, 17)
+                f12_values = np.linspace(*f12_range, 17)
+                assert lines[1:] == [
+                    _scalar_heatmap_row(s, float(a), float(b))
+                    for a in f01_values
+                    for b in f12_values
+                ]
+                assert lines[1:] == [
+                    c.to_csv_row() for c in heatmap_cells(s, f01_values, f12_values)
+                ]
+                verdicts.update(line.rsplit(",", 1)[1] for line in lines[1:])
+        assert min(verdicts[v] for v in ("aligned", "misaligned", "invalid")) > 100
+
+    @pytest.mark.parametrize(
+        "overrides, agent",
+        [({}, "dc"), (SPLIT_CLASSIC, "dc"), (SPLIT_REVERSE, "dc"), (SPLIT_REVERSE, "sw")],
+        ids=["canonical-dc", "split_classic-dc", "split_reverse-dc", "split_reverse-sw"],
+    )
+    def test_threshold_on_a_cutoff(self, overrides, agent):
+        # F01 = cutoff + l1 + F12 puts the congestion-limited threshold on
+        # the agent's (positive) cutoff, where stopping at the threshold wins
+        # the tie; the offsets probe both sides of DECISION_TOL.
+        s = scenario_gen.canonical_scenario(**overrides)
+        cut = cutoff(s, agent)
+        verdicts = _assert_cells_match_scalar(
+            s, _offsets(cut + s.l1 + 0.25, DECISION_TOL), np.array([0.25])
+        )
+        assert "invalid" not in verdicts
+
+    def test_exact_cutoff_on_linspace_grid(self):
+        # Canonical's data-center cutoff is 0.5, met exactly at F01 = 1.75,
+        # F12 = 0.25; stopping at the threshold wins the tie, so both agents
+        # stop there and the cell is aligned at ratio 1.
+        s = scenario_gen.canonical_scenario()
+        lines, _ = heatmap_csv_lines(s, (1.5, 2.0), (0.0, 0.5), 5)
+        assert lines[1 + 2 * 5 + 2] == "1.75,0.25,0.5,0.5,3,3,1,aligned"
+        assert lines[1:] == [
+            _scalar_heatmap_row(s, float(a), float(b))
+            for a in np.linspace(1.5, 2.0, 5)
+            for b in np.linspace(0.0, 0.5, 5)
+        ]
+
+    def test_congestion_equals_renewable(self):
+        # F01 = -l0 - F02 makes both capacity terms equal for every F12.
+        s = scenario_gen.canonical_scenario()
+        f01 = _offsets(-s.l0 - s.F02, TOLERANCE)
+        verdicts = _assert_cells_match_scalar(s, f01, np.array([0.0, 0.25, 0.4]))
+        assert "invalid" not in verdicts
+        # Within TOLERANCE of the tie the congestion term sets the threshold,
+        # even where it is the larger one; both agents stop there at F12=0.25.
+        cells = heatmap_cells(s, f01[1:-1], np.array([0.25]))
+        assert [c.delta_star_dc for c in cells] == [(a - 0.25) - s.l1 for a in f01[1:-1]]
+
+    def test_threshold_at_block(self):
+        # F01 = L + l1 + F12 puts the threshold on L, where the non-strict
+        # within-block condition still holds; just beyond it fails.
+        s = scenario_gen.canonical_scenario(l0=-2.9)
+        verdicts = _assert_cells_match_scalar(
+            s, _offsets(s.L + s.l1 + 0.25, TOLERANCE), np.array([0.25])
+        )
+        assert verdicts[3] != "invalid" and verdicts[-1] == "invalid"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(alpha_dc=0.0, e2=1e-12),
+            dict(alpha_sw=0.0, e2=1e-12),
+            dict(alpha_dc=0.0, alpha_sw=0.0, e2=DECISION_TOL),
+        ],
+    )
+    def test_degenerate_weights_make_every_cell_invalid(self, overrides):
+        s = scenario_gen.canonical_scenario(**overrides)
+        verdicts = _assert_cells_match_scalar(
+            s, np.linspace(-0.5, 3.0, 8), np.linspace(-0.2, 1.0, 7)
+        )
+        assert set(verdicts) == {"invalid"}
+
+    def test_non_finite_line_limits_are_invalid(self):
+        s = scenario_gen.canonical_scenario()
+        f01 = np.array([np.nan, -np.inf, np.inf, -1e-300, -0.0, 1.5])
+        f12 = np.array([np.nan, np.inf, -0.0, 0.4])
+        with np.errstate(all="raise"):
+            verdicts = _assert_cells_match_scalar(s, f01, f12)
+        # Only F01 = 1.5 is a usable line limit; F12 = -0.0 is a zero limit.
+        assert verdicts[-2:] == ["aligned", "misaligned"]
+        assert verdicts.count("invalid") == len(verdicts) - 2
+
+    def test_no_per_cell_scenarios_or_scalar_classification(self, monkeypatch):
+        s = scenario_gen.canonical_scenario()
+        builds = _count_calls(monkeypatch, grid_model.ThreeBusScenario, "__post_init__")
+        validates = _count_calls(monkeypatch, grid_model, "validate")
+        validates_cf = _count_calls(monkeypatch, closed_form, "validate")
+        classifies = _count_calls(monkeypatch, closed_form, "classify_alignment")
+        cells, _ = heatmap_csv_lines(s, default_f01_range(s, (0.0, 1.0)), (0.0, 1.0), 50)
+        assert len(cells) == 1 + 2500
+        assert builds == []
+        assert len(validates) + len(validates_cf) <= 1
+        assert classifies == []
+        # A copy imported into sweep would escape the counter above.
+        assert not hasattr(sweep, "classify_alignment")
 
 
 class TestAnalyticBoundary:
