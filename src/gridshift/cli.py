@@ -193,6 +193,8 @@ def _run_verify(scenario, args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+_PARSER = build_parser()
+
 _HANDLERS = {
     "sweep": _run_sweep,
     "heatmap": _run_heatmap,
@@ -202,7 +204,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         scenario = parse_scenario_file(args.scenario)
     except ScenarioParseError as exc:

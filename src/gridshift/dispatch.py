@@ -11,7 +11,10 @@ numerically.
 :func:`solve_ed` solves one shift cold.  :func:`solve_ed_grid` solves a whole
 shift grid and solves again only where the optimal basis changes: the shift
 moves just the right-hand side, so one basis, with its prices, holds on an
-interval of shifts.
+interval of shifts.  Both routes ask one question of a basis, whether every
+basic variable lies clear of its bounds: the cold solve at the degeneracy
+tolerance, to flag a degenerate vertex, and the grid walk at twice that, for
+every later shift of the grid at once.
 """
 
 from __future__ import annotations
@@ -72,8 +75,11 @@ class DispatchOutcome:
     ``lmp`` holds the bus prices ($/MWh, duals of the nodal balances) and
     ``lme`` the marginal emission rates of the same basis (tCO2/MWh), both
     indexed by bus 0..2.  ``degenerate`` records that the vertex was
-    degenerate and both were therefore taken from the left limit (one solve
-    at a nudged ``delta``)."""
+    degenerate (a basic variable within the degeneracy tolerance of a bound),
+    so both are taken from the left limit: from the basis of one solve at
+    ``delta - 1e-7 * max(1, L)``.  Where that nudged solve cannot be made,
+    at a degenerate shift no larger than the nudge, or is not optimal, they
+    come from the cold solve's own basis."""
 
     delta: float
     y0: float
@@ -129,16 +135,14 @@ def build_ed(s: ThreeBusScenario, delta: float) -> lp_core.LinearProgram:
     )
 
 
-def _degenerate_vertex(lp: lp_core.LinearProgram, sol: lp_core.LpSolution) -> bool:
-    for j in sol.basis:
-        x = sol.primal[j]
-        lo = lp.lower_bounds[j]
-        hi = lp.upper_bounds[j]
-        if np.isfinite(lo) and x - lo <= _DEGENERACY_TOL:
-            return True
-        if np.isfinite(hi) and hi - x <= _DEGENERACY_TOL:
-            return True
-    return False
+def _clear_of_bounds(
+    lp: lp_core.LinearProgram, basis: list[int], x: np.ndarray, margin: float
+) -> bool | np.ndarray:
+    """Whether every basic entry of ``x`` lies more than ``margin`` inside its
+    bounds; for a stack of points (one per row of ``x``), one answer per row."""
+    xb = x[..., basis]
+    inside = (xb - lp.lower_bounds[basis] > margin) & (lp.upper_bounds[basis] - xb > margin)
+    return inside.all(axis=-1)
 
 
 def _diagnose_infeasible(s: ThreeBusScenario, delta: float) -> DispatchInfeasibleError:
@@ -201,7 +205,7 @@ def _solve_ed_lp(
         raise lp_core.SolverFailure(f"unexpected dispatch status {sol.status!r}")
 
     priced = sol
-    degenerate = _degenerate_vertex(lp, sol)
+    degenerate = not _clear_of_bounds(lp, list(sol.basis), sol.primal, _DEGENERACY_TOL)
     if degenerate:
         # At a degenerate vertex (several optimal bases) the duals depend on
         # where the pivoting happened to stop.  The reported prices follow the
@@ -241,69 +245,45 @@ def solve_ed(s: ThreeBusScenario, delta: float) -> DispatchOutcome:
     return outcome
 
 
-def _clear_interval(
-    lp: lp_core.LinearProgram, sol: lp_core.LpSolution, delta: float
-) -> tuple[np.ndarray, float, float]:
-    """Ratio test along the shift direction for the optimal basis of ``sol``,
-    solved at ``delta``.
-
-    Returns ``(step, low, high)``: the variables move by ``step`` per unit of
-    shift, and for every shift strictly between ``low`` and ``high`` each
-    basic variable stays more than ``2 * _DEGENERACY_TOL`` inside its bounds.
-    The interval is empty (``low >= high``) when no shift keeps them all that
-    far inside.
-    """
-    basis = list(sol.basis)
-    step = np.zeros(lp.n_variables)
-    step[basis] = np.linalg.solve(_BALANCE[:, basis], _SHIFT_DIRECTION)
-    # Twice the degeneracy tolerance: every shift the cold route would call
-    # degenerate falls outside the interval, rounding included.
-    margin = 2.0 * _DEGENERACY_TOL
-    low, high = -np.inf, np.inf
-    for j in basis:
-        x, rate = sol.primal[j], step[j]
-        lo = lp.lower_bounds[j] + margin
-        hi = lp.upper_bounds[j] - margin
-        if rate == 0.0:
-            if not lo < x < hi:
-                return step, 0.0, 0.0
-            continue
-        a, b = (lo - x) / rate, (hi - x) / rate
-        low = max(low, min(a, b))
-        high = min(high, max(a, b))
-    return step, delta + low, delta + high
-
-
 def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[DispatchOutcome]:
     """:func:`solve_ed` at every shift of ``deltas``, reusing optimal bases.
 
-    A shift moves only the balance right-hand side, along ``(0, +1, -1)``.
-    A basis optimal at one shift is therefore optimal, with the same duals,
-    at every shift where it stays primal feasible (parametric programming,
-    Bertsimas & Tsitsiklis 1997, section 5).  After each non-degenerate cold
-    solve, one ratio test finds the interval on which every basic variable
-    stays clear of its bounds by twice the degeneracy tolerance.  Later shifts
-    inside it reuse that solve's ``lmp`` and ``lme`` and move the basic flows
-    linearly, without a solve.  Every other shift gets the cold solve of
-    :func:`solve_ed`; this includes every shift the cold route would find
-    degenerate, which keeps the left-limit prices there.  A sweep over a
-    valid scenario, with its two price regimes, needs two solves, or four
-    when the threshold lies on a grid node.
+    A shift moves only the balance right-hand side, along ``(0, +1, -1)``,
+    so a basis optimal at one shift stays optimal, with the same duals,
+    wherever it stays primal feasible (parametric programming, Bertsimas &
+    Tsitsiklis 1997, section 5).  After each non-degenerate cold solve, the
+    basic flows move along ``B^-1 (0, +1, -1)`` to all later shifts at once.
+    The leading run of them that stays in ``[0, L]`` and clear of the bounds
+    by twice the degeneracy tolerance reuses the solve's ``lmp`` and ``lme``.
+    The first shift after the run is solved cold, and so is every shift the
+    cold route would call degenerate, which keeps the left-limit prices
+    there.  A sweep over a valid scenario needs two solves, or four when the
+    threshold lies on a grid node.
     """
+    deltas = np.fromiter(deltas, dtype=float)
     outcomes = []
-    low = high = 0.0  # open interval of shifts that reuse the last cold solve
-    for delta in deltas:
-        delta = float(delta)
-        if low < delta < high and 0.0 <= delta <= s.L:
-            x = primal + (delta - base.delta) * step
-            outcomes.append(_outcome(lp, delta, x, base.lmp, base.lme, False))
-            continue
-        lp, base, sol = _solve_ed_lp(s, delta)
+    i = 0
+    while i < deltas.size:
+        lp, base, sol = _solve_ed_lp(s, float(deltas[i]))
         outcomes.append(base)
-        low = high = 0.0
-        if not base.degenerate:  # a degenerate point's prices come from the nudged basis
-            primal = sol.primal
-            step, low, high = _clear_interval(lp, sol, delta)
+        i += 1
+        if base.degenerate:  # its prices come from the nudged solve's basis
+            continue
+        basis = list(sol.basis)
+        step = np.zeros(lp.n_variables)
+        step[basis] = np.linalg.solve(_BALANCE[:, basis], _SHIFT_DIRECTION)
+        rest = deltas[i:]
+        flows = sol.primal + np.outer(rest - base.delta, step)
+        # Twice the degeneracy tolerance: no shift the cold route would call
+        # degenerate joins the run, rounding included.
+        reuse = _clear_of_bounds(lp, basis, flows, 2.0 * _DEGENERACY_TOL)
+        reuse &= (0.0 <= rest) & (rest <= s.L)
+        run = int(np.logical_and.accumulate(reuse).sum())
+        outcomes.extend(
+            _outcome(lp, float(d), x, base.lmp, base.lme, False)
+            for d, x in zip(rest[:run], flows[:run])
+        )
+        i += run
     return outcomes
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import lp_oracle
 import scenario_gen
+from gridshift import lp_core
 from gridshift.dispatch import (
     VARIABLE_NAMES,
     DeltaRangeError,
@@ -199,35 +200,86 @@ def _bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
+#: Shifts this far either side of the threshold fall on both sides of the two
+#: clearance margins (1e-7 for the cold route's degeneracy flag, 2e-7 for
+#: joining a reused run).
+KNIFE_EDGE_OFFSETS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]) * 1e-7
+
+
+def _assert_grid_matches_cold(s, deltas) -> int:
+    """``solve_ed_grid`` against a cold ``solve_ed`` at every shift: prices,
+    emission rates and degeneracy flags identical to the bit, flows and cost
+    to 1e-9.  Returns the number of degenerate points."""
+    grid = solve_ed_grid(s, deltas)
+    assert len(grid) == len(deltas)
+    degenerate_points = 0
+    for d, got in zip(deltas, grid):
+        cold = solve_ed(s, float(d))
+        assert got.delta == cold.delta
+        assert _bits(got.lmp) == _bits(cold.lmp)
+        assert _bits(got.lme) == _bits(cold.lme)
+        assert got.degenerate == cold.degenerate
+        flows = [got.y0, got.y1, got.y2, got.f01, got.f02, got.f12]
+        expected = [cold.y0, cold.y1, cold.y2, cold.f01, cold.f02, cold.f12]
+        np.testing.assert_allclose(flows, expected, rtol=0.0, atol=1e-9)
+        assert got.total_cost == pytest.approx(cold.total_cost, abs=1e-9)
+        degenerate_points += cold.degenerate
+    return degenerate_points
+
+
 class TestGridDispatch:
     def test_matches_cold_solves_pointwise(self):
         """Basis reuse against a cold solve at every grid point.
 
         ``sweep_points`` (and so acceptance criterion 1) reads its dispatch
         from ``solve_ed_grid``, which solves only where the basis changes.
-        This is the cold per-point check of that route: prices, emission
-        rates and degeneracy flags identical to the bit, flows and cost to
-        1e-9.
+        This is the cold per-point check of that route.  Every other
+        scenario also gets shifts on the knife edges around its threshold.
         """
         degenerate_points = 0
-        for s in _grid_mix():
+        for k, s in enumerate(_grid_mix()):
             deltas = delta_grid(s.L, 200)
-            grid = solve_ed_grid(s, deltas)
-            assert len(grid) == deltas.size
-            for d, got in zip(deltas, grid):
-                cold = solve_ed(s, float(d))
-                assert got.delta == cold.delta
-                assert _bits(got.lmp) == _bits(cold.lmp)
-                assert _bits(got.lme) == _bits(cold.lme)
-                assert got.degenerate == cold.degenerate
-                flows = [got.y0, got.y1, got.y2, got.f01, got.f02, got.f12]
-                expected = [cold.y0, cold.y1, cold.y2, cold.f01, cold.f02, cold.f12]
-                np.testing.assert_allclose(flows, expected, rtol=0.0, atol=1e-9)
-                assert got.total_cost == pytest.approx(cold.total_cost, abs=1e-9)
-                degenerate_points += cold.degenerate
-        # The on-node thresholds and the threshold at L put degenerate
-        # vertices on the grid, so the cold fallback is exercised too.
+            if k % 2 == 0:
+                t = tau(s).value
+                knife = np.concatenate([t - KNIFE_EDGE_OFFSETS, t + KNIFE_EDGE_OFFSETS])
+                knife = knife[(0.0 <= knife) & (knife <= s.L)]
+                deltas = np.sort(np.concatenate([deltas, knife]))
+            degenerate_points += _assert_grid_matches_cold(s, deltas)
+        # The on-node thresholds, the threshold at L and the knife-edge
+        # shifts put degenerate vertices on the grid, so the cold fallback
+        # is exercised too.
         assert degenerate_points >= 21
+
+    def test_degenerate_cold_solve_is_not_reused(self, monkeypatch):
+        """The cold solve at an on-node threshold may stop in either optimal
+        basis; here it is made to stop in the right-regime one.  Its reported
+        prices come from the nudged (left-limit) solve, so the walk must not
+        carry them past the threshold along the right-regime basis."""
+        s = scenario_gen.canonical_scenario()
+        deltas = delta_grid(s.L, 11)
+        t = float(deltas[1])
+        assert t == pytest.approx(tau(s).value, abs=1e-12)
+        lp = build_ed(s, t)
+        right = lp_core.solve(build_ed(s, t + 0.05))
+        basis = list(right.basis)
+        step = np.zeros(lp.n_variables)
+        step[basis] = np.linalg.solve(lp.eq_matrix[:, basis], [0.0, 1.0, -1.0])
+        primal = right.primal - 0.05 * step
+        at_threshold = dataclasses.replace(
+            right, primal=primal, objective_value=float(lp.objective @ primal)
+        )
+        real_solve = lp_core.solve
+
+        def solve(program):
+            if np.array_equal(program.eq_rhs, lp.eq_rhs):
+                return at_threshold
+            return real_solve(program)
+
+        monkeypatch.setattr(lp_core, "solve", solve)
+        outcome, sol = solve_ed_detailed(s, t)
+        assert sol.basis == right.basis and outcome.degenerate
+        assert verify_kkt(lp, sol).ok
+        assert _assert_grid_matches_cold(s, deltas) == 1
 
     def test_out_of_block_shift_rejected(self):
         s = scenario_gen.canonical_scenario()

@@ -179,3 +179,18 @@ def test_off_default_heatmap_matches_golden_hashes(name, tmp_path):
     ) == 0
     hashes = (_digest(cells.read_bytes()), _digest(boundary.read_bytes()))
     assert hashes == GOLDEN_OFF_DEFAULT_HEATMAP[name]
+
+
+def test_main_reuses_the_module_parser(monkeypatch, tmp_path):
+    """``main`` parses with the parser built once at import; runs in two
+    modes through it still write the golden bytes."""
+
+    def no_new_parser():
+        raise AssertionError("main built a new argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    scenario = _scenario_path("canonical", tmp_path)
+    for mode in ("sweep", "verify"):
+        out = tmp_path / f"{mode}.out"
+        assert cli.main([mode, "--scenario", scenario, "--out", str(out)]) == 0
+        assert _digest(out.read_bytes()) == GOLDEN["canonical"][mode]
