@@ -8,7 +8,10 @@ two settlement-style cost evaluations — the data-center bill and the
 system-wide cost — used to cross-check the closed-form objectives
 numerically.
 
-:func:`solve_ed` solves one shift cold.  :func:`solve_ed_grid` solves a whole
+:func:`solve_ed` solves one shift cold; the cold route takes a vector of
+shifts and solves all their LPs in one lock-step batch
+(:func:`~gridshift.lp_core.solve_many`), which is how the verification gate
+solves its whole grid.  :func:`solve_ed_grid` solves a whole
 shift grid and solves again only where the optimal basis changes: the shift
 moves just the right-hand side, so one basis, with its prices, holds on an
 interval of shifts.  Both routes ask one question of a basis, whether every
@@ -20,7 +23,7 @@ every later shift of the grid at once.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -117,12 +120,17 @@ class DispatchOutcome:
         return ",".join(csv_number(v) for v in cells)
 
 
+def _balance_rhs(s: ThreeBusScenario, delta: float) -> list[float]:
+    """Right-hand side of the nodal balances at shift ``delta``."""
+    if not 0.0 <= delta <= s.L:
+        raise DeltaRangeError(f"delta={delta!r} outside the shiftable block [0, {s.L}]")
+    return [s.l0, s.l1 + delta, s.l2 - delta]
+
+
 def build_ed(s: ThreeBusScenario, delta: float) -> lp_core.LinearProgram:
     """Dispatch LP at shift ``delta``: cost-minimal generation subject to the
     three nodal balances, nonnegative generation, and line limits."""
-    if not 0.0 <= delta <= s.L:
-        raise DeltaRangeError(f"delta={delta!r} outside the shiftable block [0, {s.L}]")
-    rhs = np.array([s.l0, s.l1 + delta, s.l2 - delta])
+    rhs = _balance_rhs(s, delta)
     lower = np.array([0.0, 0.0, 0.0, -s.F01, -s.F02, -s.F12])
     upper = np.array([np.inf, np.inf, np.inf, s.F01, s.F02, s.F12])
     objective = np.array([0.0, s.c1, s.c2, 0.0, 0.0, 0.0])
@@ -136,11 +144,13 @@ def build_ed(s: ThreeBusScenario, delta: float) -> lp_core.LinearProgram:
 
 
 def _clear_of_bounds(
-    lp: lp_core.LinearProgram, basis: list[int], x: np.ndarray, margin: float
-) -> bool | np.ndarray:
+    lp: lp_core.LinearProgram, basis: np.ndarray, x: np.ndarray, margin: float
+) -> np.ndarray:
     """Whether every basic entry of ``x`` lies more than ``margin`` inside its
-    bounds; for a stack of points (one per row of ``x``), one answer per row."""
-    xb = x[..., basis]
+    bounds, one answer per row of ``x`` (a stack of points).  ``basis`` holds
+    the basic columns, one row per point or one for all."""
+    basis = np.broadcast_to(basis, x.shape[:-1] + np.shape(basis)[-1:])
+    xb = np.take_along_axis(x, basis, axis=-1)
     inside = (xb - lp.lower_bounds[basis] > margin) & (lp.upper_bounds[basis] - xb > margin)
     return inside.all(axis=-1)
 
@@ -174,59 +184,77 @@ def _diagnose_infeasible(s: ThreeBusScenario, delta: float) -> DispatchInfeasibl
     )
 
 
-def _outcome(
+def _outcomes(
     lp: lp_core.LinearProgram,
-    delta: float,
-    primal: np.ndarray,
-    lmp: tuple[float, float, float],
-    lme: tuple[float, float, float],
-    degenerate: bool,
-) -> DispatchOutcome:
-    return DispatchOutcome(
-        delta=delta,
-        **{name: float(v) for name, v in zip(VARIABLE_NAMES, primal)},
-        lmp=lmp,
-        lme=lme,
-        total_cost=float(lp.objective @ primal),
-        degenerate=degenerate,
+    deltas: Sequence[float],
+    flows: np.ndarray,
+    lmps: Sequence[tuple[float, float, float]],
+    lmes: Sequence[tuple[float, float, float]],
+    degenerate: Sequence[bool],
+) -> list[DispatchOutcome]:
+    """One outcome per shift, from its row of ``flows``; every cost is the
+    row's own dot product with the objective (a 2-D product would sum in
+    another order)."""
+    costs = (flows[:, None, :] @ lp.objective)[:, 0].tolist()
+    return [
+        DispatchOutcome(d, *x, lmp, lme, cost, flag)
+        for d, x, lmp, lme, cost, flag in zip(
+            deltas, flows.tolist(), lmps, lmes, costs, degenerate
+        )
+    ]
+
+
+def _solve_ed_cold(
+    s: ThreeBusScenario, deltas: Sequence[float]
+) -> tuple[list[lp_core.LinearProgram], list[DispatchOutcome], list[lp_core.LpSolution]]:
+    """Cold solves at every shift of ``deltas``, all in one lock-step batch;
+    also returns the LPs and their solutions, so that callers checking them
+    need not build them again.
+
+    Each LP is solved from scratch, exactly as it would be on its own.  The
+    shifts the cold solves flag as degenerate take their prices from a
+    second batch, of LPs nudged below them, and the marginal emission rates
+    of all shifts come from one stacked solve on the bases that priced them.
+    """
+    deltas = [float(d) for d in deltas]
+    first = build_ed(s, deltas[0])
+    lps = [first] + [first.with_rhs(_balance_rhs(s, d)) for d in deltas[1:]]
+    sols = lp_core.solve_many(lps)
+    for d, sol in zip(deltas, sols):
+        if sol.status == lp_core.INFEASIBLE:
+            raise _diagnose_infeasible(s, d)
+        if sol.status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
+            raise lp_core.SolverFailure(f"unexpected dispatch status {sol.status!r}")
+
+    primal = np.array([sol.primal for sol in sols])
+    degenerate = ~_clear_of_bounds(
+        lps[0], np.array([sol.basis for sol in sols]), primal, _DEGENERACY_TOL
     )
-
-
-def _solve_ed_lp(
-    s: ThreeBusScenario, delta: float
-) -> tuple[lp_core.LinearProgram, DispatchOutcome, lp_core.LpSolution]:
-    """Cold solve at ``delta``; also returns the LP it built, so that callers
-    checking the solution need not build it again."""
-    lp = build_ed(s, delta)
-    sol = lp_core.solve(lp)
-    if sol.status == lp_core.INFEASIBLE:
-        raise _diagnose_infeasible(s, delta)
-    if sol.status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
-        raise lp_core.SolverFailure(f"unexpected dispatch status {sol.status!r}")
-
-    priced = sol
-    degenerate = not _clear_of_bounds(lp, list(sol.basis), sol.primal, _DEGENERACY_TOL)
-    if degenerate:
-        # At a degenerate vertex (several optimal bases) the duals depend on
-        # where the pivoting happened to stop.  The reported prices follow the
-        # left-limit convention: take them from a solve nudged below delta.
-        epsilon = 1e-7 * max(1.0, s.L)
-        if delta > epsilon:
-            nudged = lp_core.solve(build_ed(s, delta - epsilon))
-            if nudged.status == lp_core.OPTIMAL:
-                priced = nudged
+    # At a degenerate vertex (several optimal bases) the duals depend on
+    # where the pivoting happened to stop.  The reported prices follow the
+    # left-limit convention: take them from a solve nudged below delta.
+    priced = list(sols)
+    epsilon = 1e-7 * max(1.0, s.L)
+    nudge = [i for i in np.flatnonzero(degenerate).tolist() if deltas[i] > epsilon]
+    if nudge:
+        nudged = lp_core.solve_many(
+            [first.with_rhs(_balance_rhs(s, deltas[i] - epsilon)) for i in nudge]
+        )
+        for i, sol in zip(nudge, nudged):
+            if sol.status == lp_core.OPTIMAL:
+                priced[i] = sol
 
     # Marginal emissions are the emission sensitivities of the basis that
     # gave the prices: pi = e_B^T B^-1 (Rudkevich & Ruiz 2012).  The balance
     # rows have full row rank, so the optimal basis always holds three
     # structural columns and B is the square submatrix they select.
-    basis = list(priced.basis)
+    bases = np.array([sol.basis for sol in priced])
     emissions = np.array([0.0, s.e1, s.e2, 0.0, 0.0, 0.0])
-    rates = np.linalg.solve(_BALANCE[:, basis].T, emissions[basis])
+    rates = np.linalg.solve(_BALANCE.T[bases], emissions[bases][..., None])[..., 0]
     # "+ 0.0" folds IEEE negative zeros into plain zeros for clean output.
-    lmp = tuple(float(price) + 0.0 for price in priced.duals)
-    lme = tuple(float(rate) + 0.0 for rate in rates)
-    return lp, _outcome(lp, delta, sol.primal, lmp, lme, degenerate), sol
+    lmps = map(tuple, (np.array([sol.duals for sol in priced]) + 0.0).tolist())
+    lmes = map(tuple, (rates + 0.0).tolist())
+    return lps, _outcomes(first, deltas, primal, lmps, lmes, degenerate.tolist()), sols
 
 
 def solve_ed_detailed(
@@ -234,7 +262,7 @@ def solve_ed_detailed(
 ) -> tuple[DispatchOutcome, lp_core.LpSolution]:
     """Like :func:`solve_ed` but also returns the raw LP solution, so callers
     can run independent optimality checks on it."""
-    _, outcome, sol = _solve_ed_lp(s, delta)
+    _, (outcome,), (sol,) = _solve_ed_cold(s, [delta])
     return outcome, sol
 
 
@@ -264,7 +292,7 @@ def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[Dispatch
     outcomes = []
     i = 0
     while i < deltas.size:
-        lp, base, sol = _solve_ed_lp(s, float(deltas[i]))
+        (lp,), (base,), (sol,) = _solve_ed_cold(s, deltas[i : i + 1])
         outcomes.append(base)
         i += 1
         if base.degenerate:  # its prices come from the nudged solve's basis
@@ -279,9 +307,8 @@ def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[Dispatch
         reuse = _clear_of_bounds(lp, basis, flows, 2.0 * _DEGENERACY_TOL)
         reuse &= (0.0 <= rest) & (rest <= s.L)
         run = int(np.logical_and.accumulate(reuse).sum())
-        outcomes.extend(
-            _outcome(lp, float(d), x, base.lmp, base.lme, False)
-            for d, x in zip(rest[:run], flows[:run])
+        outcomes += _outcomes(
+            lp, rest[:run].tolist(), flows[:run], [base.lmp] * run, [base.lme] * run, [False] * run
         )
         i += run
     return outcomes

@@ -10,11 +10,20 @@ The implementation favours determinism and transparency over large-scale
 performance: dense numpy algebra, Dantzig pricing with a switch to Bland's
 rule after a run of degenerate pivots, and absolute tolerances suited to
 well-scaled inputs of at most a few hundred variables.
+
+Many LPs of one shape are solved in lock-step (:func:`solve_many`): each
+runs its own simplex, and the LPs share only the numpy calls, one stacked
+call per pivot round for all of them.  Every stacked product and solve does
+the arithmetic a lone solve does, so a batch changes no bit of any solution;
+:func:`solve` is a batch of one.  :func:`verify_kkt_many` certifies a batch
+the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -34,6 +43,13 @@ _PIVOT_FLOOR = 1e-11
 # Slack used when deciding whether a variable sits on one of its bounds.
 _ACTIVE_BOUND_TOL = 1e-7
 
+try:
+    # The LAPACK gufunc behind np.linalg.solve, called without the wrapper's
+    # per-call checks, which cost several times the solve of a small system.
+    from numpy.linalg._umath_linalg import solve as _lapack_solve
+except ImportError:  # pragma: no cover - a numpy that moved its internals
+    _lapack_solve = np.linalg.solve
+
 
 class LpInputError(ValueError):
     """Malformed problem data: shape mismatch, NaN entries, or lo > hi."""
@@ -41,12 +57,6 @@ class LpInputError(ValueError):
 
 class SolverFailure(RuntimeError):
     """The solver gave up: iteration budget exhausted or numerical breakdown."""
-
-
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,18 +95,37 @@ class LinearProgram:
                     f"{name} has shape {arr.shape}, expected {shape} "
                     f"for a {m}x{n} constraint matrix"
                 )
-        if not (np.isfinite(A).all() and np.isfinite(c).all() and np.isfinite(b).all()):
+        if not np.isfinite(np.concatenate((A.ravel(), c, b))).all():
             raise LpInputError("objective, matrix, and rhs must be finite")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise LpInputError("bounds may be infinite but not NaN")
-        if (lo > hi + TOLERANCE).any():
+        if not (lo <= hi + TOLERANCE).all():  # NaN bounds fail the comparison too
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise LpInputError("bounds may be infinite but not NaN")
             bad = int(np.argmax(lo - hi))
             raise LpInputError(f"lower bound exceeds upper bound for variable {bad}")
-        object.__setattr__(self, "objective", _as_readonly(c))
-        object.__setattr__(self, "eq_matrix", _as_readonly(A))
-        object.__setattr__(self, "eq_rhs", _as_readonly(b))
-        object.__setattr__(self, "lower_bounds", _as_readonly(lo))
-        object.__setattr__(self, "upper_bounds", _as_readonly(hi))
+        # The arrays above are this LP's own copies; freeze them in place.
+        for name, arr in (
+            ("objective", c),
+            ("eq_matrix", A),
+            ("eq_rhs", b),
+            ("lower_bounds", lo),
+            ("upper_bounds", hi),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def with_rhs(self, eq_rhs) -> "LinearProgram":
+        """This LP with ``eq_rhs`` as its equality right-hand side.  Only the
+        new right-hand side needs copying and checking: the copy shares the
+        other, frozen, arrays."""
+        b = np.array(eq_rhs, dtype=float)
+        if b.shape != self.eq_rhs.shape:
+            raise LpInputError(f"eq_rhs has shape {b.shape}, expected {self.eq_rhs.shape}")
+        if not all(map(math.isfinite, b.tolist())):
+            raise LpInputError("objective, matrix, and rhs must be finite")
+        b.setflags(write=False)
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, eq_rhs=b)
+        return lp
 
     @property
     def n_variables(self) -> int:
@@ -109,7 +138,7 @@ class LinearProgram:
 
 @dataclasses.dataclass(frozen=True)
 class LpSolution:
-    """Result of :func:`solve`.
+    """Result of :func:`solve` or of one LP of :func:`solve_many`.
 
     ``duals`` are the simplex multipliers of the terminating basis, i.e. the
     sensitivity of the optimal objective to each equality right-hand side.
@@ -127,209 +156,445 @@ class LpSolution:
     iterations: int
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Run the two-phase bounded-variable simplex method on ``lp``.
+#: Batches up to this many LPs take their pivot steps one LP at a time in
+#: Python scalars; larger ones take them in array operations, which cost
+#: more per call but next to nothing per LP.
+_SCAN_BATCH = 8
 
-    Phase 1 minimizes the total artificial infeasibility from a deterministic
-    starting point (every variable at its lower bound when finite, otherwise
-    its upper bound, otherwise zero).  Phase 2 reoptimizes the true objective
-    with the artificials pinned to zero.  Raises :class:`SolverFailure` if the
-    iteration budget ``max(200, 10 * (variables + rows))`` is exhausted.
+
+class _Runs:
+    """Simplex state of a stack of LPs of one shape, one row per LP.
+
+    ``rows`` holds each LP's index in the batch and ``offsets`` the flat
+    index of its first variable in the ``(runs, variables)`` arrays; flat
+    indices read faster than pairs of indices.  ``Aaug`` is the constraint
+    matrix with the phase-1 artificial columns and ``AaugT`` its transpose;
+    ``lo``, ``hi`` and ``span = hi - lo`` are the bounds, ``free_var`` and
+    ``fixed`` flag variables with no bound and with no range, and ``cost`` is
+    the objective of the phase being run.  The pivoting state is the point
+    ``x``, the ``basis`` (one column per row of the constraint matrix), the
+    pivot count, Bland's switch and the run of degenerate pivots; ``sense``
+    is +1 for a nonbasic variable at its upper bound, -1 at its lower bound,
+    and 0 for a variable that may not enter the basis (basic, or fixed), so
+    that ``d * sense`` prices every variable.
     """
-    c = lp.objective
-    A = lp.eq_matrix
-    b = lp.eq_rhs
-    m, n = A.shape
 
-    lo = np.concatenate([lp.lower_bounds, np.zeros(m)])
-    hi = np.concatenate([lp.upper_bounds, np.full(m, np.inf)])
-
-    x = np.zeros(n + m)
-    at_upper = np.zeros(n + m, dtype=bool)
-    lo_finite = np.isfinite(lo[:n])
-    hi_finite = np.isfinite(hi[:n])
-    x[:n] = np.where(lo_finite, lo[:n], np.where(hi_finite, hi[:n], 0.0))
-    at_upper[:n] = ~lo_finite & hi_finite
-
-    residual = b - A @ x[:n]
-    signs = np.where(residual >= 0.0, 1.0, -1.0)
-    Aaug = np.hstack([A, np.diag(signs)])
-    AaugT = Aaug.T.copy()
-    x[n:] = np.abs(residual)
-
-    basis = np.arange(n, n + m, dtype=np.intp)
-    in_basis = np.zeros(n + m, dtype=bool)
-    in_basis[n:] = True
-    free_var = np.isinf(lo) & np.isinf(hi)
-    fixed = (hi - lo) <= TOLERANCE
-
-    max_iterations = max(200, 10 * (n + m))
-    iterations = 0
-    use_bland = False
-    degenerate_run = 0
-
-    def run_phase(cost: np.ndarray) -> str:
-        nonlocal iterations, use_bland, degenerate_run
-        while True:
-            BT = AaugT[basis]
-            y = np.linalg.solve(BT, cost[basis])
-            d = cost - y @ Aaug
-            score = np.where(at_upper, d, -d)
-            score[free_var] = np.abs(d[free_var])
-            score[in_basis] = -np.inf
-            score[fixed] = -np.inf
-            if use_bland:
-                eligible = np.flatnonzero(score > TOLERANCE)
-                if eligible.size == 0:
-                    return "optimal"
-                t = int(eligible[0])
-            else:
-                t = int(np.argmax(score))
-                if score[t] <= TOLERANCE:
-                    return "optimal"
-            if free_var[t]:
-                step_sign = 1.0 if d[t] < 0.0 else -1.0
-            elif at_upper[t]:
-                step_sign = -1.0
-            else:
-                step_sign = 1.0
-            w = np.linalg.solve(BT.T, Aaug[:, t])
-            sw = step_sign * w
-
-            theta = hi[t] - lo[t]  # own-range limit: reaching it flips the bound
-            block = -1
-            block_to_upper = False
-            for i in range(m):
-                swi = sw[i]
-                v = basis[i]
-                if swi > _PIVOT_FLOOR:
-                    bound = lo[v]
-                    if bound == -np.inf:
-                        continue
-                    limit = (x[v] - bound) / swi
-                    hits_upper = False
-                elif swi < -_PIVOT_FLOOR:
-                    bound = hi[v]
-                    if bound == np.inf:
-                        continue
-                    limit = (bound - x[v]) / -swi
-                    hits_upper = True
-                else:
-                    continue
-                if limit < 0.0:
-                    limit = 0.0
-                if limit < theta - 1e-12:
-                    theta = limit
-                    block = i
-                    block_to_upper = hits_upper
-                elif block >= 0 and limit <= theta + 1e-12:
-                    if use_bland:
-                        better = basis[i] < basis[block]
-                    else:
-                        better = abs(sw[i]) > abs(sw[block]) + 1e-12
-                    if better:
-                        block = i
-                        block_to_upper = hits_upper
-            if not np.isfinite(theta):
-                return "unbounded"
-
-            iterations += 1
-            if iterations > max_iterations:
-                raise SolverFailure(
-                    f"iteration budget {max_iterations} exhausted "
-                    f"({n} variables, {m} rows)"
-                )
-
-            x[basis] -= theta * sw
-            if block < 0:
-                at_upper[t] = not at_upper[t]
-                x[t] = hi[t] if at_upper[t] else lo[t]
-                degenerate_run = 0
-            else:
-                x[t] += step_sign * theta
-                leaving = basis[block]
-                x[leaving] = hi[leaving] if block_to_upper else lo[leaving]
-                at_upper[leaving] = block_to_upper
-                in_basis[leaving] = False
-                basis[block] = t
-                in_basis[t] = True
-                if theta <= TOLERANCE:
-                    degenerate_run += 1
-                    if degenerate_run >= BLAND_TRIGGER:
-                        use_bland = True
-                else:
-                    degenerate_run = 0
-
-    def refresh_basics() -> None:
-        # Re-solve for the basic values from the exactly-held nonbasic bounds,
-        # clearing the drift accumulated by incremental updates.
-        x_nonbasic = x.copy()
-        x_nonbasic[basis] = 0.0
-        x[basis] = np.linalg.solve(Aaug[:, basis], b - Aaug @ x_nonbasic)
-
-    failed = LpSolution(
-        status=INFEASIBLE,
-        primal=None,
-        duals=None,
-        reduced_costs=None,
-        basis=(),
-        objective_value=None,
-        iterations=0,
+    _FIELDS = (
+        "rows", "offsets", "Aaug", "AaugT", "lo", "hi", "span", "free_var", "fixed", "cost",
+        "x", "sense", "basis", "iterations", "use_bland", "degenerate_run",
     )
+    _PIVOTED = ("x", "sense", "basis", "iterations", "use_bland", "degenerate_run")
 
-    phase1_cost = np.zeros(n + m)
-    phase1_cost[n:] = 1.0
-    if run_phase(phase1_cost) == "unbounded":
-        raise SolverFailure("phase-1 objective diverged; numerical breakdown")
-    refresh_basics()
-    infeasibility = float(np.abs(x[n:]).sum())
-    if infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + float(np.abs(b).max())):
-        return dataclasses.replace(failed, iterations=iterations)
+    def __init__(self, **arrays: np.ndarray) -> None:
+        self.__dict__.update(arrays)
 
-    # Drive leftover artificials out of the basis; a row whose artificial
-    # cannot be exchanged for any structural column is linearly dependent and
-    # keeps its (zero-valued, now fixed) artificial as a placeholder.
-    for p in range(m):
-        if basis[p] < n:
+    def take(self, keep: np.ndarray) -> "_Runs":
+        """The runs selected by ``keep``, copied."""
+        part = _Runs(**{name: getattr(self, name)[keep] for name in self._FIELDS})
+        part.offsets = np.arange(0, part.x.size, part.x.shape[1])
+        return part
+
+    def put(self, part: "_Runs", done: np.ndarray) -> None:
+        """Write back the pivoting state of ``part``'s runs selected by ``done``."""
+        if part is self:
+            return
+        rows = part.rows[done]
+        for name in self._PIVOTED:
+            getattr(self, name)[rows] = getattr(part, name)[done]
+
+    def flat_basis(self) -> np.ndarray:
+        return self.basis + self.offsets[:, None]
+
+
+def _pivot_run(
+    cur: _Runs, i: int, t: int, sw: np.ndarray, step_sign: float, max_iterations: int
+) -> bool:
+    """Ratio test and pivot of run ``i`` alone, in Python scalars: the
+    entering variable ``t`` moves by ``step_sign`` and the basic variables by
+    ``-sw`` per unit of step.  Returns False, with the run untouched, if the
+    step is unbounded.
+
+    The basic rows are scanned in order for the first step limit below the
+    entering variable's own range by more than 1e-12; a limit within 1e-12
+    of the current one replaces it under Bland's rule if its variable index
+    is lower, and otherwise if its pivot is larger.
+    """
+    x, lo, hi, basis, sense = cur.x[i], cur.lo[i], cur.hi[i], cur.basis[i], cur.sense[i]
+    theta = cur.span[i, t]  # own-range limit: reaching it flips the bound
+    block = -1
+    block_to_upper = False
+    bland = cur.use_bland[i]
+    sws, vs = sw.tolist(), basis.tolist()
+    for row, (swi, xv, lov, hiv) in enumerate(
+        zip(sws, x[basis].tolist(), lo[basis].tolist(), hi[basis].tolist())
+    ):
+        if swi > _PIVOT_FLOOR:
+            if lov == -math.inf:
+                continue
+            limit = (xv - lov) / swi
+            hits_upper = False
+        elif swi < -_PIVOT_FLOOR:
+            if hiv == math.inf:
+                continue
+            limit = (hiv - xv) / -swi
+            hits_upper = True
+        else:
             continue
-        unit = np.zeros(m)
-        unit[p] = 1.0
-        multipliers = np.linalg.solve(AaugT[basis], unit)
-        row = multipliers @ A
-        row[in_basis[:n]] = 0.0
-        entering = int(np.argmax(np.abs(row)))
-        if abs(row[entering]) > TOLERANCE:
-            leaving = basis[p]
-            basis[p] = entering
-            in_basis[leaving] = False
-            in_basis[entering] = True
+        if limit < 0.0:
+            limit = 0.0
+        if limit < theta - 1e-12:
+            theta = limit
+            block = row
+            block_to_upper = hits_upper
+        elif block >= 0 and limit <= theta + 1e-12:
+            if bland:
+                better = vs[row] < vs[block]
+            else:
+                better = abs(swi) > abs(sws[block]) + 1e-12
+            if better:
+                block = row
+                block_to_upper = hits_upper
+    if not math.isfinite(theta):
+        return False
 
-    lo[n:] = 0.0
-    hi[n:] = 0.0
-    fixed = (hi - lo) <= TOLERANCE
-    use_bland = False
-    degenerate_run = 0
+    cur.iterations[i] += 1
+    if cur.iterations[i] > max_iterations:
+        _exhausted(cur, i, max_iterations)
+    x[basis] -= theta * sw
+    if block < 0:
+        sense[t] = -sense[t]
+        x[t] = hi[t] if sense[t] > 0.0 else lo[t]
+        cur.degenerate_run[i] = 0
+        return True
+    x[t] += step_sign * theta
+    leaving = vs[block]
+    x[leaving] = hi[leaving] if block_to_upper else lo[leaving]
+    sense[leaving] = 0.0 if cur.fixed[i, leaving] else (1.0 if block_to_upper else -1.0)
+    sense[t] = 0.0
+    basis[block] = t
+    if theta <= TOLERANCE:
+        cur.degenerate_run[i] += 1
+        if cur.degenerate_run[i] >= BLAND_TRIGGER:
+            cur.use_bland[i] = True
+    else:
+        cur.degenerate_run[i] = 0
+    return True
 
-    phase2_cost = np.concatenate([c, np.zeros(m)])
-    if run_phase(phase2_cost) == "unbounded":
-        return dataclasses.replace(
-            failed, status=UNBOUNDED, iterations=iterations
-        )
-    refresh_basics()
 
-    y = np.linalg.solve(AaugT[basis], phase2_cost[basis])
-    reduced = c - y @ A
-    reduced[in_basis[:n]] = 0.0
-    primal = x[:n].copy()
-    return LpSolution(
-        status=OPTIMAL,
-        primal=primal,
-        duals=y,
-        reduced_costs=reduced,
-        basis=tuple(sorted(int(j) for j in basis if j < n)),
-        objective_value=float(c @ primal),
-        iterations=iterations,
+def _exhausted(cur: _Runs, i: int, max_iterations: int) -> None:
+    m, N = cur.Aaug.shape[1:]
+    raise SolverFailure(
+        f"LP {int(cur.rows[i])}: iteration budget {max_iterations} exhausted "
+        f"({N - m} variables, {m} rows)"
     )
+
+
+def _pivot_stack(
+    cur: _Runs, t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray, max_iterations: int
+) -> np.ndarray:
+    """:func:`_pivot_run` for every run of a large batch; returns which runs
+    took a step (the rest found an unbounded ray).
+
+    The step limits of all runs come from one set of array operations.  A
+    run whose smallest limit is clear, by more than the tie window, of the
+    others and of the entering variable's own range has only one possible
+    outcome of the scan, the plain minimum, and pivots with the other such
+    runs in array operations; every other run is scanned on its own.
+    """
+    r = np.arange(t.size)
+    fb = cur.flat_basis()
+    xb = cur.x.take(fb)
+    rises = sw > _PIVOT_FLOOR
+    size = np.abs(sw)
+    # A variable with no bound in the direction it moves has an infinite
+    # limit; |sw| is sw where it rises and -sw where it falls, to the bit.
+    limit = np.divide(
+        np.where(rises, xb - cur.lo.take(fb), cur.hi.take(fb) - xb),
+        size,
+        out=np.full(sw.shape, np.inf),
+        where=size > _PIVOT_FLOOR,
+    )
+    limit[limit < 0.0] = 0.0
+    own = cur.span[r, t]
+    first = limit.argmin(axis=1)
+    low = limit[r, first]
+    limit[r, first] = np.inf
+    runner = limit.min(axis=1)
+    flip = own < low
+    clear = flip | ((low < np.minimum(own, runner) - 1e-12) & (runner > low + 1e-12))
+
+    stepped = clear.copy()
+    for i in np.flatnonzero(~clear).tolist():
+        stepped[i] = _pivot_run(cur, i, int(t[i]), sw[i], float(step_sign[i]), max_iterations)
+
+    r, t, fb, flip, sw = r[clear], t[clear], fb[clear], flip[clear], sw[clear]
+    theta = np.where(flip, own[clear], low[clear])
+    cur.iterations[r] += 1
+    if r.size and cur.iterations[r].max() > max_iterations:
+        _exhausted(cur, int(r[cur.iterations[r].argmax()]), max_iterations)
+    x, sense = cur.x.reshape(-1), cur.sense.reshape(-1)
+    tf = cur.offsets[r] + t
+    x[fb] -= theta[:, None] * sw
+    ft = tf[flip]
+    sense[ft] = -sense[ft]
+    x[ft] = np.where(sense[ft] > 0.0, cur.hi.take(ft), cur.lo.take(ft))
+    cur.degenerate_run[r[flip]] = 0
+
+    pivot = ~flip
+    r, t, tf, theta = r[pivot], t[pivot], tf[pivot], theta[pivot]
+    block = first[r]
+    rows = np.arange(r.size)
+    leaving = fb[pivot][rows, block]
+    to_upper = sw[pivot][rows, block] < -_PIVOT_FLOOR
+    x[tf] += step_sign[r] * theta
+    x[leaving] = np.where(to_upper, cur.hi.take(leaving), cur.lo.take(leaving))
+    sense[leaving] = np.where(cur.fixed.take(leaving), 0.0, np.where(to_upper, 1.0, -1.0))
+    sense[tf] = 0.0
+    cur.basis[r, block] = t
+    run = np.where(theta <= TOLERANCE, cur.degenerate_run[r] + 1, 0)
+    cur.degenerate_run[r] = run
+    cur.use_bland[r] |= run >= BLAND_TRIGGER
+    return stepped
+
+
+def _run_phase(runs: _Runs, live: np.ndarray, max_iterations: int, free: bool) -> list[int]:
+    """Pivot the runs ``live`` (indices into ``runs``) to the end of one
+    phase, all in lock-step, and write their final state back into ``runs``.
+    Returns the indices of the runs that found an unbounded ray.
+
+    Each round prices every run still pivoting and solves for its pivot
+    column in stacked calls; runs of a small batch then take their steps one
+    by one, those of a large batch together (:func:`_pivot_stack`).  A run
+    leaves the lock-step when it is priced out (optimal) or finds an
+    unbounded ray; only then are the remaining runs copied together.
+    ``free`` says whether any run has a free variable, which prices and
+    steps by the sign of its reduced cost.
+    """
+    cur = runs if live.size == runs.rows.size else runs.take(live)
+    unbounded = []
+    while cur.rows.size:
+        k, N = cur.x.shape
+        AT = cur.AaugT.reshape(k * N, -1)
+        fb = cur.flat_basis()
+        BT = AT[fb]
+        y = _lapack_solve(BT, cur.cost.take(fb)[..., None])
+        d = cur.cost - (y.transpose(0, 2, 1) @ cur.Aaug)[:, 0]
+        score = d * cur.sense
+        if free:
+            score = np.where(cur.free_var & (cur.sense != 0.0), np.abs(d), score)
+        t = score.argmax(axis=1)
+        if any(cur.use_bland.tolist()):
+            t = np.where(cur.use_bland, (score > TOLERANCE).argmax(axis=1), t)
+        tf = t + cur.offsets
+        go = score.take(tf) > TOLERANCE
+        if not all(go.tolist()):
+            runs.put(cur, ~go)
+            if not any(go.tolist()):
+                break
+            cur, BT, d, t = cur.take(go), BT[go], d[go], t[go]
+            k = cur.rows.size
+            AT = cur.AaugT.reshape(k * N, -1)
+            tf = t + cur.offsets
+
+        step_sign = -cur.sense.take(tf)
+        if free:
+            step_sign = np.where(
+                cur.free_var.take(tf), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
+            )
+        w = _lapack_solve(BT.transpose(0, 2, 1), AT[tf][..., None])
+        sw = step_sign[:, None] * w[..., 0]
+        if k > _SCAN_BATCH:
+            stepped = _pivot_stack(cur, t, sw, step_sign, max_iterations).tolist()
+        else:
+            stepped = [
+                _pivot_run(cur, i, ti, sw[i], si, max_iterations)
+                for i, (ti, si) in enumerate(zip(t.tolist(), step_sign.tolist()))
+            ]
+        if not all(stepped):
+            go = np.array(stepped)
+            unbounded += cur.rows[~go].tolist()
+            runs.put(cur, ~go)
+            cur = cur.take(go)
+    return unbounded
+
+
+def _refresh_basics(runs: _Runs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re-solve for the basic values from the exactly-held nonbasic bounds,
+    clearing the drift accumulated by incremental updates.  Returns the flat
+    basic indices and the transposed basis matrices, for reuse."""
+    k, N = runs.x.shape
+    fb = runs.flat_basis()
+    x_nonbasic = runs.x.copy()
+    x_nonbasic.reshape(-1)[fb] = 0.0
+    rhs = b - (runs.Aaug @ x_nonbasic[..., None])[..., 0]
+    BT = runs.AaugT.reshape(k * N, -1)[fb]
+    runs.x.reshape(-1)[fb] = _lapack_solve(BT.transpose(0, 2, 1), rhs[..., None])[..., 0]
+    return fb, BT
+
+
+def solve_many(lps: Sequence[LinearProgram]) -> list[LpSolution]:
+    """Run the two-phase bounded-variable simplex method on every LP of
+    ``lps``, which must share one shape; solution ``i`` belongs to LP ``i``.
+
+    Each LP runs its own simplex: phase 1 minimizes the total artificial
+    infeasibility from a deterministic starting point (every variable at its
+    lower bound when finite, otherwise its upper bound, otherwise zero), and
+    phase 2 reoptimizes the true objective with the artificials pinned to
+    zero, each with its own pricing, Bland switch and pivot count.  Only the
+    numpy calls are shared: each pivot round solves the basis systems of all
+    LPs still pivoting in one stacked call, and prices and ratio-tests them
+    together.  Every LP does the arithmetic it would do alone, so its
+    solution does not depend on the rest of the batch, to the bit.
+
+    Raises :class:`LpInputError` on an empty batch or mixed shapes, and
+    :class:`SolverFailure`, naming the LP, if one exhausts the iteration
+    budget ``max(200, 10 * (variables + rows))`` or meets a singular basis.
+    """
+    lps = list(lps)
+    if not lps:
+        raise LpInputError("solve_many needs at least one LP")
+    m, n = lps[0].eq_matrix.shape
+    if any(lp.eq_matrix.shape != (m, n) for lp in lps):
+        raise LpInputError(f"solve_many needs LPs of one shape; LP 0 is {m}x{n}")
+    try:
+        # A singular basis surfaces as an invalid-value signal from LAPACK.
+        with np.errstate(invalid="raise"):
+            return _solve_stack(lps, m, n)
+    except FloatingPointError as exc:
+        raise SolverFailure("singular basis; numerical breakdown") from exc
+
+
+def _solve_stack(lps: list[LinearProgram], m: int, n: int) -> list[LpSolution]:
+    k = len(lps)
+    N = n + m
+    c = np.array([lp.objective for lp in lps])
+    A = np.array([lp.eq_matrix for lp in lps])
+    b = np.array([lp.eq_rhs for lp in lps])
+    lo = np.zeros((k, N))
+    hi = np.full((k, N), np.inf)
+    lo[:, :n] = [lp.lower_bounds for lp in lps]
+    hi[:, :n] = [lp.upper_bounds for lp in lps]
+
+    # Every variable starts at its lower bound when finite, otherwise at its
+    # upper bound, otherwise at zero; one artificial per row, signed to take
+    # up the residual, starts basic.
+    lo_finite = np.isfinite(lo)
+    hi_finite = np.isfinite(hi)
+    x = np.where(lo_finite, lo, np.where(hi_finite, hi, 0.0))
+    residual = b - (A @ x[:, :n, None])[..., 0]
+    Aaug = np.zeros((k, m, N))
+    Aaug[:, :, :n] = A
+    Aaug.reshape(k, m * N)[:, n :: N + 1] = np.where(residual >= 0.0, 1.0, -1.0)
+    x[:, n:] = np.abs(residual)
+    span = hi - lo
+    fixed = span <= TOLERANCE
+    free_var = ~(lo_finite | hi_finite)
+    sense = np.where(~lo_finite & hi_finite, 1.0, -1.0)
+    sense[:, n:] = 0.0
+    sense[fixed] = 0.0
+    phase1_cost = np.zeros((k, N))
+    phase1_cost[:, n:] = 1.0
+    runs = _Runs(
+        rows=np.arange(k),
+        offsets=np.arange(0, k * N, N),
+        Aaug=Aaug,
+        AaugT=Aaug.transpose(0, 2, 1).copy(),
+        lo=lo,
+        hi=hi,
+        span=span,
+        free_var=free_var,
+        fixed=fixed,
+        cost=phase1_cost,
+        x=x,
+        sense=sense,
+        basis=np.arange(n, N) + np.zeros((k, 1), dtype=np.intp),
+        iterations=np.zeros(k, dtype=int),
+        use_bland=np.zeros(k, dtype=bool),
+        degenerate_run=np.zeros(k, dtype=int),
+    )
+    max_iterations = max(200, 10 * (n + m))
+    free = bool(np.count_nonzero(free_var))
+
+    diverged = _run_phase(runs, runs.rows, max_iterations, free)
+    if diverged:
+        raise SolverFailure(f"LP {diverged[0]}: phase-1 objective diverged; numerical breakdown")
+    _refresh_basics(runs, b)
+    infeasibility = np.abs(x[:, n:]).sum(axis=1)
+    live = np.flatnonzero(
+        ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
+    )
+    status = [INFEASIBLE] * k
+    if live.size:
+        # Drive leftover artificials out of the basis; a row whose artificial
+        # cannot be exchanged for any structural column is linearly dependent
+        # and keeps its (zero-valued, now fixed) artificial as a placeholder.
+        for i in live[runs.basis[live].max(axis=1) >= n].tolist():
+            basis, sense_i = runs.basis[i], sense[i]
+            for p in range(m):
+                if basis[p] < n:
+                    continue
+                unit = np.zeros(m)
+                unit[p] = 1.0
+                multipliers = np.linalg.solve(runs.AaugT[i][basis], unit)
+                row = multipliers @ A[i]
+                row[basis[basis < n]] = 0.0
+                entering = int(np.argmax(np.abs(row)))
+                if abs(row[entering]) > TOLERANCE:
+                    basis[p] = entering
+                    sense_i[entering] = 0.0
+
+        # Phase 2 pins the artificials to zero: none may enter again.
+        hi[:, n:] = 0.0
+        runs.span = hi - lo
+        runs.fixed = runs.span <= TOLERANCE
+        sense[:, n:] = 0.0
+        runs.use_bland[:] = False
+        runs.degenerate_run[:] = 0
+        runs.cost = np.zeros((k, N))
+        runs.cost[:, :n] = c
+        for i in live.tolist():
+            status[i] = OPTIMAL
+        for i in _run_phase(runs, live, max_iterations, free):
+            status[i] = UNBOUNDED
+        fb, BT = _refresh_basics(runs, b)
+        y = _lapack_solve(BT, runs.cost.take(fb)[..., None])
+        reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
+        basic = np.zeros((k, N), dtype=bool)
+        basic.reshape(-1)[fb] = True
+        reduced[basic[:, :n]] = 0.0
+        primal = x[:, :n].copy()
+        objective = (c[:, None, :] @ primal[..., None])[:, 0, 0].tolist()
+        bases = np.sort(runs.basis, axis=1).tolist()
+
+    iterations = runs.iterations.tolist()
+    return [
+        LpSolution(
+            status=OPTIMAL,
+            primal=primal[i],
+            duals=y[i, :, 0],
+            reduced_costs=reduced[i],
+            basis=tuple(j for j in bases[i] if j < n),
+            objective_value=objective[i],
+            iterations=iterations[i],
+        )
+        if status[i] == OPTIMAL
+        else LpSolution(
+            status=status[i],
+            primal=None,
+            duals=None,
+            reduced_costs=None,
+            basis=(),
+            objective_value=None,
+            iterations=iterations[i],
+        )
+        for i in range(k)
+    ]
+
+
+def solve(lp: LinearProgram) -> LpSolution:
+    """Run the two-phase bounded-variable simplex method on ``lp``: the
+    simplex of :func:`solve_many`, on a batch of one."""
+    return solve_many([lp])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -359,71 +624,60 @@ def verify_kkt(lp: LinearProgram, sol: LpSolution, tolerance: float = 1e-8) -> K
     all three residuals within ``tolerance`` proves ``sol`` optimal for ``lp``
     up to that tolerance.  Requires ``sol.status == OPTIMAL``.
     """
-    if sol.status != OPTIMAL:
+    return verify_kkt_many([lp], [sol], tolerance)[0]
+
+
+def verify_kkt_many(
+    lps: Sequence[LinearProgram], sols: Sequence[LpSolution], tolerance: float = 1e-8
+) -> list[KktReport]:
+    """:func:`verify_kkt` for every pair of ``lps`` and ``sols``, which must
+    share one shape, in one stacked check; report ``i`` certifies solution
+    ``i`` for LP ``i`` with the arithmetic of the check on that pair alone."""
+    lps, sols = list(lps), list(sols)
+    if not lps or len(lps) != len(sols):
+        raise LpInputError("KKT verification needs one solution per LP, at least one")
+    if any(lp.eq_matrix.shape != lps[0].eq_matrix.shape for lp in lps):
+        raise LpInputError("stacked KKT verification needs LPs of one shape")
+    if any(sol.status != OPTIMAL for sol in sols):
         raise LpInputError("KKT verification needs an optimal solution")
-    x = sol.primal
-    y = sol.duals
-    lo = lp.lower_bounds
-    hi = lp.upper_bounds
+    A = np.array([lp.eq_matrix for lp in lps])
+    x = np.array([sol.primal for sol in sols])
+    lo = np.array([lp.lower_bounds for lp in lps])
+    hi = np.array([lp.upper_bounds for lp in lps])
+    below = lo - x
+    above = x - hi
 
-    residual = float(np.max(np.abs(lp.eq_matrix @ x - lp.eq_rhs)))
-    below = float(np.max(lo - x, initial=0.0))
-    above = float(np.max(x - hi, initial=0.0))
-    primal = max(residual, below, above)
+    residual = np.abs((A @ x[..., None])[..., 0] - [lp.eq_rhs for lp in lps]).max(axis=1)
+    primal = np.maximum(residual, below.max(axis=1, initial=0.0))
+    primal = np.maximum(primal, above.max(axis=1, initial=0.0))
 
-    d = lp.objective - y @ lp.eq_matrix
-    at_lo = (x - lo) <= _ACTIVE_BOUND_TOL
-    at_hi = (hi - x) <= _ACTIVE_BOUND_TOL
-    dual_viol = np.zeros_like(d)
-    interior = ~(at_lo | at_hi)
-    dual_viol[interior] = np.abs(d[interior])
-    only_lo = at_lo & ~at_hi
-    dual_viol[only_lo] = np.maximum(0.0, -d[only_lo])
-    only_hi = at_hi & ~at_lo
-    dual_viol[only_hi] = np.maximum(0.0, d[only_hi])
-    dual = float(dual_viol.max(initial=0.0))
+    y = np.array([sol.duals for sol in sols])
+    d = np.array([lp.objective for lp in lps]) - (y[:, None, :] @ A)[:, 0]
+    # A variable within _ACTIVE_BOUND_TOL of a bound may carry a reduced
+    # cost of that bound's sign (x - lo is -(lo - x) to the bit); one
+    # strictly inside may carry none, and one on both bounds any.
+    at_lo = below >= -_ACTIVE_BOUND_TOL
+    at_hi = above >= -_ACTIVE_BOUND_TOL
+    dual_viol = np.maximum(
+        np.maximum(0.0, np.where(at_hi, 0.0, -d)), np.where(at_lo, 0.0, d)
+    )
+    dual = dual_viol.max(axis=1, initial=0.0)
 
     # A nonzero reduced cost must pin its variable to the matching bound;
     # the residual is |reduced cost| times the distance left to that bound.
-    gap = np.where(d > 0.0, x - lo, hi - x)
+    gap = np.where(d > 0.0, -below, -above)
     gap = np.where(np.isfinite(gap), np.maximum(gap, 0.0), 0.0)
-    comp_viol = np.abs(d) * gap
-    comp_viol[np.abs(d) <= tolerance] = 0.0
-    comp = float(comp_viol.max(initial=0.0))
+    size = np.abs(d)
+    comp = np.where(size <= tolerance, 0.0, size * gap).max(axis=1, initial=0.0)
 
-    violations = tuple(
-        (name, value)
-        for name, value in (
-            ("primal feasibility", primal),
-            ("dual feasibility", dual),
-            ("complementary slackness", comp),
-        )
-        if value > tolerance
-    )
-    return KktReport(
-        primal_feasibility=primal,
-        dual_feasibility=dual,
-        complementary_slackness=comp,
-        violations=violations,
-        tolerance=tolerance,
-    )
-
-
-def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
-    """Lagrangian dual value at ``sol.duals``; equals the primal objective at
-    a true optimum (strong duality), making it a handy one-number check."""
-    if sol.status != OPTIMAL:
-        raise LpInputError("dual objective needs an optimal solution")
-    y = sol.duals
-    d = lp.objective - y @ lp.eq_matrix
-    d = np.where(np.abs(d) <= TOLERANCE, 0.0, d)
-    # A positive reduced cost pushes its variable to the lower bound, a
-    # negative one to the upper bound; zero reduced cost contributes nothing,
-    # so mask the bound arrays first to keep 0 * inf out of the arithmetic.
-    lower = np.where(d > 0.0, lp.lower_bounds, 0.0)
-    upper = np.where(d < 0.0, lp.upper_bounds, 0.0)
-    contribution = np.where(d > 0.0, d * lower, d * upper)
-    return float(y @ lp.eq_rhs + contribution.sum())
+    names = ("primal feasibility", "dual feasibility", "complementary slackness")
+    reports = []
+    for values in zip(primal.tolist(), dual.tolist(), comp.tolist()):
+        violations = ()
+        if not max(values) <= tolerance:
+            violations = tuple((name, v) for name, v in zip(names, values) if v > tolerance)
+        reports.append(KktReport(*values, violations=violations, tolerance=tolerance))
+    return reports
 
 
 def format_lp(lp: LinearProgram) -> str:

@@ -30,7 +30,7 @@ from .closed_form import (
     objectives,
 )
 from .dispatch import (
-    _solve_ed_lp,
+    _solve_ed_cold,
     csv_number,
     dc_cost_numeric,
     solve_ed_grid,
@@ -325,40 +325,41 @@ class VerificationReport:
 def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationReport:
     """Replay the closed forms against independent LP solves over the grid.
 
-    Every solve is also re-certified through the optimality-condition check,
-    so a pass means: the LP really solved its instances, and the closed
-    forms reproduce what the LP route measures, everywhere off the
-    threshold's immediate neighborhood.  Unlike :func:`sweep_points`, this
-    solves every grid point cold and reuses no basis, so it checks the
-    basis-reuse route from outside.
+    Every grid point off the threshold's immediate neighborhood gets its
+    own LP, solved cold, and every solution is re-certified through the
+    optimality-condition check.  A pass thus means: the LP really solved its
+    instances, and the closed forms reproduce what the LP route measures.
+    Unlike :func:`sweep_points`, this reuses no basis, so it checks the
+    basis-reuse route from outside.  The LPs share only the numpy calls:
+    :func:`~gridshift.lp_core.solve_many` runs each one's own simplex in one
+    lock-step batch, and :func:`~gridshift.lp_core.verify_kkt_many`
+    certifies them in one stacked check.
     """
     dc_objective, sw_objective = objectives(s)
     t = tau(s)
 
     max_dc = max_sw = max_kkt = 0.0
-    skipped = 0
     deltas = delta_grid(s.L, resolution)
-    for d in deltas:
-        d = float(d)
-        if abs(d - t.value) <= BREAKPOINT_EXCLUSION:
-            skipped += 1
-            continue
-        lp, out, sol = _solve_ed_lp(s, d)
-        kkt = lp_core.verify_kkt(lp, sol, tolerance=KKT_TOL)
-        max_kkt = max(
-            max_kkt,
-            kkt.primal_feasibility,
-            kkt.dual_feasibility,
-            kkt.complementary_slackness,
-        )
-        max_dc = max(max_dc, abs(dc_objective.evaluate(d) - dc_cost_numeric(s, out)))
-        max_sw = max(max_sw, abs(sw_objective.evaluate(d) - sw_cost_numeric(s, out)))
+    checked = deltas[np.abs(deltas - t.value) > BREAKPOINT_EXCLUSION]
+    if checked.size:
+        lps, outcomes, sols = _solve_ed_cold(s, checked)
+        reports = lp_core.verify_kkt_many(lps, sols, tolerance=KKT_TOL)
+        for out, kkt in zip(outcomes, reports):
+            max_kkt = max(
+                max_kkt,
+                kkt.primal_feasibility,
+                kkt.dual_feasibility,
+                kkt.complementary_slackness,
+            )
+            d = out.delta
+            max_dc = max(max_dc, abs(dc_objective.evaluate(d) - dc_cost_numeric(s, out)))
+            max_sw = max(max_sw, abs(sw_objective.evaluate(d) - sw_cost_numeric(s, out)))
 
     return VerificationReport(
         threshold=t.value,
         binding=t.binding,
         points_total=int(deltas.size),
-        points_skipped=skipped,
+        points_skipped=int(deltas.size - checked.size),
         max_dc_deviation=max_dc,
         max_sw_deviation=max_sw,
         max_kkt_residual=max_kkt,

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from gridshift.lp_core import LinearProgram
+from gridshift.lp_core import OPTIMAL, TOLERANCE, LinearProgram, LpInputError, LpSolution
 
 
 @dataclasses.dataclass
@@ -96,3 +96,35 @@ def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
         return LinearProgram(
             objective=c, eq_matrix=A, eq_rhs=b, lower_bounds=lo, upper_bounds=hi
         )
+
+
+def random_dense_lp(rng: np.random.Generator) -> LinearProgram:
+    """Dense LP of 20 to 36 variables and a quarter as many rows, with
+    uniform data and finite bounds; feasible by construction, because the
+    right-hand side is the image of a point strictly inside the box."""
+    n = int(rng.integers(20, 37))
+    A = rng.uniform(-1.0, 1.0, size=(n // 4, n))
+    lo = rng.uniform(-2.0, 0.0, size=n)
+    hi = lo + rng.uniform(0.5, 3.0, size=n)
+    inner = lo + rng.uniform(0.1, 0.9, size=n) * (hi - lo)
+    c = rng.uniform(-1.0, 1.0, size=n)
+    return LinearProgram(
+        objective=c, eq_matrix=A, eq_rhs=A @ inner, lower_bounds=lo, upper_bounds=hi
+    )
+
+
+def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
+    """Lagrangian dual value at ``sol.duals``; equals the primal objective at
+    a true optimum (strong duality), making it a handy one-number check."""
+    if sol.status != OPTIMAL:
+        raise LpInputError("dual objective needs an optimal solution")
+    y = sol.duals
+    d = lp.objective - y @ lp.eq_matrix
+    d = np.where(np.abs(d) <= TOLERANCE, 0.0, d)
+    # A positive reduced cost pushes its variable to the lower bound, a
+    # negative one to the upper bound; zero reduced cost contributes nothing,
+    # so mask the bound arrays first to keep 0 * inf out of the arithmetic.
+    lower = np.where(d > 0.0, lp.lower_bounds, 0.0)
+    upper = np.where(d < 0.0, lp.upper_bounds, 0.0)
+    contribution = np.where(d > 0.0, d * lower, d * upper)
+    return float(y @ lp.eq_rhs + contribution.sum())

@@ -18,6 +18,11 @@ from gridshift.grid_model import ThreeBusScenario, eta, tau, validate
 
 MARGIN_FLOOR = 1e-6
 
+#: Shifts this far either side of the threshold fall on both sides of the two
+#: clearance margins (1e-7 for the cold route's degeneracy flag, 2e-7 for
+#: joining a reused run).
+KNIFE_EDGE_OFFSETS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]) * 1e-7
+
 
 def canonical_scenario(**overrides) -> ThreeBusScenario:
     """The worked example used for all frozen expectations."""
@@ -214,3 +219,11 @@ def nondegenerate_deltas(
         if len(picks) == count:
             return picks
     raise RuntimeError("nondegenerate_deltas: not enough clean interior shifts")
+
+
+def knife_edge_shifts(s: ThreeBusScenario) -> np.ndarray:
+    """The shifts :data:`KNIFE_EDGE_OFFSETS` below and above the threshold
+    that lie inside the block ``[0, L]``."""
+    t = tau(s).value
+    knife = np.concatenate([t - KNIFE_EDGE_OFFSETS, t + KNIFE_EDGE_OFFSETS])
+    return knife[(0.0 <= knife) & (knife <= s.L)]

@@ -6,6 +6,7 @@ its measured headroom.  Tolerances are stated inline; seeds are fixed, so the
 whole suite is reproducible run to run.
 """
 
+import collections
 import dataclasses
 import time
 
@@ -30,7 +31,7 @@ from gridshift.grid_model import (
     tau,
     write_scenario_file,
 )
-from gridshift.lp_core import OPTIMAL, solve, verify_kkt
+from gridshift.lp_core import OPTIMAL, solve_many, verify_kkt_many
 from gridshift.sweep import (
     alignment_cutoffs,
     default_f01_range,
@@ -223,26 +224,34 @@ def test_criterion_5_heatmap_ratio_and_boundary(capsys):
 def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
     # 10,000 random bounded LPs against the brute-force vertex enumerator:
     # statuses must agree, optima must match to 1e-8, and every optimal
-    # solution must pass an independent optimality check at 1e-8.  Then the
-    # dispatch at the degenerate threshold vertex must still terminate.
+    # solution must pass an independent optimality check at 1e-8.  The LPs
+    # are solved and checked in one batch per shape (each solution is the one
+    # its LP gets alone; tests/test_lp_core.py pins that to the bit).  Then
+    # the dispatch at the degenerate threshold vertex must still terminate.
     started = time.perf_counter()
     rng = np.random.default_rng(106)
+    lps = [lp_oracle.random_bounded_lp(rng) for _ in range(10000)]
+    by_shape = collections.defaultdict(list)
+    for lp in lps:
+        by_shape[lp.eq_matrix.shape].append(lp)
     status_bad = objective_bad = kkt_bad = 0
     optimal_count = 0
-    for _ in range(10000):
-        lp = lp_oracle.random_bounded_lp(rng)
-        expected = lp_oracle.reference_solve(lp)
-        sol = solve(lp)
-        if sol.status != expected.status:
-            status_bad += 1
-            continue
-        if sol.status != OPTIMAL:
-            continue
-        optimal_count += 1
-        if abs(sol.objective_value - expected.objective) > 1e-8:
-            objective_bad += 1
-        if not verify_kkt(lp, sol, tolerance=1e-8).ok:
-            kkt_bad += 1
+    for group in by_shape.values():
+        solved = []
+        for lp, sol in zip(group, solve_many(group)):
+            expected = lp_oracle.reference_solve(lp)
+            if sol.status != expected.status:
+                status_bad += 1
+                continue
+            if sol.status != OPTIMAL:
+                continue
+            optimal_count += 1
+            if abs(sol.objective_value - expected.objective) > 1e-8:
+                objective_bad += 1
+            solved.append((lp, sol))
+        if solved:
+            reports = verify_kkt_many(*zip(*solved), tolerance=1e-8)
+            kkt_bad += sum(not report.ok for report in reports)
     scen_rng = np.random.default_rng(1106)
     degenerate_ok = 0
     for _ in range(50):

@@ -11,6 +11,7 @@ from gridshift import lp_core
 from gridshift.dispatch import (
     VARIABLE_NAMES,
     DeltaRangeError,
+    _solve_ed_cold,
     DispatchInfeasibleError,
     DispatchOutcome,
     build_ed,
@@ -200,22 +201,16 @@ def _bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
-#: Shifts this far either side of the threshold fall on both sides of the two
-#: clearance margins (1e-7 for the cold route's degeneracy flag, 2e-7 for
-#: joining a reused run).
-KNIFE_EDGE_OFFSETS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]) * 1e-7
-
-
 def _assert_grid_matches_cold(s, deltas) -> int:
-    """``solve_ed_grid`` against a cold ``solve_ed`` at every shift: prices,
-    emission rates and degeneracy flags identical to the bit, flows and cost
-    to 1e-9.  Returns the number of degenerate points."""
+    """``solve_ed_grid`` against a cold solve at every shift, all taken in one
+    batch: prices, emission rates and degeneracy flags identical to the bit,
+    flows and cost to 1e-9.  Returns the number of degenerate points."""
     grid = solve_ed_grid(s, deltas)
     assert len(grid) == len(deltas)
+    _, colds, _ = _solve_ed_cold(s, deltas)
     degenerate_points = 0
-    for d, got in zip(deltas, grid):
-        cold = solve_ed(s, float(d))
-        assert got.delta == cold.delta
+    for d, got, cold in zip(deltas, grid, colds):
+        assert got.delta == cold.delta == float(d)
         assert _bits(got.lmp) == _bits(cold.lmp)
         assert _bits(got.lme) == _bits(cold.lme)
         assert got.degenerate == cold.degenerate
@@ -228,6 +223,19 @@ def _assert_grid_matches_cold(s, deltas) -> int:
 
 
 class TestGridDispatch:
+    def test_cold_batch_matches_one_shift_at_a_time(self):
+        """The batched cold route gives every shift, knife edges and nudged
+        left-limit prices included, the outcome of solving it alone."""
+        for s in _grid_mix()[::3]:
+            deltas = np.sort(np.concatenate([delta_grid(s.L, 23), scenario_gen.knife_edge_shifts(s)]))
+            lps, outcomes, sols = _solve_ed_cold(s, deltas)
+            for d, lp, out, sol in zip(deltas, lps, outcomes, sols):
+                alone, sol_alone = solve_ed_detailed(s, float(d))
+                assert out == alone
+                assert _bits(out.lmp + out.lme) == _bits(alone.lmp + alone.lme)
+                assert sol.primal.tobytes() == sol_alone.primal.tobytes()
+                assert lp_core.format_lp(lp) == lp_core.format_lp(build_ed(s, float(d)))
+
     def test_matches_cold_solves_pointwise(self):
         """Basis reuse against a cold solve at every grid point.
 
@@ -240,10 +248,7 @@ class TestGridDispatch:
         for k, s in enumerate(_grid_mix()):
             deltas = delta_grid(s.L, 200)
             if k % 2 == 0:
-                t = tau(s).value
-                knife = np.concatenate([t - KNIFE_EDGE_OFFSETS, t + KNIFE_EDGE_OFFSETS])
-                knife = knife[(0.0 <= knife) & (knife <= s.L)]
-                deltas = np.sort(np.concatenate([deltas, knife]))
+                deltas = np.sort(np.concatenate([deltas, scenario_gen.knife_edge_shifts(s)]))
             degenerate_points += _assert_grid_matches_cold(s, deltas)
         # The on-node thresholds, the threshold at L and the knife-edge
         # shifts put degenerate vertices on the grid, so the cold fallback
@@ -268,14 +273,16 @@ class TestGridDispatch:
         at_threshold = dataclasses.replace(
             right, primal=primal, objective_value=float(lp.objective @ primal)
         )
-        real_solve = lp_core.solve
+        real_solve_many = lp_core.solve_many
 
-        def solve(program):
-            if np.array_equal(program.eq_rhs, lp.eq_rhs):
-                return at_threshold
-            return real_solve(program)
+        def solve_many(programs):
+            programs = list(programs)
+            return [
+                at_threshold if np.array_equal(program.eq_rhs, lp.eq_rhs) else sol
+                for program, sol in zip(programs, real_solve_many(programs))
+            ]
 
-        monkeypatch.setattr(lp_core, "solve", solve)
+        monkeypatch.setattr(lp_core, "solve_many", solve_many)
         outcome, sol = solve_ed_detailed(s, t)
         assert sol.basis == right.basis and outcome.degenerate
         assert verify_kkt(lp, sol).ok

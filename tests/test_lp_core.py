@@ -1,9 +1,16 @@
 """Unit tests for the bounded-variable simplex solver."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 import lp_oracle
+import scenario_gen
+from gridshift import lp_core
+from gridshift.dispatch import build_ed
+from gridshift.grid_model import bundled_scenario_names, bundled_scenario_path, parse_scenario_file, tau
 from gridshift.lp_core import (
     INFEASIBLE,
     OPTIMAL,
@@ -11,10 +18,11 @@ from gridshift.lp_core import (
     LinearProgram,
     LpInputError,
     SolverFailure,
-    dual_objective,
     format_lp,
     solve,
+    solve_many,
     verify_kkt,
+    verify_kkt_many,
 )
 
 INF = np.inf
@@ -168,11 +176,191 @@ class TestAgainstEnumeration:
             optimal_count += 1
             assert sol.objective_value == pytest.approx(expected.objective, abs=1e-8)
             assert verify_kkt(lp, sol).ok
-            assert dual_objective(lp, sol) == pytest.approx(
+            assert lp_oracle.dual_objective(lp, sol) == pytest.approx(
                 sol.objective_value, abs=1e-8
             )
         # The generator should not be producing a trivial mix.
         assert optimal_count >= 50
+
+
+def trace_lps() -> list[LinearProgram]:
+    """A seeded set of LPs whose solver traces are pinned below.
+
+    500 small integer LPs, every fifth with its boxes opened upward so that
+    unbounded rays occur, 50 dense ones of 20 to 36 variables, and the
+    dispatch LP of every bundled scenario at its threshold and on the knife
+    edges around it.
+    """
+    rng = np.random.default_rng(606)
+    lps = []
+    for k in range(500):
+        lp = lp_oracle.random_bounded_lp(rng)
+        if k % 5 == 4:
+            lp = LinearProgram(
+                lp.objective, lp.eq_matrix, lp.eq_rhs, lp.lower_bounds,
+                np.full(lp.n_variables, INF),
+            )
+        lps.append(lp)
+    lps += [lp_oracle.random_dense_lp(rng) for _ in range(50)]
+    for name in bundled_scenario_names():
+        s = parse_scenario_file(bundled_scenario_path(name))
+        shifts = np.concatenate([[tau(s).value], scenario_gen.knife_edge_shifts(s)])
+        lps += [build_ed(s, float(d)) for d in shifts]
+    return lps
+
+
+def trace_digest(solutions) -> str:
+    """SHA-256 over each solution's status, basis, pivot count and the
+    bytes of its primal point, duals and reduced costs."""
+    h = hashlib.sha256()
+    for sol in solutions:
+        h.update(repr((sol.status, sol.basis, sol.iterations)).encode())
+        for values in (sol.primal, sol.duals, sol.reduced_costs):
+            h.update(b"-" if values is None else values.tobytes())
+    return h.hexdigest()
+
+
+#: ``trace_digest`` of ``solve`` over ``trace_lps()``, recorded before the
+#: solver ran its LPs in lock-step; any change to a pivot, a tie-break or
+#: the arithmetic behind a reported number moves it.
+TRACE_SHA256 = "ed5f348e2cefc7f5d735f56480c7448940f35a41f62397d838101098a07f4a70"
+
+
+class TestPinnedTrace:
+    def test_statuses_cover_every_outcome(self):
+        statuses = {solve(lp).status for lp in trace_lps()}
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+    def test_one_at_a_time_matches_the_pinned_digest(self):
+        assert trace_digest(solve(lp) for lp in trace_lps()) == TRACE_SHA256
+
+    def test_batched_by_shape_matches_the_pinned_digest(self):
+        # Batches of one to a few hundred LPs, so both the one-at-a-time and
+        # the array pivot steps are covered.
+        lps = trace_lps()
+        by_shape = {}
+        for i, lp in enumerate(lps):
+            by_shape.setdefault(lp.eq_matrix.shape, []).append(i)
+        assert min(map(len, by_shape.values())) == 1
+        assert max(map(len, by_shape.values())) > 100
+        solutions = [None] * len(lps)
+        for rows in by_shape.values():
+            for i, sol in zip(rows, solve_many([lps[i] for i in rows])):
+                solutions[i] = sol
+        assert trace_digest(solutions) == TRACE_SHA256
+
+
+def _bland_lp() -> LinearProgram:
+    """21 rows with a zero right-hand side: phase 1 makes a zero step per
+    row, and from the 20th on Bland's rule picks other columns than Dantzig
+    pricing would."""
+    m = 21
+    A = np.hstack([np.eye(m), 2.0 * np.eye(m)])
+    return LinearProgram(np.tile([1.0, -1.0], m), A, np.zeros(m), np.zeros(2 * m), np.ones(2 * m))
+
+
+def _mixed_batch() -> list[LinearProgram]:
+    """LPs of one shape (21 rows, 42 variables) of every outcome, shuffled:
+    dense feasible ones, boxes that cannot meet their right-hand side, open
+    boxes with an unbounded ray, and :func:`_bland_lp`."""
+    rng = np.random.default_rng(7)
+    m, n = 21, 42
+    pair = np.hstack([np.eye(m), np.eye(m)])
+    lps = [_bland_lp()]
+    for _ in range(12):
+        A = rng.uniform(-1.0, 1.0, size=(m, n))
+        lo = rng.uniform(-2.0, 0.0, size=n)
+        hi = lo + rng.uniform(0.5, 3.0, size=n)
+        inner = lo + rng.uniform(0.1, 0.9, size=n) * (hi - lo)
+        lps.append(LinearProgram(rng.uniform(-1.0, 1.0, size=n), A, A @ inner, lo, hi))
+    for _ in range(6):
+        lps.append(LinearProgram(rng.uniform(-1.0, 1.0, size=n), pair, rng.uniform(2.5, 4.0, size=m), np.zeros(n), np.ones(n)))
+    opposed = np.hstack([np.eye(m), -np.eye(m)])
+    for _ in range(6):
+        lps.append(LinearProgram(-rng.uniform(0.5, 1.0, size=n), opposed, np.zeros(m), np.zeros(n), np.full(n, INF)))
+    return [lps[i] for i in rng.permutation(len(lps))]
+
+
+def _klee_minty(n: int, objective_scale: float = 1.0) -> LinearProgram:
+    """Klee and Minty's cube: Dantzig pricing visits all 2**n vertices."""
+    L = np.eye(n)
+    for i in range(n):
+        for j in range(i):
+            L[i, j] = 2.0 ** (i - j + 1)
+    c = np.concatenate([-(2.0 ** (n - 1 - np.arange(n))) * objective_scale, np.zeros(n)])
+    return LinearProgram(c, np.hstack([L, np.eye(n)]), 5.0 ** np.arange(1, n + 1), np.zeros(2 * n), np.full(2 * n, INF))
+
+
+class TestSolveMany:
+    def test_batch_member_equals_batch_of_one(self):
+        lps = _mixed_batch()
+        batch = solve_many(lps)
+        assert {sol.status for sol in batch} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        for lp, sol in zip(lps, batch):
+            (alone,) = solve_many([lp])
+            assert trace_digest([sol]) == trace_digest([alone])
+            assert sol.objective_value == alone.objective_value
+
+    def test_bland_member_really_switches(self, monkeypatch):
+        switched = solve(_bland_lp())
+        monkeypatch.setattr(lp_core, "BLAND_TRIGGER", 10**9)
+        assert solve(_bland_lp()).iterations != switched.iterations
+
+    def test_small_batch_equals_one_at_a_time(self):
+        lps = _mixed_batch()[:5]
+        assert trace_digest(solve_many(lps)) == trace_digest(solve(lp) for lp in lps)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(LpInputError):
+            solve_many([])
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(LpInputError):
+            solve_many([toy_lp(), LinearProgram([1.0], [[1.0]], [1.0], [0.0], [2.0])])
+
+    def test_exhausted_budget_names_the_lp(self):
+        # 255 pivots on the 8-dimensional cube exceed the budget of 240.
+        batch = [_klee_minty(8, 0.0), _klee_minty(8, 0.0), _klee_minty(8), _klee_minty(8, 0.0)]
+        with pytest.raises(SolverFailure, match=r"LP 2: iteration budget 240 exhausted"):
+            solve_many(batch)
+
+    def test_singular_basis_is_a_solver_failure(self, monkeypatch):
+        real = lp_core._lapack_solve
+        monkeypatch.setattr(lp_core, "_lapack_solve", lambda a, b: real(np.zeros_like(a), b))
+        with pytest.raises(SolverFailure, match="singular basis"):
+            solve(toy_lp())
+
+    def test_with_rhs_shares_all_but_the_right_hand_side(self):
+        lp = toy_lp()
+        moved = lp.with_rhs([7.0])
+        assert moved.eq_matrix is lp.eq_matrix and moved.objective is lp.objective
+        assert not moved.eq_rhs.flags.writeable
+        assert format_lp(moved) == format_lp(
+            LinearProgram(lp.objective, lp.eq_matrix, [7.0], lp.lower_bounds, lp.upper_bounds)
+        )
+        with pytest.raises(LpInputError):
+            lp.with_rhs([1.0, 2.0])
+        with pytest.raises(LpInputError):
+            lp.with_rhs([np.nan])
+
+
+class TestKktMany:
+    def test_stacked_reports_equal_single_checks(self):
+        lps = _mixed_batch()
+        pairs = [(lp, sol) for lp, sol in zip(lps, solve_many(lps)) if sol.status == OPTIMAL]
+        tampered = dataclasses.replace(pairs[0][1], primal=pairs[0][1].primal + 1e-3)
+        pairs.append((pairs[0][0], tampered))
+        reports = verify_kkt_many(*zip(*pairs))
+        assert reports == [verify_kkt(lp, sol) for lp, sol in pairs]
+        assert all(r.ok for r in reports[:-1]) and not reports[-1].ok
+
+    def test_non_optimal_or_mixed_input_rejected(self):
+        lp = toy_lp()
+        sol = solve(lp)
+        with pytest.raises(LpInputError):
+            verify_kkt_many([lp, lp], [sol])
+        with pytest.raises(LpInputError):
+            verify_kkt_many([lp], [dataclasses.replace(sol, status=INFEASIBLE)])
 
 
 class TestFormatDump:

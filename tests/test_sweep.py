@@ -46,6 +46,21 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _count_lps(monkeypatch, name) -> list:
+    """Record every LP handed to ``lp_core.name`` (a batch entry point whose
+    first argument is the LPs) and pass each call through."""
+    lps = []
+    original = getattr(lp_core, name)
+
+    def counting(batch, *args, **kwargs):
+        batch = list(batch)
+        lps.extend(batch)
+        return original(batch, *args, **kwargs)
+
+    monkeypatch.setattr(lp_core, name, counting)
+    return lps
+
+
 class TestDeltaGrid:
     def test_endpoints_exact(self):
         grid = delta_grid(1.0, 5)
@@ -94,7 +109,7 @@ class TestSweep:
         # Two price regimes, two solves.  linspace(0, 1, 11) puts a node on
         # the 0.1 threshold: its degenerate vertex costs a cold solve plus
         # the nudged one, and the next node starts the right regime afresh.
-        solves = _count_calls(monkeypatch, lp_core, "solve")
+        solves = _count_lps(monkeypatch, "solve_many")
         sweep_points(scenario_gen.canonical_scenario(), 200)
         assert len(solves) <= 2
         solves.clear()
@@ -399,11 +414,19 @@ class TestVerification:
         # verify is the independent check on the sweep's basis reuse: one
         # cold solve and one optimality check per grid point off the
         # threshold, plus the nudged solve nowhere (the threshold is skipped).
-        solves = _count_calls(monkeypatch, lp_core, "solve")
-        checks = _count_calls(monkeypatch, lp_core, "verify_kkt")
-        report = verify_scenario(scenario_gen.canonical_scenario(), resolution=11)
+        # The solver is handed LPs alone, never a basis to start from.
+        calls = _count_calls(monkeypatch, lp_core, "solve_many")
+        solves = _count_lps(monkeypatch, "solve_many")
+        checks = _count_lps(monkeypatch, "verify_kkt_many")
+        s = scenario_gen.canonical_scenario()
+        report = verify_scenario(s, resolution=11)
         assert report.points_skipped == 1
         assert len(solves) == len(checks) == 10
+        assert all(len(args) == 1 for args in calls)
+        shifts = [lp.eq_rhs[1] - s.l1 for lp in solves]
+        expected = [d for d in delta_grid(s.L, 11) if abs(d - tau(s).value) > 1e-6]
+        np.testing.assert_allclose(shifts, expected, rtol=0.0, atol=1e-12)
+        assert all(check is solve for check, solve in zip(checks, solves))
 
     def test_validates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, closed_form, "validate")
