@@ -228,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverFailure as exc:
         print(f"error: solver breakdown: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except MemoryError as exc:
+        print(f"error: --resolution {args.resolution} is too large: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE

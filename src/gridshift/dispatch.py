@@ -1,29 +1,22 @@
 """Economic dispatch of the three-bus system and its marginal signals.
 
 Builds the dispatch LP for a given shift ``delta`` of the flexible block from
-bus 2 to bus 1, solves it with :mod:`gridshift.lp_core`, and reads the bus
-prices (equality duals) and marginal emission rates (the same duals with
-emission rates in place of offers) off the optimal basis.  Also provides the
-two settlement-style cost evaluations — the data-center bill and the
-system-wide cost — used to cross-check the closed-form objectives
-numerically.
-
-:func:`solve_ed` solves one shift cold; the cold route takes a vector of
-shifts and solves all their LPs in one lock-step batch
-(:func:`~gridshift.lp_core.solve_many`), which is how the verification gate
-solves its whole grid.  :func:`solve_ed_grid` solves a whole
-shift grid and solves again only where the optimal basis changes: the shift
-moves just the right-hand side, so one basis, with its prices, holds on an
-interval of shifts.  Both routes ask one question of a basis, whether every
-basic variable lies clear of its bounds: the cold solve at the degeneracy
-tolerance, to flag a degenerate vertex, and the grid walk at twice that, for
-every later shift of the grid at once.
+bus 2 to bus 1 and reads the bus prices (equality duals) and marginal
+emission rates (the same duals with emission rates in place of offers) off
+an optimal basis.  :func:`pieces` walks the block with one cold solve at
+shift 0 and one dual-simplex pivot per change of basis, and :func:`solve_ed`
+and :func:`solve_ed_grid` read every shift off its pieces.  The cold route
+(:func:`solve_ed_detailed`, the verification gate) solves each shift's own
+LP from scratch, all in one lock-step batch, as the check from outside.
+Also provides the data-center bill and the system-wide cost, which
+cross-check the closed-form objectives numerically.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,12 +70,11 @@ class DispatchOutcome:
 
     ``lmp`` holds the bus prices ($/MWh, duals of the nodal balances) and
     ``lme`` the marginal emission rates of the same basis (tCO2/MWh), both
-    indexed by bus 0..2.  ``degenerate`` records that the vertex was
-    degenerate (a basic variable within the degeneracy tolerance of a bound),
-    so both are taken from the left limit: from the basis of one solve at
-    ``delta - 1e-7 * max(1, L)``.  Where that nudged solve cannot be made,
-    at a degenerate shift no larger than the nudge, or is not optimal, they
-    come from the cold solve's own basis."""
+    indexed by bus 0..2.  ``degenerate`` records that a basic variable of
+    the basis that priced the shift lies within the degeneracy tolerance of
+    a bound.  Read off :func:`pieces`, that marks a shift at or next to a
+    break (which takes the left piece's prices); from the cold route, a
+    vertex priced by whichever optimal basis the simplex stopped in."""
 
     delta: float
     y0: float
@@ -144,14 +136,13 @@ def build_ed(s: ThreeBusScenario, delta: float) -> lp_core.LinearProgram:
 
 
 def _clear_of_bounds(
-    lp: lp_core.LinearProgram, basis: np.ndarray, x: np.ndarray, margin: float
+    lp: lp_core.LinearProgram, bases: np.ndarray, x: np.ndarray, margin: float
 ) -> np.ndarray:
-    """Whether every basic entry of ``x`` lies more than ``margin`` inside its
-    bounds, one answer per row of ``x`` (a stack of points).  ``basis`` holds
-    the basic columns, one row per point or one for all."""
-    basis = np.broadcast_to(basis, x.shape[:-1] + np.shape(basis)[-1:])
-    xb = np.take_along_axis(x, basis, axis=-1)
-    inside = (xb - lp.lower_bounds[basis] > margin) & (lp.upper_bounds[basis] - xb > margin)
+    """Whether every basic entry of each row of ``x`` (a stack of points)
+    lies more than ``margin`` inside its bounds; ``bases`` holds the basic
+    columns of each row."""
+    xb = np.take_along_axis(x, bases, axis=-1)
+    inside = (xb - lp.lower_bounds[bases] > margin) & (lp.upper_bounds[bases] - xb > margin)
     return inside.all(axis=-1)
 
 
@@ -188,20 +179,38 @@ def _outcomes(
     lp: lp_core.LinearProgram,
     deltas: Sequence[float],
     flows: np.ndarray,
-    lmps: Sequence[tuple[float, float, float]],
-    lmes: Sequence[tuple[float, float, float]],
-    degenerate: Sequence[bool],
+    lmps: np.ndarray,
+    lmes: np.ndarray,
+    degenerate: np.ndarray,
 ) -> list[DispatchOutcome]:
-    """One outcome per shift, from its row of ``flows``; every cost is the
-    row's own dot product with the objective (a 2-D product would sum in
-    another order)."""
+    """One outcome per shift, from its rows of ``flows``, ``lmps`` and
+    ``lmes``; every cost is the row's own dot product with the objective (a
+    2-D product would sum in another order)."""
     costs = (flows[:, None, :] @ lp.objective)[:, 0].tolist()
     return [
-        DispatchOutcome(d, *x, lmp, lme, cost, flag)
+        DispatchOutcome(d, *x, tuple(lmp), tuple(lme), cost, flag)
         for d, x, lmp, lme, cost, flag in zip(
-            deltas, flows.tolist(), lmps, lmes, costs, degenerate
+            deltas, flows.tolist(), lmps.tolist(), lmes.tolist(), costs, degenerate.tolist()
         )
     ]
+
+
+def _prices(s: ThreeBusScenario, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bus prices ``c_B^T B^-1`` and marginal emission rates ``e_B^T B^-1``
+    (Rudkevich & Ruiz 2012) of a basis, or of each of a stack of them: three
+    structural columns, as the balance rows have full row rank."""
+    rates = np.array([[0.0, s.c1, s.c2, 0.0, 0.0, 0.0], [0.0, s.e1, s.e2, 0.0, 0.0, 0.0]])
+    # "+ 0.0" folds IEEE negative zeros into plain zeros for clean output.
+    both = np.linalg.solve(_BALANCE.T[bases], rates.T[bases]) + 0.0
+    return both[..., 0], both[..., 1]
+
+
+def _checked(s: ThreeBusScenario, delta: float, sol: lp_core.LpSolution) -> lp_core.LpSolution:
+    if sol.status == lp_core.INFEASIBLE:
+        raise _diagnose_infeasible(s, delta)
+    if sol.status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
+        raise lp_core.SolverFailure(f"unexpected dispatch status {sol.status!r}")
+    return sol
 
 
 def _solve_ed_cold(
@@ -209,109 +218,115 @@ def _solve_ed_cold(
 ) -> tuple[list[lp_core.LinearProgram], list[DispatchOutcome], list[lp_core.LpSolution]]:
     """Cold solves at every shift of ``deltas``, all in one lock-step batch;
     also returns the LPs and their solutions, so that callers checking them
-    need not build them again.
-
-    Each LP is solved from scratch, exactly as it would be on its own.  The
-    shifts the cold solves flag as degenerate take their prices from a
-    second batch, of LPs nudged below them, and the marginal emission rates
-    of all shifts come from one stacked solve on the bases that priced them.
-    """
+    need not build them again.  Each LP is solved from scratch, exactly as
+    it would be on its own, and priced by its own optimal basis."""
     deltas = [float(d) for d in deltas]
     first = build_ed(s, deltas[0])
     lps = [first] + [first.with_rhs(_balance_rhs(s, d)) for d in deltas[1:]]
-    sols = lp_core.solve_many(lps)
-    for d, sol in zip(deltas, sols):
-        if sol.status == lp_core.INFEASIBLE:
-            raise _diagnose_infeasible(s, d)
-        if sol.status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
-            raise lp_core.SolverFailure(f"unexpected dispatch status {sol.status!r}")
-
+    sols = [_checked(s, d, sol) for d, sol in zip(deltas, lp_core.solve_many(lps))]
     primal = np.array([sol.primal for sol in sols])
-    degenerate = ~_clear_of_bounds(
-        lps[0], np.array([sol.basis for sol in sols]), primal, _DEGENERACY_TOL
-    )
-    # At a degenerate vertex (several optimal bases) the duals depend on
-    # where the pivoting happened to stop.  The reported prices follow the
-    # left-limit convention: take them from a solve nudged below delta.
-    priced = list(sols)
-    epsilon = 1e-7 * max(1.0, s.L)
-    nudge = [i for i in np.flatnonzero(degenerate).tolist() if deltas[i] > epsilon]
-    if nudge:
-        nudged = lp_core.solve_many(
-            [first.with_rhs(_balance_rhs(s, deltas[i] - epsilon)) for i in nudge]
-        )
-        for i, sol in zip(nudge, nudged):
-            if sol.status == lp_core.OPTIMAL:
-                priced[i] = sol
+    bases = np.array([sol.basis for sol in sols])
+    duals = np.array([sol.duals for sol in sols]) + 0.0
+    degenerate = ~_clear_of_bounds(first, bases, primal, _DEGENERACY_TOL)
+    return lps, _outcomes(first, deltas, primal, duals, _prices(s, bases)[1], degenerate), sols
 
-    # Marginal emissions are the emission sensitivities of the basis that
-    # gave the prices: pi = e_B^T B^-1 (Rudkevich & Ruiz 2012).  The balance
-    # rows have full row rank, so the optimal basis always holds three
-    # structural columns and B is the square submatrix they select.
-    bases = np.array([sol.basis for sol in priced])
-    emissions = np.array([0.0, s.e1, s.e2, 0.0, 0.0, 0.0])
-    rates = np.linalg.solve(_BALANCE.T[bases], emissions[bases][..., None])[..., 0]
-    # "+ 0.0" folds IEEE negative zeros into plain zeros for clean output.
-    lmps = map(tuple, (np.array([sol.duals for sol in priced]) + 0.0).tolist())
-    lmes = map(tuple, (rates + 0.0).tolist())
-    return lps, _outcomes(first, deltas, primal, lmps, lmes, degenerate.tolist()), sols
+
+class Piece(NamedTuple):
+    """An optimal basis and the shifts ``(start, end]`` it prices (the first
+    piece from ``start = 0`` on): its bus prices ``lmp``, emission rates
+    ``lme``, and flows ``flows + (d - start) * slope`` at shift ``d``."""
+
+    start: float
+    end: float
+    basis: np.ndarray
+    lmp: np.ndarray
+    lme: np.ndarray
+    flows: np.ndarray
+    slope: np.ndarray
+
+
+def pieces(s: ThreeBusScenario) -> list[Piece]:
+    """The optimal bases of the dispatch along the block ``[0, L]``, in order.
+
+    A shift moves only the balance right-hand side, so a basis stays optimal,
+    with the same prices, until a basic variable meets a bound along
+    ``B^-1 (0, +1, -1)`` (Bertsimas & Tsitsiklis 1997, ch. 5).  The walk
+    solves the LP cold at shift 0, raising :class:`DispatchInfeasibleError`
+    if no dispatch is feasible there, and makes one dual-simplex pivot
+    (ch. 4) per break.  It ends at ``L``, or where feasibility does."""
+    return _walk(s, build_ed(s, 0.0))
+
+
+def _walk(s: ThreeBusScenario, lp: lp_core.LinearProgram) -> list[Piece]:
+    lo, hi = lp.lower_bounds, lp.upper_bounds
+    sol = _checked(s, 0.0, lp_core.solve(lp))
+    basis, flows, start = np.array(sol.basis), sol.primal, 0.0
+    walk = []
+    while len(walk) < 20:  # the balance matrix has C(6, 3) = 20 column triples
+        B = _BALANCE[:, basis]
+        slope = np.zeros(lp.n_variables)
+        slope[basis] = rate = np.linalg.solve(B, _SHIFT_DIRECTION)
+        # How far each basic variable moves before it meets a bound.
+        room = np.where(rate > 0.0, hi[basis] - flows[basis], flows[basis] - lo[basis])
+        reach = np.full(rate.shape, np.inf)
+        np.divide(np.maximum(room, 0.0), np.abs(rate), out=reach, where=np.abs(rate) > lp_core.TOLERANCE)
+        p = int(reach.argmin())
+        end = min(start + reach[p], s.L)
+        lmp, lme = _prices(s, basis)
+        walk.append(Piece(start, end, basis.copy(), lmp, lme, flows, slope))
+        if end == s.L:
+            return walk
+        # Dual-simplex pivot: basis[p] leaves onto the bound it met.  Of the
+        # nonbasic variables free to move the way that holds it there (a basic
+        # column's row entry is 0, or 1 for basis[p]), the one whose reduced
+        # cost reaches zero first enters.
+        flows = flows + (end - start) * slope
+        flows[basis[p]] = hi[basis[p]] if rate[p] > 0.0 else lo[basis[p]]
+        row = np.linalg.solve(B.T, np.eye(len(basis))[p]) @ _BALANCE
+        rises = np.where(flows - lo <= hi - flows, 1.0, -1.0)
+        movable = (rises * np.sign(rate[p]) * row > lp_core.TOLERANCE) & (hi - lo > 0.0)
+        if not movable.any():  # no dispatch is feasible past this break
+            return walk
+        reduced = np.abs(lp.objective - lmp @ _BALANCE)
+        ratio = np.divide(reduced, np.abs(row), out=np.full(row.shape, np.inf), where=movable)
+        basis[p] = ratio.argmin()
+        basis.sort()
+        start = end
+    raise lp_core.SolverFailure("the shift walk met more dispatch bases than there are")
 
 
 def solve_ed_detailed(
     s: ThreeBusScenario, delta: float
 ) -> tuple[DispatchOutcome, lp_core.LpSolution]:
-    """Like :func:`solve_ed` but also returns the raw LP solution, so callers
-    can run independent optimality checks on it."""
+    """The dispatch LP at ``delta`` solved cold, and its raw solution, so
+    callers can run independent optimality checks on it.  The prices are
+    those of the basis the simplex stopped in: at a break, either one."""
     _, (outcome,), (sol,) = _solve_ed_cold(s, [delta])
     return outcome, sol
 
 
 def solve_ed(s: ThreeBusScenario, delta: float) -> DispatchOutcome:
-    """Solve the dispatch at ``delta`` and report flows, prices, and marginal
-    emissions, with left-limit duals at degenerate (threshold) points."""
-    outcome, _ = solve_ed_detailed(s, delta)
-    return outcome
+    """:func:`solve_ed_grid` at one shift."""
+    return solve_ed_grid(s, [delta])[0]
 
 
 def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[DispatchOutcome]:
-    """:func:`solve_ed` at every shift of ``deltas``, reusing optimal bases.
-
-    A shift moves only the balance right-hand side, along ``(0, +1, -1)``,
-    so a basis optimal at one shift stays optimal, with the same duals,
-    wherever it stays primal feasible (parametric programming, Bertsimas &
-    Tsitsiklis 1997, section 5).  After each non-degenerate cold solve, the
-    basic flows move along ``B^-1 (0, +1, -1)`` to all later shifts at once.
-    The leading run of them that stays in ``[0, L]`` and clear of the bounds
-    by twice the degeneracy tolerance reuses the solve's ``lmp`` and ``lme``.
-    The first shift after the run is solved cold, and so is every shift the
-    cold route would call degenerate, which keeps the left-limit prices
-    there.  A sweep over a valid scenario needs two solves, or four when the
-    threshold lies on a grid node.
-    """
+    """The dispatch at every shift of ``deltas`` read off :func:`pieces`:
+    flows, prices and marginal emissions.  A shift within
+    ``lp_core.TOLERANCE * max(1, L)`` past a break takes the piece left of
+    it, so the threshold gets the left-limit prices by construction."""
     deltas = np.fromiter(deltas, dtype=float)
-    outcomes = []
-    i = 0
-    while i < deltas.size:
-        (lp,), (base,), (sol,) = _solve_ed_cold(s, deltas[i : i + 1])
-        outcomes.append(base)
-        i += 1
-        if base.degenerate:  # its prices come from the nudged solve's basis
-            continue
-        basis = list(sol.basis)
-        step = np.zeros(lp.n_variables)
-        step[basis] = np.linalg.solve(_BALANCE[:, basis], _SHIFT_DIRECTION)
-        rest = deltas[i:]
-        flows = sol.primal + np.outer(rest - base.delta, step)
-        # Twice the degeneracy tolerance: no shift the cold route would call
-        # degenerate joins the run, rounding included.
-        reuse = _clear_of_bounds(lp, basis, flows, 2.0 * _DEGENERACY_TOL)
-        reuse &= (0.0 <= rest) & (rest <= s.L)
-        run = int(np.logical_and.accumulate(reuse).sum())
-        outcomes += _outcomes(
-            lp, rest[:run].tolist(), flows[:run], [base.lmp] * run, [base.lme] * run, [False] * run
-        )
-        i += run
-    return outcomes
+    for d in deltas[~((0.0 <= deltas) & (deltas <= s.L))][:1]:
+        _balance_rhs(s, float(d))  # raises DeltaRangeError
+    lp = build_ed(s, 0.0)
+    walk = _walk(s, lp)
+    start, end, basis, lmp, lme, flows, slope = map(np.array, zip(*walk))
+    k = np.searchsorted(end + lp_core.TOLERANCE * max(1.0, s.L), deltas)
+    if deltas.size and k.max() == len(walk):  # past the last feasible break
+        raise _diagnose_infeasible(s, float(deltas[k.argmax()]))
+    flows = flows[k] + (deltas - start[k])[:, None] * slope[k]
+    degenerate = ~_clear_of_bounds(lp, basis[k], flows, _DEGENERACY_TOL)
+    return _outcomes(lp, deltas.tolist(), flows, lmp[k], lme[k], degenerate)
 
 
 def dc_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome) -> float:

@@ -38,9 +38,10 @@ from .dispatch import (
 )
 from .grid_model import ThreeBusScenario, tau
 
-#: Grid points this close to the threshold are excluded from cross-path
-#: comparisons: the analytic side switches branches discontinuously there
-#: while the numeric side follows the left-limit dual convention.
+#: Grid points this close to the threshold are excluded from the cold
+#: cross-check: a cold solve of the degenerate vertex there may stop in
+#: either optimal basis, and the LP's break matches the threshold only to
+#: rounding, so a point between the two is priced on opposite sides.
 BREAKPOINT_EXCLUSION = 1e-6
 
 #: Cross-path agreement tolerance for the two settlement objectives.
@@ -105,9 +106,9 @@ def sweep_points(s: ThreeBusScenario, resolution: int = 200) -> list[SweepPoint]
     Raises :class:`ScenarioInvalidError` on an invalid scenario (via the
     closed-form construction).  Every grid point is emitted, including any
     that fall on the threshold itself.  The dispatch side comes from
-    :func:`~gridshift.dispatch.solve_ed_grid`, which solves only where the
-    optimal basis changes and otherwise returns the prices a cold solve
-    would; :func:`verify_scenario` is the check that cold-solves every point.
+    :func:`~gridshift.dispatch.solve_ed_grid`, which reads every point off
+    the LP's pieces (one solve, one pivot per break);
+    :func:`verify_scenario` is the check that cold-solves every point.
     """
     dc_objective, sw_objective = objectives(s)
     points = []
@@ -329,8 +330,8 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     own LP, solved cold, and every solution is re-certified through the
     optimality-condition check.  A pass thus means: the LP really solved its
     instances, and the closed forms reproduce what the LP route measures.
-    Unlike :func:`sweep_points`, this reuses no basis, so it checks the
-    basis-reuse route from outside.  The LPs share only the numpy calls:
+    Unlike :func:`sweep_points`, this walks no pieces, so it checks that
+    route from outside.  The LPs share only the numpy calls:
     :func:`~gridshift.lp_core.solve_many` runs each one's own simplex in one
     lock-step batch, and :func:`~gridshift.lp_core.verify_kkt_many`
     certifies them in one stacked check.

@@ -18,9 +18,8 @@ from gridshift.grid_model import ThreeBusScenario, eta, tau, validate
 
 MARGIN_FLOOR = 1e-6
 
-#: Shifts this far either side of the threshold fall on both sides of the two
-#: clearance margins (1e-7 for the cold route's degeneracy flag, 2e-7 for
-#: joining a reused run).
+#: Shifts this far either side of the threshold fall on both sides of the
+#: 1e-7 clearance margin at which a dispatch vertex counts as degenerate.
 KNIFE_EDGE_OFFSETS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]) * 1e-7
 
 
@@ -180,6 +179,36 @@ def random_split_weight_scenario(
             continue
         return s
     raise RuntimeError("random_split_weight_scenario: no acceptable draw")
+
+
+def threshold_on_node(s: ThreeBusScenario, rng: np.random.Generator, resolution: int):
+    """``s`` with its threshold moved onto an interior node of the shift
+    grid (``F01`` up and ``l0`` down by the same amount)."""
+    node = float(np.linspace(0.0, s.L, resolution)[rng.integers(5, resolution - 5)])
+    shift = node - tau(s).value
+    return dataclasses.replace(s, F01=s.F01 + shift, l0=s.l0 - shift)
+
+
+def grid_mix() -> list[ThreeBusScenario]:
+    """Fixed-seed mix of valid scenarios for checks of the dispatch along the
+    shift: plain, band and unequal-weight draws, thresholds moved onto a
+    node of the 200-point grid, a threshold at the block edge, and a free
+    bus-1 generator."""
+    rng = np.random.default_rng(309)
+    mix = []
+    for _ in range(12):
+        mix.append(random_valid_scenario(rng))
+        mix.append(random_misaligned_scenario(rng))
+        mix.append(random_split_weight_scenario(rng))
+    while len(mix) < 56:
+        s = threshold_on_node(random_valid_scenario(rng), rng, 200)
+        if _acceptable(s):
+            mix.append(s)
+    mix.append(canonical_scenario())
+    mix.append(canonical_scenario(F01=2.4, l0=-2.9))  # threshold at L
+    mix.append(canonical_scenario(c1=0.0))
+    mix.append(canonical_scenario(c1=0.0, alpha_dc=0.5, alpha_sw=0.5))
+    return mix
 
 
 def _bound_clearance(lp, solution) -> float:

@@ -59,11 +59,13 @@ def _scenario_mix(seed: int, total: int, band: int) -> list:
 def test_criterion_1_closed_form_matches_dispatch_everywhere(capsys):
     # Both settlement objectives, evaluated analytically and via LP dispatch,
     # must agree within 1e-6 on a 200-point grid for 1,000 random scenarios
-    # (grid points within 1e-6 of the threshold excluded: the dispatch path
-    # reports left-limit prices there while a nudged analytic branch applies).
-    # The dispatch side is sweep_points' basis-reuse route (solve_ed_grid),
-    # which tests/test_dispatch.py checks against a cold solve at every grid
-    # point, and verify_scenario against cold solves plus optimality checks.
+    # (grid points within 1e-6 of the threshold excluded: the LP's break and
+    # the closed-form threshold agree only to rounding, so a point between
+    # them may be priced on opposite sides of the kink).  The dispatch side
+    # is read off the LP's pieces (solve_ed_grid), which tests/test_dispatch.py
+    # checks against a cold solve at every grid point, verify_scenario against
+    # cold solves plus optimality checks, and tests/test_properties.py against
+    # the closed forms with no grid.
     started = time.perf_counter()
     scenarios = _scenario_mix(seed=101, total=1000, band=100)
     worst_dc = worst_sw = 0.0

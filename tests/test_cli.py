@@ -206,3 +206,17 @@ class TestErrorPaths:
         )
         assert rc == 2
         assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["sweep", "verify", "heatmap"])
+    def test_grid_too_large_to_allocate_exits_2(self, canonical_path, tmp_path, mode, capsys):
+        # 10**17 grid points cannot be allocated at all, so the request fails
+        # at once; a grid that fits in memory but not in this machine's is
+        # never tried here.
+        out = tmp_path / "out.csv"
+        rc = cli.main(
+            [mode, "--scenario", canonical_path, "--resolution", str(10**17), "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --resolution")
+        assert not out.exists()

@@ -1,7 +1,5 @@
 """Unit tests for the dispatch solve, bus prices, and settlement costs."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,13 @@ from gridshift import lp_core
 from gridshift.dispatch import (
     VARIABLE_NAMES,
     DeltaRangeError,
-    _solve_ed_cold,
     DispatchInfeasibleError,
     DispatchOutcome,
     build_ed,
     csv_number,
+    _solve_ed_cold,
     dc_cost_numeric,
+    pieces,
     solve_ed,
     solve_ed_detailed,
     solve_ed_grid,
@@ -168,52 +167,48 @@ class TestEmissionMapping:
         assert above.lme[1] == s.e1
 
 
-def _threshold_on_node(s, rng, resolution):
-    """``s`` with its threshold moved onto an interior node of the shift
-    grid (``F01`` up and ``l0`` down by the same amount)."""
-    node = float(np.linspace(0.0, s.L, resolution)[rng.integers(5, resolution - 5)])
-    shift = node - tau(s).value
-    return dataclasses.replace(s, F01=s.F01 + shift, l0=s.l0 - shift)
-
-
-def _grid_mix():
-    """Fixed-seed scenario mix for the grid-versus-cold comparison: plain,
-    band and unequal-weight draws, thresholds moved onto a grid node, a
-    threshold at the block edge, and a free bus-1 generator."""
-    rng = np.random.default_rng(309)
-    mix = []
-    for _ in range(12):
-        mix.append(scenario_gen.random_valid_scenario(rng))
-        mix.append(scenario_gen.random_misaligned_scenario(rng))
-        mix.append(scenario_gen.random_split_weight_scenario(rng))
-    while len(mix) < 56:
-        s = _threshold_on_node(scenario_gen.random_valid_scenario(rng), rng, 200)
-        if scenario_gen._acceptable(s):
-            mix.append(s)
-    mix.append(scenario_gen.canonical_scenario())
-    mix.append(scenario_gen.canonical_scenario(F01=2.4, l0=-2.9))  # threshold at L
-    mix.append(scenario_gen.canonical_scenario(c1=0.0))
-    mix.append(scenario_gen.canonical_scenario(c1=0.0, alpha_dc=0.5, alpha_sw=0.5))
-    return mix
-
-
 def _bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
+def _signals(priced) -> bytes:
+    """The bits of an outcome's or a piece's prices and emission rates."""
+    return _bits([*priced.lmp, *priced.lme])
+
+
 def _assert_grid_matches_cold(s, deltas) -> int:
     """``solve_ed_grid`` against a cold solve at every shift, all taken in one
-    batch: prices, emission rates and degeneracy flags identical to the bit,
-    flows and cost to 1e-9.  Returns the number of degenerate points."""
+    batch.  Returns the number of shifts at which the cold solve is
+    degenerate.
+
+    Each shift takes the prices of the piece holding it, the left one when
+    it lies within the tolerance past a break.  Where the cold solve is not
+    degenerate, they are its prices to the bit.  At a degenerate vertex the
+    cold solve may stop in either optimal basis, so its prices are those of
+    a piece whose interval, the tolerance included, holds the shift.  The
+    degeneracy flags agree except where the cold solve's least basic
+    clearance is within rounding of the margin itself; flows and cost
+    agree to 1e-9 everywhere.
+    """
+    walk = pieces(s)
+    tol = lp_core.TOLERANCE * max(1.0, s.L)
     grid = solve_ed_grid(s, deltas)
     assert len(grid) == len(deltas)
-    _, colds, _ = _solve_ed_cold(s, deltas)
+    lps, colds, sols = _solve_ed_cold(s, deltas)
     degenerate_points = 0
-    for d, got, cold in zip(deltas, grid, colds):
+    for d, got, cold, lp, sol in zip(deltas, grid, colds, lps, sols):
         assert got.delta == cold.delta == float(d)
-        assert _bits(got.lmp) == _bits(cold.lmp)
-        assert _bits(got.lme) == _bits(cold.lme)
-        assert got.degenerate == cold.degenerate
+        taken = next(piece for piece in walk if d <= piece.end + tol)
+        assert _signals(got) == _signals(taken)
+        if cold.degenerate:
+            holding = [p for p in walk if p.start - tol <= d <= p.end + tol]
+            assert _signals(cold) in {_signals(p) for p in holding}
+        else:
+            assert _bits(got.lmp) == _bits(cold.lmp)
+            assert _bits(got.lme) == _bits(cold.lme)
+        clearance = scenario_gen._bound_clearance(lp, sol)
+        if abs(clearance - 1e-7) > 1e-12:
+            assert got.degenerate == cold.degenerate
         flows = [got.y0, got.y1, got.y2, got.f01, got.f02, got.f12]
         expected = [cold.y0, cold.y1, cold.y2, cold.f01, cold.f02, cold.f12]
         np.testing.assert_allclose(flows, expected, rtol=0.0, atol=1e-9)
@@ -224,69 +219,64 @@ def _assert_grid_matches_cold(s, deltas) -> int:
 
 class TestGridDispatch:
     def test_cold_batch_matches_one_shift_at_a_time(self):
-        """The batched cold route gives every shift, knife edges and nudged
-        left-limit prices included, the outcome of solving it alone."""
-        for s in _grid_mix()[::3]:
-            deltas = np.sort(np.concatenate([delta_grid(s.L, 23), scenario_gen.knife_edge_shifts(s)]))
+        """The batched cold route gives every shift, knife edges included,
+        the outcome of solving it alone."""
+        for s in scenario_gen.grid_mix()[::3]:
+            deltas = np.sort(
+                np.concatenate([delta_grid(s.L, 23), scenario_gen.knife_edge_shifts(s)])
+            )
             lps, outcomes, sols = _solve_ed_cold(s, deltas)
             for d, lp, out, sol in zip(deltas, lps, outcomes, sols):
                 alone, sol_alone = solve_ed_detailed(s, float(d))
                 assert out == alone
-                assert _bits(out.lmp + out.lme) == _bits(alone.lmp + alone.lme)
+                assert _signals(out) == _signals(alone)
                 assert sol.primal.tobytes() == sol_alone.primal.tobytes()
                 assert lp_core.format_lp(lp) == lp_core.format_lp(build_ed(s, float(d)))
 
     def test_matches_cold_solves_pointwise(self):
-        """Basis reuse against a cold solve at every grid point.
+        """The pieces against a cold solve at every grid point.
 
         ``sweep_points`` (and so acceptance criterion 1) reads its dispatch
-        from ``solve_ed_grid``, which solves only where the basis changes.
+        from ``solve_ed_grid``, which solves once and pivots once per break.
         This is the cold per-point check of that route.  Every other
         scenario also gets shifts on the knife edges around its threshold.
         """
         degenerate_points = 0
-        for k, s in enumerate(_grid_mix()):
+        for k, s in enumerate(scenario_gen.grid_mix()):
             deltas = delta_grid(s.L, 200)
             if k % 2 == 0:
                 deltas = np.sort(np.concatenate([deltas, scenario_gen.knife_edge_shifts(s)]))
             degenerate_points += _assert_grid_matches_cold(s, deltas)
         # The on-node thresholds, the threshold at L and the knife-edge
-        # shifts put degenerate vertices on the grid, so the cold fallback
-        # is exercised too.
+        # shifts put degenerate vertices on the grid.
         assert degenerate_points >= 21
 
-    def test_degenerate_cold_solve_is_not_reused(self, monkeypatch):
-        """The cold solve at an on-node threshold may stop in either optimal
-        basis; here it is made to stop in the right-regime one.  Its reported
-        prices come from the nudged (left-limit) solve, so the walk must not
-        carry them past the threshold along the right-regime basis."""
+    def test_on_node_threshold_takes_the_left_piece(self, monkeypatch):
+        """linspace(0, 1, 11) puts a node on the canonical threshold, where
+        the vertex is degenerate and a cold solve may stop in either optimal
+        basis.  The node, and any shift within the tolerance past the break,
+        takes the left piece's prices; a shift beyond it the right piece's.
+        Pricing the threshold takes the one solve of the walk and no other."""
         s = scenario_gen.canonical_scenario()
-        deltas = delta_grid(s.L, 11)
-        t = float(deltas[1])
-        assert t == pytest.approx(tau(s).value, abs=1e-12)
-        lp = build_ed(s, t)
-        right = lp_core.solve(build_ed(s, t + 0.05))
-        basis = list(right.basis)
-        step = np.zeros(lp.n_variables)
-        step[basis] = np.linalg.solve(lp.eq_matrix[:, basis], [0.0, 1.0, -1.0])
-        primal = right.primal - 0.05 * step
-        at_threshold = dataclasses.replace(
-            right, primal=primal, objective_value=float(lp.objective @ primal)
-        )
+        left, right = pieces(s)
+        assert left.end == right.start == pytest.approx(tau(s).value, abs=1e-15)
+        assert (tuple(left.lmp), tuple(right.lmp)) == ((0.0, 0.0, 2.0), (0.0, 1.0, 2.0))
+        node = float(delta_grid(s.L, 11)[1])
+        tol = lp_core.TOLERANCE * max(1.0, s.L)
+        shifts = [node, left.end + tol, left.end + 2.0 * tol]
+        grid = solve_ed_grid(s, shifts)
+        assert [_signals(o) for o in grid] == [_signals(left)] * 2 + [_signals(right)]
+        assert grid[0].degenerate
+        solves = []
         real_solve_many = lp_core.solve_many
 
-        def solve_many(programs):
-            programs = list(programs)
-            return [
-                at_threshold if np.array_equal(program.eq_rhs, lp.eq_rhs) else sol
-                for program, sol in zip(programs, real_solve_many(programs))
-            ]
+        def solve_many(lps):
+            solves.extend(lps)
+            return real_solve_many(lps)
 
         monkeypatch.setattr(lp_core, "solve_many", solve_many)
-        outcome, sol = solve_ed_detailed(s, t)
-        assert sol.basis == right.basis and outcome.degenerate
-        assert verify_kkt(lp, sol).ok
-        assert _assert_grid_matches_cold(s, deltas) == 1
+        assert solve_ed(s, node) == grid[0]
+        assert len(solves) == 1
 
     def test_out_of_block_shift_rejected(self):
         s = scenario_gen.canonical_scenario()
@@ -329,6 +319,18 @@ class TestInfeasibility:
         with pytest.raises(DispatchInfeasibleError) as err:
             solve_ed(flooded, 0.0)
         assert any("bus-1" in b for b in err.value.binding)
+
+    def test_walk_ends_where_feasibility_does(self):
+        # Bus 2 exports at most F02 + F12 = 0.5, so no dispatch exists past
+        # a shift of 0.7: the pieces end there, shifts before it are priced
+        # as a cold solve prices them, and a shift past it is refused.
+        s = scenario_gen.canonical_scenario(l2=0.2, F02=0.3, F12=0.2)
+        assert pieces(s)[-1].end == pytest.approx(0.7, abs=1e-12)
+        cold, _ = solve_ed_detailed(s, 0.5)
+        assert (solve_ed(s, 0.5).lmp, solve_ed(s, 0.5).lme) == (cold.lmp, cold.lme)
+        with pytest.raises(DispatchInfeasibleError) as err:
+            solve_ed_grid(s, [0.0, 0.5, 0.9])
+        assert any("bus-2" in b for b in err.value.binding)
 
 
 class TestCsvRendering:

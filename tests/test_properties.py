@@ -11,12 +11,21 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import scenario_gen
 from gridshift import cli
+from gridshift.closed_form import (
+    DegenerateWeightsError,
+    objectives,
+    optimal_shift_dc,
+    optimal_shift_sw,
+)
+from gridshift.dispatch import pieces
 from gridshift.grid_model import (
     SCENARIO_KEYS,
     ThreeBusScenario,
     parse_scenario,
     serialize_scenario,
+    tau,
     validate,
 )
 from gridshift.sweep import verify_scenario
@@ -88,6 +97,71 @@ def test_valid_scenarios_verify(s):
     assume(validate(s).valid)
     report = verify_scenario(s, 41)
     assert report.passed, report.to_text()
+
+
+def _assert_pieces_match_closed_forms(s: ThreeBusScenario) -> None:
+    """The paper's formulas against the LP's own pieces, with no grid.
+
+    The LP breaks where the threshold says, and nowhere else.  On each piece
+    both settlements are linear in the shift; their slopes and intercepts,
+    from the piece's prices and emission rates, are the closed forms' left
+    and right coefficients, and the jump across the break is the closed
+    forms' repricing externality.  The LP's bilevel optimum, the lesser of
+    the left piece at the break and the last piece at ``L``, is the closed
+    forms' optimum in value, and in shift wherever the two candidates differ
+    by more than 1e-9 (closer ones are a tie that rounding decides).
+    """
+    walk = pieces(s)
+    t = tau(s).value
+    if len(walk) == 1:
+        assert abs(t - s.L) <= 1e-9
+    else:
+        assert len(walk) == 2
+        assert abs(walk[0].end - t) <= 1e-9
+    brk = walk[0].end
+    covered = {"dc": (0.0, s.L), "sw": (s.l1, s.l2)}  # bus-1 base and bus-2 load
+    for (agent, alpha), objective, optimal_shift in zip(
+        (("dc", s.alpha_dc), ("sw", s.alpha_sw)), objectives(s), (optimal_shift_dc, optimal_shift_sw)
+    ):
+        base1, load2 = covered[agent]
+
+        def line(piece):  # (intercept, slope) of the settlement on a piece
+            eta1, eta2 = (alpha * piece.lmp[k] + (1.0 - alpha) * piece.lme[k] for k in (1, 2))
+            return eta1 * base1 + eta2 * load2, eta1 - eta2
+
+        closed = [
+            (objective.left_intercept, objective.left_slope),
+            (objective.right_intercept, objective.right_slope),
+        ]
+        for piece, expected in zip(walk, closed):
+            assert abs(line(piece)[0] - expected[0]) <= 1e-9
+            assert abs(line(piece)[1] - expected[1]) <= 1e-9
+        value = [a + b * brk for a, b in map(line, walk)]
+        if len(walk) == 2:
+            assert abs(value[1] - value[0] - objective.discontinuity()) <= 1e-9
+        intercept, slope = line(walk[-1])
+        at_break, at_end = value[0], intercept + slope * s.L
+        try:
+            best = optimal_shift(s)
+        except DegenerateWeightsError:  # every shift costs the same
+            continue
+        assert abs(min(at_break, at_end) - best.value) <= 1e-9
+        if abs(at_break - at_end) > 1e-9:
+            assert abs((brk if at_break < at_end else s.L) - best.delta) <= 1e-9
+
+
+def test_pieces_match_closed_forms_on_the_grid_mix():
+    mix = [s for s in scenario_gen.grid_mix() if validate(s).valid]
+    assert len(mix) == 60
+    for s in mix:
+        _assert_pieces_match_closed_forms(s)
+
+
+@settings(**PROPERTY_SETTINGS, max_examples=100)
+@given(edge_scenarios())
+def test_pieces_match_closed_forms_on_the_edges(s):
+    assume(validate(s).valid)
+    _assert_pieces_match_closed_forms(s)
 
 
 @settings(**PROPERTY_SETTINGS, max_examples=150)

@@ -106,15 +106,16 @@ class TestSweep:
             sweep_points(scenario_gen.canonical_scenario(c2=0.5))
 
     def test_solves_once_per_basis(self, monkeypatch):
-        # Two price regimes, two solves.  linspace(0, 1, 11) puts a node on
-        # the 0.1 threshold: its degenerate vertex costs a cold solve plus
-        # the nudged one, and the next node starts the right regime afresh.
+        # Two price regimes, one solve: the walk solves at shift 0 and
+        # reaches the right regime by one pivot.  linspace(0, 1, 11) puts a
+        # node on the 0.1 threshold, whose degenerate vertex costs nothing
+        # more: the node takes the left piece's prices.
         solves = _count_lps(monkeypatch, "solve_many")
         sweep_points(scenario_gen.canonical_scenario(), 200)
-        assert len(solves) <= 2
+        assert len(solves) == 1
         solves.clear()
         sweep_points(scenario_gen.canonical_scenario(), 11)
-        assert len(solves) <= 4
+        assert len(solves) == 1
 
     def test_validates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, closed_form, "validate")
@@ -411,10 +412,10 @@ class TestVerification:
             verify_scenario(scenario_gen.canonical_scenario(l2=0.5))
 
     def test_cold_solves_and_certifies_every_point(self, monkeypatch):
-        # verify is the independent check on the sweep's basis reuse: one
-        # cold solve and one optimality check per grid point off the
-        # threshold, plus the nudged solve nowhere (the threshold is skipped).
-        # The solver is handed LPs alone, never a basis to start from.
+        # verify is the independent check on the sweep's pieces: one cold
+        # solve and one optimality check per grid point off the threshold,
+        # and no other solve.  The solver is handed LPs alone, never a basis
+        # to start from.
         calls = _count_calls(monkeypatch, lp_core, "solve_many")
         solves = _count_lps(monkeypatch, "solve_many")
         checks = _count_lps(monkeypatch, "verify_kkt_many")
