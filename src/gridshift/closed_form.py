@@ -17,11 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispatch import csv_number
 from .grid_model import (
     ThreeBusScenario,
     ValidityReport,
     choose,
+    csv_number,
     eta,
     tau,
     threshold_grid,

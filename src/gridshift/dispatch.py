@@ -59,11 +59,6 @@ class DispatchInfeasibleError(RuntimeError):
         self.binding = binding
 
 
-def csv_number(x: float) -> str:
-    """Fixed 12-significant-digit rendering used by every CSV writer."""
-    return f"{x:.12g}"
-
-
 @dataclasses.dataclass(frozen=True)
 class DispatchOutcome:
     """Optimal dispatch at one shift value.
@@ -87,29 +82,6 @@ class DispatchOutcome:
     lme: tuple[float, float, float]
     total_cost: float
     degenerate: bool = False
-
-    CSV_HEADER = (
-        "delta,y0,y1,y2,f01,f02,f12,"
-        "lambda0,lambda1,lambda2,pi1,pi2,total_cost"
-    )
-
-    def to_csv_row(self) -> str:
-        cells = (
-            self.delta,
-            self.y0,
-            self.y1,
-            self.y2,
-            self.f01,
-            self.f02,
-            self.f12,
-            self.lmp[0],
-            self.lmp[1],
-            self.lmp[2],
-            self.lme[1],
-            self.lme[2],
-            self.total_cost,
-        )
-        return ",".join(csv_number(v) for v in cells)
 
 
 def _balance_rhs(s: ThreeBusScenario, delta: float) -> list[float]:

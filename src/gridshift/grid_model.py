@@ -5,6 +5,7 @@ power), a generator bus 1 carrying flexible demand, and a generator bus 2
 hosting the remainder of a shiftable load block ``L``.  Everything downstream
 (dispatch, closed forms, sweeps) consumes the immutable scenario value defined
 here, and the regime analysis is only meaningful when :func:`validate` passes.
+:func:`csv_number` is the number format every CSV writer shares.
 """
 
 from __future__ import annotations
@@ -330,6 +331,11 @@ def parse_scenario_file(path) -> ThreeBusScenario:
 def serialize_scenario(s: ThreeBusScenario) -> str:
     lines = [f"{key} = {getattr(s, key)!r}" for key in SCENARIO_KEYS]
     return "\n".join(lines) + "\n"
+
+
+def csv_number(x: float) -> str:
+    """Fixed 12-significant-digit rendering used by every CSV writer."""
+    return f"{x:.12g}"
 
 
 def write_scenario_file(s: ThreeBusScenario, path) -> None:

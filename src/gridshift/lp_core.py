@@ -12,11 +12,11 @@ rule after a run of degenerate pivots, and absolute tolerances suited to
 well-scaled inputs of at most a few hundred variables.
 
 Many LPs of one shape are solved in lock-step (:func:`solve_many`): each
-runs its own simplex, and the LPs share only the numpy calls, one stacked
-call per pivot round for all of them.  Every stacked product and solve does
-the arithmetic a lone solve does, so a batch changes no bit of any solution;
-:func:`solve` is a batch of one.  :func:`verify_kkt_many` certifies a batch
-the same way.
+runs its own simplex on its row of one stacked state, updated in place, and
+the LPs share only the numpy calls, one stacked call per pivot round for all
+of them.  Every stacked product and solve does the arithmetic a lone solve
+does, so a batch changes no bit of any solution; :func:`solve` is a batch of
+one.  :func:`verify_kkt_many` certifies a batch the same way.
 """
 
 from __future__ import annotations
@@ -163,51 +163,31 @@ _SCAN_BATCH = 8
 
 
 class _Runs:
-    """Simplex state of a stack of LPs of one shape, one row per LP.
+    """Simplex state of a stack of LPs of one shape, one row per LP, updated
+    in place from the first pivot of phase 1 to the last of phase 2.
 
-    ``rows`` holds each LP's index in the batch and ``offsets`` the flat
-    index of its first variable in the ``(runs, variables)`` arrays; flat
-    indices read faster than pairs of indices.  ``Aaug`` is the constraint
-    matrix with the phase-1 artificial columns and ``AaugT`` its transpose;
-    ``lo``, ``hi`` and ``span = hi - lo`` are the bounds, ``free_var`` and
-    ``fixed`` flag variables with no bound and with no range, and ``cost`` is
-    the objective of the phase being run.  The pivoting state is the point
-    ``x``, the ``basis`` (one column per row of the constraint matrix), the
-    pivot count, Bland's switch and the run of degenerate pivots; ``sense``
-    is +1 for a nonbasic variable at its upper bound, -1 at its lower bound,
-    and 0 for a variable that may not enter the basis (basic, or fixed), so
-    that ``d * sense`` prices every variable.
+    ``offsets`` holds the flat index of each run's first variable in the
+    ``(runs, variables)`` arrays; flat indices read faster than pairs of
+    indices.  ``Aaug`` is the constraint matrix with the phase-1 artificial
+    columns and ``AaugT`` its transpose; ``lo``, ``hi`` and ``span = hi - lo``
+    are the bounds, ``free_var`` and ``fixed`` flag variables with no bound
+    and with no range, and ``cost`` is the objective of the phase being run.
+    The pivoting state is the point ``x``, the ``basis`` (one column per row
+    of the constraint matrix), the pivot count, Bland's switch and the run of
+    degenerate pivots; ``sense`` is +1 for a nonbasic variable at its upper
+    bound, -1 at its lower bound, and 0 for a variable that may not enter the
+    basis (basic, or fixed), so that ``d * sense`` prices every variable.
     """
-
-    _FIELDS = (
-        "rows", "offsets", "Aaug", "AaugT", "lo", "hi", "span", "free_var", "fixed", "cost",
-        "x", "sense", "basis", "iterations", "use_bland", "degenerate_run",
-    )
-    _PIVOTED = ("x", "sense", "basis", "iterations", "use_bland", "degenerate_run")
 
     def __init__(self, **arrays: np.ndarray) -> None:
         self.__dict__.update(arrays)
-
-    def take(self, keep: np.ndarray) -> "_Runs":
-        """The runs selected by ``keep``, copied."""
-        part = _Runs(**{name: getattr(self, name)[keep] for name in self._FIELDS})
-        part.offsets = np.arange(0, part.x.size, part.x.shape[1])
-        return part
-
-    def put(self, part: "_Runs", done: np.ndarray) -> None:
-        """Write back the pivoting state of ``part``'s runs selected by ``done``."""
-        if part is self:
-            return
-        rows = part.rows[done]
-        for name in self._PIVOTED:
-            getattr(self, name)[rows] = getattr(part, name)[done]
 
     def flat_basis(self) -> np.ndarray:
         return self.basis + self.offsets[:, None]
 
 
 def _pivot_run(
-    cur: _Runs, i: int, t: int, sw: np.ndarray, step_sign: float, max_iterations: int
+    runs: _Runs, i: int, t: int, sw: np.ndarray, step_sign: float, max_iterations: int
 ) -> bool:
     """Ratio test and pivot of run ``i`` alone, in Python scalars: the
     entering variable ``t`` moves by ``step_sign`` and the basic variables by
@@ -219,11 +199,11 @@ def _pivot_run(
     of the current one replaces it under Bland's rule if its variable index
     is lower, and otherwise if its pivot is larger.
     """
-    x, lo, hi, basis, sense = cur.x[i], cur.lo[i], cur.hi[i], cur.basis[i], cur.sense[i]
-    theta = cur.span[i, t]  # own-range limit: reaching it flips the bound
+    x, lo, hi, basis, sense = runs.x[i], runs.lo[i], runs.hi[i], runs.basis[i], runs.sense[i]
+    theta = runs.span[i, t]  # own-range limit: reaching it flips the bound
     block = -1
     block_to_upper = False
-    bland = cur.use_bland[i]
+    bland = runs.use_bland[i]
     sws, vs = sw.tolist(), basis.tolist()
     for row, (swi, xv, lov, hiv) in enumerate(
         zip(sws, x[basis].tolist(), lo[basis].tolist(), hi[basis].tolist())
@@ -257,43 +237,49 @@ def _pivot_run(
     if not math.isfinite(theta):
         return False
 
-    cur.iterations[i] += 1
-    if cur.iterations[i] > max_iterations:
-        _exhausted(cur, i, max_iterations)
+    runs.iterations[i] += 1
+    if runs.iterations[i] > max_iterations:
+        _exhausted(runs, i, max_iterations)
     x[basis] -= theta * sw
     if block < 0:
         sense[t] = -sense[t]
         x[t] = hi[t] if sense[t] > 0.0 else lo[t]
-        cur.degenerate_run[i] = 0
+        runs.degenerate_run[i] = 0
         return True
     x[t] += step_sign * theta
     leaving = vs[block]
     x[leaving] = hi[leaving] if block_to_upper else lo[leaving]
-    sense[leaving] = 0.0 if cur.fixed[i, leaving] else (1.0 if block_to_upper else -1.0)
+    sense[leaving] = 0.0 if runs.fixed[i, leaving] else (1.0 if block_to_upper else -1.0)
     sense[t] = 0.0
     basis[block] = t
     if theta <= TOLERANCE:
-        cur.degenerate_run[i] += 1
-        if cur.degenerate_run[i] >= BLAND_TRIGGER:
-            cur.use_bland[i] = True
+        runs.degenerate_run[i] += 1
+        if runs.degenerate_run[i] >= BLAND_TRIGGER:
+            runs.use_bland[i] = True
     else:
-        cur.degenerate_run[i] = 0
+        runs.degenerate_run[i] = 0
     return True
 
 
-def _exhausted(cur: _Runs, i: int, max_iterations: int) -> None:
-    m, N = cur.Aaug.shape[1:]
+def _exhausted(runs: _Runs, i: int, max_iterations: int) -> None:
+    m, N = runs.Aaug.shape[1:]
     raise SolverFailure(
-        f"LP {int(cur.rows[i])}: iteration budget {max_iterations} exhausted "
-        f"({N - m} variables, {m} rows)"
+        f"LP {i}: iteration budget {max_iterations} exhausted ({N - m} variables, {m} rows)"
     )
 
 
 def _pivot_stack(
-    cur: _Runs, t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray, max_iterations: int
+    runs: _Runs,
+    rows: np.ndarray,
+    fb: np.ndarray,
+    t: np.ndarray,
+    sw: np.ndarray,
+    step_sign: np.ndarray,
+    max_iterations: int,
 ) -> np.ndarray:
-    """:func:`_pivot_run` for every run of a large batch; returns which runs
-    took a step (the rest found an unbounded ray).
+    """:func:`_pivot_run` for the runs ``rows`` of a large batch, whose basic
+    variables sit at the flat indices ``fb``; returns which of them took a
+    step (the rest found an unbounded ray).
 
     The step limits of all runs come from one set of array operations.  A
     run whose smallest limit is clear, by more than the tie window, of the
@@ -302,20 +288,19 @@ def _pivot_stack(
     runs in array operations; every other run is scanned on its own.
     """
     r = np.arange(t.size)
-    fb = cur.flat_basis()
-    xb = cur.x.take(fb)
+    xb = runs.x.take(fb)
     rises = sw > _PIVOT_FLOOR
     size = np.abs(sw)
     # A variable with no bound in the direction it moves has an infinite
     # limit; |sw| is sw where it rises and -sw where it falls, to the bit.
     limit = np.divide(
-        np.where(rises, xb - cur.lo.take(fb), cur.hi.take(fb) - xb),
+        np.where(rises, xb - runs.lo.take(fb), runs.hi.take(fb) - xb),
         size,
         out=np.full(sw.shape, np.inf),
         where=size > _PIVOT_FLOOR,
     )
     limit[limit < 0.0] = 0.0
-    own = cur.span[r, t]
+    own = runs.span[rows, t]
     first = limit.argmin(axis=1)
     low = limit[r, first]
     limit[r, first] = np.inf
@@ -324,98 +309,100 @@ def _pivot_stack(
     clear = flip | ((low < np.minimum(own, runner) - 1e-12) & (runner > low + 1e-12))
 
     stepped = clear.copy()
-    for i in np.flatnonzero(~clear).tolist():
-        stepped[i] = _pivot_run(cur, i, int(t[i]), sw[i], float(step_sign[i]), max_iterations)
+    for j in np.flatnonzero(~clear).tolist():
+        stepped[j] = _pivot_run(
+            runs, int(rows[j]), int(t[j]), sw[j], float(step_sign[j]), max_iterations
+        )
 
+    # ``r`` indexes this round's arrays, ``ri`` the stack.
     r, t, fb, flip, sw = r[clear], t[clear], fb[clear], flip[clear], sw[clear]
+    ri = rows[r]
     theta = np.where(flip, own[clear], low[clear])
-    cur.iterations[r] += 1
-    if r.size and cur.iterations[r].max() > max_iterations:
-        _exhausted(cur, int(r[cur.iterations[r].argmax()]), max_iterations)
-    x, sense = cur.x.reshape(-1), cur.sense.reshape(-1)
-    tf = cur.offsets[r] + t
+    runs.iterations[ri] += 1
+    if ri.size and runs.iterations[ri].max() > max_iterations:
+        _exhausted(runs, int(ri[runs.iterations[ri].argmax()]), max_iterations)
+    x, sense = runs.x.reshape(-1), runs.sense.reshape(-1)
+    tf = runs.offsets[ri] + t
     x[fb] -= theta[:, None] * sw
     ft = tf[flip]
     sense[ft] = -sense[ft]
-    x[ft] = np.where(sense[ft] > 0.0, cur.hi.take(ft), cur.lo.take(ft))
-    cur.degenerate_run[r[flip]] = 0
+    x[ft] = np.where(sense[ft] > 0.0, runs.hi.take(ft), runs.lo.take(ft))
+    runs.degenerate_run[ri[flip]] = 0
 
     pivot = ~flip
-    r, t, tf, theta = r[pivot], t[pivot], tf[pivot], theta[pivot]
+    r, ri, t, tf, theta = r[pivot], ri[pivot], t[pivot], tf[pivot], theta[pivot]
     block = first[r]
-    rows = np.arange(r.size)
-    leaving = fb[pivot][rows, block]
-    to_upper = sw[pivot][rows, block] < -_PIVOT_FLOOR
+    lane = np.arange(r.size)
+    leaving = fb[pivot][lane, block]
+    to_upper = sw[pivot][lane, block] < -_PIVOT_FLOOR
     x[tf] += step_sign[r] * theta
-    x[leaving] = np.where(to_upper, cur.hi.take(leaving), cur.lo.take(leaving))
-    sense[leaving] = np.where(cur.fixed.take(leaving), 0.0, np.where(to_upper, 1.0, -1.0))
+    x[leaving] = np.where(to_upper, runs.hi.take(leaving), runs.lo.take(leaving))
+    sense[leaving] = np.where(runs.fixed.take(leaving), 0.0, np.where(to_upper, 1.0, -1.0))
     sense[tf] = 0.0
-    cur.basis[r, block] = t
-    run = np.where(theta <= TOLERANCE, cur.degenerate_run[r] + 1, 0)
-    cur.degenerate_run[r] = run
-    cur.use_bland[r] |= run >= BLAND_TRIGGER
+    runs.basis[ri, block] = t
+    run = np.where(theta <= TOLERANCE, runs.degenerate_run[ri] + 1, 0)
+    runs.degenerate_run[ri] = run
+    runs.use_bland[ri] |= run >= BLAND_TRIGGER
     return stepped
 
 
-def _run_phase(runs: _Runs, live: np.ndarray, max_iterations: int, free: bool) -> list[int]:
-    """Pivot the runs ``live`` (indices into ``runs``) to the end of one
-    phase, all in lock-step, and write their final state back into ``runs``.
-    Returns the indices of the runs that found an unbounded ray.
+def _run_phase(runs: _Runs, pivoting: np.ndarray, max_iterations: int, free: bool) -> list[int]:
+    """Pivot the runs flagged in ``pivoting`` to the end of one phase, all in
+    lock-step and in place in ``runs``.  Returns the indices of the runs
+    that found an unbounded ray.
 
-    Each round prices every run still pivoting and solves for its pivot
-    column in stacked calls; runs of a small batch then take their steps one
-    by one, those of a large batch together (:func:`_pivot_stack`).  A run
-    leaves the lock-step when it is priced out (optimal) or finds an
-    unbounded ray; only then are the remaining runs copied together.
-    ``free`` says whether any run has a free variable, which prices and
-    steps by the sign of its reduced cost.
+    Each round prices every run of the stack in stacked calls: a stopped run
+    keeps its basis, so pricing it again is finite and changes nothing.  A
+    run stops when it is priced out (optimal) or finds an unbounded ray, and
+    only once some run has stopped are the basis matrices and entering
+    variables of the rest picked out of the round's arrays.  The runs still
+    pivoting then solve for their pivot columns in one stacked call and take
+    their steps one by one in a small batch, together in a large one
+    (:func:`_pivot_stack`).  ``free`` says whether any run has a free
+    variable, which prices and steps by the sign of its reduced cost.
     """
-    cur = runs if live.size == runs.rows.size else runs.take(live)
+    k, N = runs.x.shape
+    AT = runs.AaugT.reshape(k * N, -1)
+    stack = np.arange(k)
     unbounded = []
-    while cur.rows.size:
-        k, N = cur.x.shape
-        AT = cur.AaugT.reshape(k * N, -1)
-        fb = cur.flat_basis()
+    while True:
+        fb = runs.flat_basis()
         BT = AT[fb]
-        y = _lapack_solve(BT, cur.cost.take(fb)[..., None])
-        d = cur.cost - (y.transpose(0, 2, 1) @ cur.Aaug)[:, 0]
-        score = d * cur.sense
+        y = _lapack_solve(BT, runs.cost.take(fb)[..., None])
+        d = runs.cost - (y.transpose(0, 2, 1) @ runs.Aaug)[:, 0]
+        score = d * runs.sense
         if free:
-            score = np.where(cur.free_var & (cur.sense != 0.0), np.abs(d), score)
+            score = np.where(runs.free_var & (runs.sense != 0.0), np.abs(d), score)
         t = score.argmax(axis=1)
-        if any(cur.use_bland.tolist()):
-            t = np.where(cur.use_bland, (score > TOLERANCE).argmax(axis=1), t)
-        tf = t + cur.offsets
-        go = score.take(tf) > TOLERANCE
-        if not all(go.tolist()):
-            runs.put(cur, ~go)
-            if not any(go.tolist()):
-                break
-            cur, BT, d, t = cur.take(go), BT[go], d[go], t[go]
-            k = cur.rows.size
-            AT = cur.AaugT.reshape(k * N, -1)
-            tf = t + cur.offsets
+        if any(runs.use_bland.tolist()):
+            t = np.where(runs.use_bland, (score > TOLERANCE).argmax(axis=1), t)
+        tf = t + runs.offsets
+        pivoting = pivoting & (score.take(tf) > TOLERANCE)
+        rows = stack
+        if not all(pivoting.tolist()):
+            rows = np.flatnonzero(pivoting)
+            if not rows.size:
+                return unbounded
+            fb, BT, t, tf = fb[rows], BT[rows], t[rows], tf[rows]
 
-        step_sign = -cur.sense.take(tf)
+        step_sign = -runs.sense.take(tf)
         if free:
             step_sign = np.where(
-                cur.free_var.take(tf), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
+                runs.free_var.take(tf), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
             )
         w = _lapack_solve(BT.transpose(0, 2, 1), AT[tf][..., None])
         sw = step_sign[:, None] * w[..., 0]
-        if k > _SCAN_BATCH:
-            stepped = _pivot_stack(cur, t, sw, step_sign, max_iterations).tolist()
+        if rows.size > _SCAN_BATCH:
+            stepped = _pivot_stack(runs, rows, fb, t, sw, step_sign, max_iterations).tolist()
         else:
             stepped = [
-                _pivot_run(cur, i, ti, sw[i], si, max_iterations)
-                for i, (ti, si) in enumerate(zip(t.tolist(), step_sign.tolist()))
+                _pivot_run(runs, i, ti, swi, si, max_iterations)
+                for i, ti, swi, si in zip(rows.tolist(), t.tolist(), sw, step_sign.tolist())
             ]
         if not all(stepped):
-            go = np.array(stepped)
-            unbounded += cur.rows[~go].tolist()
-            runs.put(cur, ~go)
-            cur = cur.take(go)
-    return unbounded
+            ray = rows[~np.array(stepped)]
+            unbounded += ray.tolist()
+            pivoting[ray] = False
 
 
 def _refresh_basics(runs: _Runs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,9 +428,9 @@ def solve_many(lps: Sequence[LinearProgram]) -> list[LpSolution]:
     lower bound when finite, otherwise its upper bound, otherwise zero), and
     phase 2 reoptimizes the true objective with the artificials pinned to
     zero, each with its own pricing, Bland switch and pivot count.  Only the
-    numpy calls are shared: each pivot round solves the basis systems of all
-    LPs still pivoting in one stacked call, and prices and ratio-tests them
-    together.  Every LP does the arithmetic it would do alone, so its
+    numpy calls are shared: each pivot round prices every LP of the batch in
+    stacked calls, then solves for the pivot columns of the LPs still
+    pivoting in one stacked call and ratio-tests them together.  Every LP does the arithmetic it would do alone, so its
     solution does not depend on the rest of the batch, to the bit.
 
     Raises :class:`LpInputError` on an empty batch or mixed shapes, and
@@ -457,10 +444,11 @@ def solve_many(lps: Sequence[LinearProgram]) -> list[LpSolution]:
     if any(lp.eq_matrix.shape != (m, n) for lp in lps):
         raise LpInputError(f"solve_many needs LPs of one shape; LP 0 is {m}x{n}")
     try:
-        # A singular basis surfaces as an invalid-value signal from LAPACK.
+        # A singular basis surfaces as an invalid-value signal from the
+        # LAPACK gufunc, and as LinAlgError from np.linalg.solve.
         with np.errstate(invalid="raise"):
             return _solve_stack(lps, m, n)
-    except FloatingPointError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise SolverFailure("singular basis; numerical breakdown") from exc
 
 
@@ -495,7 +483,6 @@ def _solve_stack(lps: list[LinearProgram], m: int, n: int) -> list[LpSolution]:
     phase1_cost = np.zeros((k, N))
     phase1_cost[:, n:] = 1.0
     runs = _Runs(
-        rows=np.arange(k),
         offsets=np.arange(0, k * N, N),
         Aaug=Aaug,
         AaugT=Aaug.transpose(0, 2, 1).copy(),
@@ -515,20 +502,18 @@ def _solve_stack(lps: list[LinearProgram], m: int, n: int) -> list[LpSolution]:
     max_iterations = max(200, 10 * (n + m))
     free = bool(np.count_nonzero(free_var))
 
-    diverged = _run_phase(runs, runs.rows, max_iterations, free)
+    diverged = _run_phase(runs, np.ones(k, dtype=bool), max_iterations, free)
     if diverged:
         raise SolverFailure(f"LP {diverged[0]}: phase-1 objective diverged; numerical breakdown")
     _refresh_basics(runs, b)
     infeasibility = np.abs(x[:, n:]).sum(axis=1)
-    live = np.flatnonzero(
-        ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
-    )
-    status = [INFEASIBLE] * k
-    if live.size:
+    feasible = ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
+    status = [OPTIMAL if f else INFEASIBLE for f in feasible.tolist()]
+    if OPTIMAL in status:
         # Drive leftover artificials out of the basis; a row whose artificial
         # cannot be exchanged for any structural column is linearly dependent
         # and keeps its (zero-valued, now fixed) artificial as a placeholder.
-        for i in live[runs.basis[live].max(axis=1) >= n].tolist():
+        for i in np.flatnonzero(feasible & (runs.basis.max(axis=1) >= n)).tolist():
             basis, sense_i = runs.basis[i], sense[i]
             for p in range(m):
                 if basis[p] < n:
@@ -552,9 +537,7 @@ def _solve_stack(lps: list[LinearProgram], m: int, n: int) -> list[LpSolution]:
         runs.degenerate_run[:] = 0
         runs.cost = np.zeros((k, N))
         runs.cost[:, :n] = c
-        for i in live.tolist():
-            status[i] = OPTIMAL
-        for i in _run_phase(runs, live, max_iterations, free):
+        for i in _run_phase(runs, feasible, max_iterations, free):
             status[i] = UNBOUNDED
         fb, BT = _refresh_basics(runs, b)
         y = _lapack_solve(BT, runs.cost.take(fb)[..., None])

@@ -31,12 +31,11 @@ from .closed_form import (
 )
 from .dispatch import (
     _solve_ed_cold,
-    csv_number,
     dc_cost_numeric,
     solve_ed_grid,
     sw_cost_numeric,
 )
-from .grid_model import ThreeBusScenario, tau
+from .grid_model import ThreeBusScenario, csv_number, tau
 
 #: Grid points this close to the threshold are excluded from the cold
 #: cross-check: a cold solve of the degenerate vertex there may stop in

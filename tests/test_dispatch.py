@@ -10,9 +10,7 @@ from gridshift.dispatch import (
     VARIABLE_NAMES,
     DeltaRangeError,
     DispatchInfeasibleError,
-    DispatchOutcome,
     build_ed,
-    csv_number,
     _solve_ed_cold,
     dc_cost_numeric,
     pieces,
@@ -332,25 +330,3 @@ class TestInfeasibility:
             solve_ed_grid(s, [0.0, 0.5, 0.9])
         assert any("bus-2" in b for b in err.value.binding)
 
-
-class TestCsvRendering:
-    def test_number_format_trims_noise(self):
-        assert csv_number(0.6000000000000001) == "0.6"
-        assert csv_number(2.0) == "2"
-        assert csv_number(-0.0) == "-0"
-        assert csv_number(1.0 / 3.0) == "0.333333333333"
-
-    def test_header_and_frozen_row(self):
-        s = scenario_gen.canonical_scenario()
-        o = solve_ed(s, 0.0)
-        assert DispatchOutcome.CSV_HEADER == (
-            "delta,y0,y1,y2,f01,f02,f12,lambda0,lambda1,lambda2,pi1,pi2,total_cost"
-        )
-        assert o.to_csv_row() == "0,0.6,0,1.1,1.4,0.5,0.4,0,0,2,0,2,2.2"
-
-    def test_rows_deterministic(self):
-        rng = np.random.default_rng(35)
-        for _ in range(10):
-            s = scenario_gen.random_valid_scenario(rng)
-            d = float(rng.uniform(0.0, s.L))
-            assert solve_ed(s, d).to_csv_row() == solve_ed(s, d).to_csv_row()

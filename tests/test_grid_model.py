@@ -13,6 +13,7 @@ from gridshift.grid_model import (
     ThreeBusScenario,
     bundled_scenario_names,
     bundled_scenario_path,
+    csv_number,
     eta,
     parse_scenario,
     parse_scenario_file,
@@ -189,6 +190,14 @@ class TestParsing:
         path = tmp_path / "scen.txt"
         write_scenario_file(s, path)
         assert parse_scenario_file(path) == s
+
+
+class TestCsvNumber:
+    def test_number_format_trims_noise(self):
+        assert csv_number(0.6000000000000001) == "0.6"
+        assert csv_number(2.0) == "2"
+        assert csv_number(-0.0) == "-0"
+        assert csv_number(1.0 / 3.0) == "0.333333333333"
 
 
 class TestBundledScenarios:

@@ -323,10 +323,25 @@ class TestSolveMany:
         batch = [_klee_minty(8, 0.0), _klee_minty(8, 0.0), _klee_minty(8), _klee_minty(8, 0.0)]
         with pytest.raises(SolverFailure, match=r"LP 2: iteration budget 240 exhausted"):
             solve_many(batch)
+        # More cubes than lone scans: the budget runs out in the array step,
+        # after the zero-objective cubes before and after them have stopped.
+        cubes = [_klee_minty(8)] * (lp_core._SCAN_BATCH + 1)
+        batch = [_klee_minty(8, 0.0)] * 3 + cubes + [_klee_minty(8, 0.0)]
+        with pytest.raises(SolverFailure, match=r"LP 3: iteration budget 240 exhausted"):
+            solve_many(batch)
 
     def test_singular_basis_is_a_solver_failure(self, monkeypatch):
         real = lp_core._lapack_solve
         monkeypatch.setattr(lp_core, "_lapack_solve", lambda a, b: real(np.zeros_like(a), b))
+        with pytest.raises(SolverFailure, match="singular basis"):
+            solve(toy_lp())
+
+    def test_singular_basis_under_the_numpy_fallback(self, monkeypatch):
+        # np.linalg.solve, the fallback for a numpy without the LAPACK
+        # gufunc, signals a singular basis with LinAlgError instead.
+        monkeypatch.setattr(
+            lp_core, "_lapack_solve", lambda a, b: np.linalg.solve(np.zeros_like(a), b)
+        )
         with pytest.raises(SolverFailure, match="singular basis"):
             solve(toy_lp())
 

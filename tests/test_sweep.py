@@ -15,8 +15,7 @@ from gridshift.closed_form import (
     ScenarioInvalidError,
     cutoff,
 )
-from gridshift.dispatch import csv_number
-from gridshift.grid_model import TOLERANCE, ScenarioError, tau
+from gridshift.grid_model import TOLERANCE, ScenarioError, csv_number, tau
 from gridshift.sweep import (
     BOUNDARY_HEADER,
     HEATMAP_HEADER,
