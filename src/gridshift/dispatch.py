@@ -4,12 +4,19 @@ Builds the dispatch LP for a given shift ``delta`` of the flexible block from
 bus 2 to bus 1 and reads the bus prices (equality duals) and marginal
 emission rates (the same duals with emission rates in place of offers) off
 an optimal basis.  :func:`pieces` walks the block with one cold solve at
-shift 0 and one dual-simplex pivot per change of basis, and :func:`solve_ed`
-and :func:`solve_ed_grid` read every shift off its pieces.  The cold route
-(:func:`solve_ed_detailed`, the verification gate) solves each shift's own
-LP from scratch, all in one lock-step batch, as the check from outside.
+shift 0 and one dual-simplex pivot per change of basis, and
+:func:`solve_ed_columns` reads every shift of a grid off its pieces.  The
+cold route (the verification gate, and :func:`solve_ed_detailed`) solves
+each shift's own LP from scratch: one dispatch LP at a stack of balance
+right-hand sides, all in one lock-step batch, as the check from outside.
 Also provides the data-center bill and the system-wide cost, which
 cross-check the closed-form objectives numerically.
+
+Both routes carry a grid of shifts as columns (:class:`DispatchColumns`)
+from the solve to the settlement costs, which work elementwise on them; no
+per-shift object is built.  :func:`solve_ed`, :func:`solve_ed_grid` and
+:func:`solve_ed_detailed` build :class:`DispatchOutcome` rows from the
+columns only for their own callers.
 """
 
 from __future__ import annotations
@@ -84,6 +91,38 @@ class DispatchOutcome:
     degenerate: bool = False
 
 
+class DispatchColumns(NamedTuple):
+    """Optimal dispatch at ``k`` shifts, as columns: the shifts ``delta``
+    (``k``), the ``flows`` (``k`` rows in :data:`VARIABLE_NAMES` order), the
+    bus prices ``lmp`` and emission rates ``lme`` bus-major (``3`` rows of
+    ``k``, so that ``lmp[1]`` is the bus-1 column), the ``total_cost`` and
+    the ``degenerate`` flags, each as on :class:`DispatchOutcome`.
+    :func:`dc_cost_numeric` and :func:`sw_cost_numeric` take these columns
+    as they take one outcome."""
+
+    delta: np.ndarray
+    flows: np.ndarray
+    lmp: np.ndarray
+    lme: np.ndarray
+    total_cost: np.ndarray
+    degenerate: np.ndarray
+
+
+def _columns(
+    lp: lp_core.LinearProgram,
+    deltas: np.ndarray,
+    flows: np.ndarray,
+    lmp: np.ndarray,
+    lme: np.ndarray,
+    degenerate: np.ndarray,
+) -> DispatchColumns:
+    """:class:`DispatchColumns` from shift-major ``lmp`` and ``lme``; every
+    cost is the row's own dot product with the objective (a 2-D product
+    would sum in another order)."""
+    costs = (flows[:, None, :] @ lp.objective)[:, 0]
+    return DispatchColumns(deltas, flows, lmp.T, lme.T, costs, degenerate)
+
+
 def _balance_rhs(s: ThreeBusScenario, delta: float) -> list[float]:
     """Right-hand side of the nodal balances at shift ``delta``."""
     if not 0.0 <= delta <= s.L:
@@ -147,22 +186,17 @@ def _diagnose_infeasible(s: ThreeBusScenario, delta: float) -> DispatchInfeasibl
     )
 
 
-def _outcomes(
-    lp: lp_core.LinearProgram,
-    deltas: Sequence[float],
-    flows: np.ndarray,
-    lmps: np.ndarray,
-    lmes: np.ndarray,
-    degenerate: np.ndarray,
-) -> list[DispatchOutcome]:
-    """One outcome per shift, from its rows of ``flows``, ``lmps`` and
-    ``lmes``; every cost is the row's own dot product with the objective (a
-    2-D product would sum in another order)."""
-    costs = (flows[:, None, :] @ lp.objective)[:, 0].tolist()
+def _outcomes(columns: DispatchColumns) -> list[DispatchOutcome]:
+    """One outcome per shift, from its rows of ``columns``."""
     return [
         DispatchOutcome(d, *x, tuple(lmp), tuple(lme), cost, flag)
         for d, x, lmp, lme, cost, flag in zip(
-            deltas, flows.tolist(), lmps.tolist(), lmes.tolist(), costs, degenerate.tolist()
+            columns.delta.tolist(),
+            columns.flows.tolist(),
+            columns.lmp.T.tolist(),
+            columns.lme.T.tolist(),
+            columns.total_cost.tolist(),
+            columns.degenerate.tolist(),
         )
     ]
 
@@ -177,30 +211,41 @@ def _prices(s: ThreeBusScenario, bases: np.ndarray) -> tuple[np.ndarray, np.ndar
     return both[..., 0], both[..., 1]
 
 
-def _checked(s: ThreeBusScenario, delta: float, sol: lp_core.LpSolution) -> lp_core.LpSolution:
-    if sol.status == lp_core.INFEASIBLE:
-        raise _diagnose_infeasible(s, delta)
-    if sol.status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
-        raise lp_core.SolverFailure(f"unexpected dispatch status {sol.status!r}")
-    return sol
+def _checked(s: ThreeBusScenario, deltas: Sequence[float], statuses: Sequence[str]) -> None:
+    """Raise for the first shift of ``deltas`` whose dispatch LP ended with
+    another of ``statuses`` than optimal."""
+    for delta, status in zip(deltas, statuses):
+        if status == lp_core.INFEASIBLE:
+            raise _diagnose_infeasible(s, float(delta))
+        if status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
+            raise lp_core.SolverFailure(f"unexpected dispatch status {status!r}")
+
+
+def _in_block(s: ThreeBusScenario, deltas: Iterable[float]) -> np.ndarray:
+    """``deltas`` as an array, checked to lie in the block ``[0, L]``."""
+    deltas = np.fromiter(deltas, dtype=float)
+    for d in deltas[~((0.0 <= deltas) & (deltas <= s.L))][:1].tolist():
+        _balance_rhs(s, d)  # raises DeltaRangeError
+    return deltas
 
 
 def _solve_ed_cold(
-    s: ThreeBusScenario, deltas: Sequence[float]
-) -> tuple[list[lp_core.LinearProgram], list[DispatchOutcome], list[lp_core.LpSolution]]:
-    """Cold solves at every shift of ``deltas``, all in one lock-step batch;
-    also returns the LPs and their solutions, so that callers checking them
-    need not build them again.  Each LP is solved from scratch, exactly as
-    it would be on its own, and priced by its own optimal basis."""
-    deltas = [float(d) for d in deltas]
-    first = build_ed(s, deltas[0])
-    lps = [first] + [first.with_rhs(_balance_rhs(s, d)) for d in deltas[1:]]
-    sols = [_checked(s, d, sol) for d, sol in zip(deltas, lp_core.solve_many(lps))]
-    primal = np.array([sol.primal for sol in sols])
-    bases = np.array([sol.basis for sol in sols])
-    duals = np.array([sol.duals for sol in sols]) + 0.0
-    degenerate = ~_clear_of_bounds(first, bases, primal, _DEGENERACY_TOL)
-    return lps, _outcomes(first, deltas, primal, duals, _prices(s, bases)[1], degenerate), sols
+    s: ThreeBusScenario, deltas: Iterable[float]
+) -> tuple[lp_core.LinearProgram, np.ndarray, lp_core.LpSolutions, DispatchColumns]:
+    """Cold solves at every shift of ``deltas``, all in one lock-step batch
+    of the dispatch LP at a stack of balance right-hand sides: the LP (at
+    shift 0), the stack, the solutions and the dispatch columns, so that
+    callers checking the solutions need not build anything again.  Each
+    shift is solved from scratch, exactly as it would be on its own, and
+    priced by its own optimal basis."""
+    deltas = _in_block(s, deltas)
+    lp = build_ed(s, 0.0)
+    rhs = np.array([np.full(deltas.shape, s.l0), s.l1 + deltas, s.l2 - deltas]).T
+    sols = lp_core.solve_rhs(lp, rhs)
+    _checked(s, deltas.tolist(), sols.status)
+    degenerate = ~_clear_of_bounds(lp, sols.basis, sols.primal, _DEGENERACY_TOL)
+    lme = _prices(s, sols.basis)[1]
+    return lp, rhs, sols, _columns(lp, deltas, sols.primal, sols.duals + 0.0, lme, degenerate)
 
 
 class Piece(NamedTuple):
@@ -231,7 +276,8 @@ def pieces(s: ThreeBusScenario) -> list[Piece]:
 
 def _walk(s: ThreeBusScenario, lp: lp_core.LinearProgram) -> list[Piece]:
     lo, hi = lp.lower_bounds, lp.upper_bounds
-    sol = _checked(s, 0.0, lp_core.solve(lp))
+    sol = lp_core.solve(lp)
+    _checked(s, [0.0], [sol.status])
     basis, flows, start = np.array(sol.basis), sol.primal, 0.0
     walk = []
     while len(walk) < 20:  # the balance matrix has C(6, 3) = 20 column triples
@@ -273,8 +319,8 @@ def solve_ed_detailed(
     """The dispatch LP at ``delta`` solved cold, and its raw solution, so
     callers can run independent optimality checks on it.  The prices are
     those of the basis the simplex stopped in: at a break, either one."""
-    _, (outcome,), (sol,) = _solve_ed_cold(s, [delta])
-    return outcome, sol
+    _, _, sols, columns = _solve_ed_cold(s, [delta])
+    return _outcomes(columns)[0], sols.rows()[0]
 
 
 def solve_ed(s: ThreeBusScenario, delta: float) -> DispatchOutcome:
@@ -283,13 +329,16 @@ def solve_ed(s: ThreeBusScenario, delta: float) -> DispatchOutcome:
 
 
 def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[DispatchOutcome]:
+    """:func:`solve_ed_columns` as one :class:`DispatchOutcome` per shift."""
+    return _outcomes(solve_ed_columns(s, deltas))
+
+
+def solve_ed_columns(s: ThreeBusScenario, deltas: Iterable[float]) -> DispatchColumns:
     """The dispatch at every shift of ``deltas`` read off :func:`pieces`:
-    flows, prices and marginal emissions.  A shift within
+    flows, prices and marginal emissions, as columns.  A shift within
     ``lp_core.TOLERANCE * max(1, L)`` past a break takes the piece left of
     it, so the threshold gets the left-limit prices by construction."""
-    deltas = np.fromiter(deltas, dtype=float)
-    for d in deltas[~((0.0 <= deltas) & (deltas <= s.L))][:1]:
-        _balance_rhs(s, float(d))  # raises DeltaRangeError
+    deltas = _in_block(s, deltas)
     lp = build_ed(s, 0.0)
     walk = _walk(s, lp)
     start, end, basis, lmp, lme, flows, slope = map(np.array, zip(*walk))
@@ -298,22 +347,25 @@ def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[Dispatch
         raise _diagnose_infeasible(s, float(deltas[k.argmax()]))
     flows = flows[k] + (deltas - start[k])[:, None] * slope[k]
     degenerate = ~_clear_of_bounds(lp, basis[k], flows, _DEGENERACY_TOL)
-    return _outcomes(lp, deltas.tolist(), flows, lmp[k], lme[k], degenerate)
+    return _columns(lp, deltas, flows, lmp[k], lme[k], degenerate)
 
 
-def dc_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome) -> float:
+def dc_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome | DispatchColumns):
     """Data-center bill for its own load split: ``delta`` at bus 1 and the
     rest of the block at bus 2, each settled at the bus price blended with the
-    bus marginal-emission rate by ``alpha_dc``."""
+    bus marginal-emission rate by ``alpha_dc``.  A float for one outcome; for
+    columns, the same operations elementwise, so each entry is the float
+    one outcome would give, to the bit."""
     a = s.alpha_dc
     price_part = out.lmp[1] * out.delta + out.lmp[2] * (s.L - out.delta)
     emission_part = out.lme[1] * out.delta + out.lme[2] * (s.L - out.delta)
     return a * price_part + (1.0 - a) * emission_part
 
 
-def sw_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome) -> float:
+def sw_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome | DispatchColumns):
     """System-wide settlement over the *entire* generator-bus loads (base plus
-    shifted), blended by ``alpha_sw``; bus 0 carries no generator offer."""
+    shifted), blended by ``alpha_sw``; bus 0 carries no generator offer.
+    Elementwise on columns, as :func:`dc_cost_numeric`."""
     a = s.alpha_sw
     load1 = s.l1 + out.delta
     load2 = s.l2 - out.delta

@@ -11,12 +11,17 @@ performance: dense numpy algebra, Dantzig pricing with a switch to Bland's
 rule after a run of degenerate pivots, and absolute tolerances suited to
 well-scaled inputs of at most a few hundred variables.
 
-Many LPs of one shape are solved in lock-step (:func:`solve_many`): each
-runs its own simplex on its row of one stacked state, updated in place, and
-the LPs share only the numpy calls, one stacked call per pivot round for all
-of them.  Every stacked product and solve does the arithmetic a lone solve
-does, so a batch changes no bit of any solution; :func:`solve` is a batch of
-one.  :func:`verify_kkt_many` certifies a batch the same way.
+Many LPs of one shape are solved in lock-step: each runs its own simplex on
+its row of one stacked state, updated in place, and the LPs share only the
+numpy calls, one stacked call per pivot round for all of them.  Every
+stacked product and solve does the arithmetic a lone solve does, so a batch
+changes no bit of any solution.  The lock-step core takes the LP data as
+stacked arrays and returns the solutions as columns (:class:`LpSolutions`).
+:func:`solve_rhs` solves one LP at a stack of right-hand sides with no LP
+object per row; :func:`solve_many` stacks a list of LPs and returns one
+:class:`LpSolution` each, and :func:`solve` is a batch of one.
+:func:`kkt_residuals` certifies a stack the same way, and
+:func:`verify_kkt_many` wraps it for a list of LPs.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,20 +119,6 @@ class LinearProgram:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def with_rhs(self, eq_rhs) -> "LinearProgram":
-        """This LP with ``eq_rhs`` as its equality right-hand side.  Only the
-        new right-hand side needs copying and checking: the copy shares the
-        other, frozen, arrays."""
-        b = np.array(eq_rhs, dtype=float)
-        if b.shape != self.eq_rhs.shape:
-            raise LpInputError(f"eq_rhs has shape {b.shape}, expected {self.eq_rhs.shape}")
-        if not all(map(math.isfinite, b.tolist())):
-            raise LpInputError("objective, matrix, and rhs must be finite")
-        b.setflags(write=False)
-        lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, eq_rhs=b)
-        return lp
-
     @property
     def n_variables(self) -> int:
         return self.eq_matrix.shape[1]
@@ -154,6 +146,47 @@ class LpSolution:
     basis: tuple[int, ...]
     objective_value: float | None
     iterations: int
+
+
+class LpSolutions(NamedTuple):
+    """Result of :func:`solve_rhs`, and inside :func:`solve_many`: the fields
+    of :class:`LpSolution` as columns, one row per LP of the stack.
+
+    ``status`` holds each LP's label; ``primal``, ``duals``,
+    ``reduced_costs`` and ``objective_value`` are NaN in the rows of LPs that
+    are not optimal.  ``basis`` holds each optimal LP's sorted basic
+    columns, where an index of ``n`` (the number of variables) or more
+    stands for the zero-valued placeholder of a linearly dependent row.
+    """
+
+    status: tuple[str, ...]
+    primal: np.ndarray
+    duals: np.ndarray
+    reduced_costs: np.ndarray
+    basis: np.ndarray
+    objective_value: np.ndarray
+    iterations: np.ndarray
+
+    def rows(self) -> list[LpSolution]:
+        """One :class:`LpSolution` per LP, in stack order."""
+        n = self.primal.shape[1]
+        bases = self.basis.tolist()
+        objective = self.objective_value.tolist()
+        iterations = self.iterations.tolist()
+        return [
+            LpSolution(
+                OPTIMAL,
+                self.primal[i],
+                self.duals[i],
+                self.reduced_costs[i],
+                tuple(j for j in bases[i] if j < n),
+                objective[i],
+                iterations[i],
+            )
+            if status == OPTIMAL
+            else LpSolution(status, None, None, None, (), None, iterations[i])
+            for i, status in enumerate(self.status)
+        ]
 
 
 #: Batches up to this many LPs take their pivot steps one LP at a time in
@@ -430,8 +463,9 @@ def solve_many(lps: Sequence[LinearProgram]) -> list[LpSolution]:
     zero, each with its own pricing, Bland switch and pivot count.  Only the
     numpy calls are shared: each pivot round prices every LP of the batch in
     stacked calls, then solves for the pivot columns of the LPs still
-    pivoting in one stacked call and ratio-tests them together.  Every LP does the arithmetic it would do alone, so its
-    solution does not depend on the rest of the batch, to the bit.
+    pivoting in one stacked call and ratio-tests them together.  Every LP
+    does the arithmetic it would do alone, so its solution does not depend
+    on the rest of the batch, to the bit.
 
     Raises :class:`LpInputError` on an empty batch or mixed shapes, and
     :class:`SolverFailure`, naming the LP, if one exhausts the iteration
@@ -443,25 +477,64 @@ def solve_many(lps: Sequence[LinearProgram]) -> list[LpSolution]:
     m, n = lps[0].eq_matrix.shape
     if any(lp.eq_matrix.shape != (m, n) for lp in lps):
         raise LpInputError(f"solve_many needs LPs of one shape; LP 0 is {m}x{n}")
+    return _solve_arrays(
+        np.array([lp.objective for lp in lps]),
+        np.array([lp.eq_matrix for lp in lps]),
+        np.array([lp.eq_rhs for lp in lps]),
+        np.array([lp.lower_bounds for lp in lps]),
+        np.array([lp.upper_bounds for lp in lps]),
+    ).rows()
+
+
+def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
+    """``lp`` solved at every row of ``rhs``, a ``(k, rows)`` stack of
+    equality right-hand sides, in one lock-step batch: row ``i`` of the
+    result is, to the bit, what :func:`solve_many` gives for ``lp`` with
+    ``rhs[i]`` as its right-hand side.  No LP object is built per row: the
+    other arrays of ``lp`` are repeated straight into the stack.
+
+    Raises :class:`LpInputError` if ``rhs`` is not such a stack, with at
+    least one row, of finite numbers, and otherwise as :func:`solve_many`.
+    """
+    b = np.array(rhs, dtype=float)
+    m, n = lp.eq_matrix.shape
+    if b.ndim != 2 or b.shape[1:] != (m,) or not b.shape[0]:
+        raise LpInputError(f"rhs stack has shape {b.shape}, expected (k, {m}) with k >= 1")
+    if not np.isfinite(b).all():
+        raise LpInputError("objective, matrix, and rhs must be finite")
+    k = b.shape[0]
+    return _solve_arrays(
+        lp.objective[None].repeat(k, axis=0),
+        lp.eq_matrix[None].repeat(k, axis=0),
+        b,
+        lp.lower_bounds[None].repeat(k, axis=0),
+        lp.upper_bounds[None].repeat(k, axis=0),
+    )
+
+
+def _solve_arrays(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> LpSolutions:
+    """The lock-step simplex on stacked LP data: ``c``, ``lo`` and ``hi`` of
+    shape ``(k, n)``, ``A`` of ``(k, m, n)`` and ``b`` of ``(k, m)``."""
     try:
         # A singular basis surfaces as an invalid-value signal from the
         # LAPACK gufunc, and as LinAlgError from np.linalg.solve.
         with np.errstate(invalid="raise"):
-            return _solve_stack(lps, m, n)
+            return _solve_stack(c, A, b, lo, hi)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise SolverFailure("singular basis; numerical breakdown") from exc
 
 
-def _solve_stack(lps: list[LinearProgram], m: int, n: int) -> list[LpSolution]:
-    k = len(lps)
+def _solve_stack(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray
+) -> LpSolutions:
+    k, m, n = A.shape
     N = n + m
-    c = np.array([lp.objective for lp in lps])
-    A = np.array([lp.eq_matrix for lp in lps])
-    b = np.array([lp.eq_rhs for lp in lps])
     lo = np.zeros((k, N))
     hi = np.full((k, N), np.inf)
-    lo[:, :n] = [lp.lower_bounds for lp in lps]
-    hi[:, :n] = [lp.upper_bounds for lp in lps]
+    lo[:, :n] = lo_n
+    hi[:, :n] = hi_n
 
     # Every variable starts at its lower bound when finite, otherwise at its
     # upper bound, otherwise at zero; one artificial per row, signed to take
@@ -509,69 +582,69 @@ def _solve_stack(lps: list[LinearProgram], m: int, n: int) -> list[LpSolution]:
     infeasibility = np.abs(x[:, n:]).sum(axis=1)
     feasible = ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
     status = [OPTIMAL if f else INFEASIBLE for f in feasible.tolist()]
-    if OPTIMAL in status:
-        # Drive leftover artificials out of the basis; a row whose artificial
-        # cannot be exchanged for any structural column is linearly dependent
-        # and keeps its (zero-valued, now fixed) artificial as a placeholder.
-        for i in np.flatnonzero(feasible & (runs.basis.max(axis=1) >= n)).tolist():
-            basis, sense_i = runs.basis[i], sense[i]
-            for p in range(m):
-                if basis[p] < n:
-                    continue
-                unit = np.zeros(m)
-                unit[p] = 1.0
-                multipliers = np.linalg.solve(runs.AaugT[i][basis], unit)
-                row = multipliers @ A[i]
-                row[basis[basis < n]] = 0.0
-                entering = int(np.argmax(np.abs(row)))
-                if abs(row[entering]) > TOLERANCE:
-                    basis[p] = entering
-                    sense_i[entering] = 0.0
-
-        # Phase 2 pins the artificials to zero: none may enter again.
-        hi[:, n:] = 0.0
-        runs.span = hi - lo
-        runs.fixed = runs.span <= TOLERANCE
-        sense[:, n:] = 0.0
-        runs.use_bland[:] = False
-        runs.degenerate_run[:] = 0
-        runs.cost = np.zeros((k, N))
-        runs.cost[:, :n] = c
-        for i in _run_phase(runs, feasible, max_iterations, free):
-            status[i] = UNBOUNDED
-        fb, BT = _refresh_basics(runs, b)
-        y = _lapack_solve(BT, runs.cost.take(fb)[..., None])
-        reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
-        basic = np.zeros((k, N), dtype=bool)
-        basic.reshape(-1)[fb] = True
-        reduced[basic[:, :n]] = 0.0
-        primal = x[:, :n].copy()
-        objective = (c[:, None, :] @ primal[..., None])[:, 0, 0].tolist()
-        bases = np.sort(runs.basis, axis=1).tolist()
-
-    iterations = runs.iterations.tolist()
-    return [
-        LpSolution(
-            status=OPTIMAL,
-            primal=primal[i],
-            duals=y[i, :, 0],
-            reduced_costs=reduced[i],
-            basis=tuple(j for j in bases[i] if j < n),
-            objective_value=objective[i],
-            iterations=iterations[i],
+    if OPTIMAL not in status:
+        # One NaN block, cut into the numeric columns.
+        nan = np.full((k, 2 * n + m + 1), np.nan)
+        return LpSolutions(
+            status=tuple(status),
+            primal=nan[:, :n],
+            duals=nan[:, n : n + m],
+            reduced_costs=nan[:, n + m : -1],
+            basis=runs.basis,
+            objective_value=nan[:, -1],
+            iterations=runs.iterations,
         )
-        if status[i] == OPTIMAL
-        else LpSolution(
-            status=status[i],
-            primal=None,
-            duals=None,
-            reduced_costs=None,
-            basis=(),
-            objective_value=None,
-            iterations=iterations[i],
-        )
-        for i in range(k)
-    ]
+    # Drive leftover artificials out of the basis; a row whose artificial
+    # cannot be exchanged for any structural column is linearly dependent
+    # and keeps its (zero-valued, now fixed) artificial as a placeholder.
+    for i in np.flatnonzero(feasible & (runs.basis.max(axis=1) >= n)).tolist():
+        basis, sense_i = runs.basis[i], sense[i]
+        for p in range(m):
+            if basis[p] < n:
+                continue
+            unit = np.zeros(m)
+            unit[p] = 1.0
+            multipliers = np.linalg.solve(runs.AaugT[i][basis], unit)
+            row = multipliers @ A[i]
+            row[basis[basis < n]] = 0.0
+            entering = int(np.argmax(np.abs(row)))
+            if abs(row[entering]) > TOLERANCE:
+                basis[p] = entering
+                sense_i[entering] = 0.0
+
+    # Phase 2 pins the artificials to zero: none may enter again.
+    hi[:, n:] = 0.0
+    runs.span = hi - lo
+    runs.fixed = runs.span <= TOLERANCE
+    sense[:, n:] = 0.0
+    runs.use_bland[:] = False
+    runs.degenerate_run[:] = 0
+    runs.cost = np.zeros((k, N))
+    runs.cost[:, :n] = c
+    for i in _run_phase(runs, feasible, max_iterations, free):
+        status[i] = UNBOUNDED
+    fb, BT = _refresh_basics(runs, b)
+    y = _lapack_solve(BT, runs.cost.take(fb)[..., None])
+    duals = y[..., 0]
+    reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
+    basic = np.zeros((k, N), dtype=bool)
+    basic.reshape(-1)[fb] = True
+    reduced[basic[:, :n]] = 0.0
+    primal = x[:, :n].copy()
+    objective = (c[:, None, :] @ primal[..., None])[:, 0, 0]
+    failed = [s != OPTIMAL for s in status]
+    if any(failed):
+        for values in (primal, duals, reduced, objective):
+            values[failed] = np.nan
+    return LpSolutions(
+        status=tuple(status),
+        primal=primal,
+        duals=duals,
+        reduced_costs=reduced,
+        basis=np.sort(runs.basis, axis=1),
+        objective_value=objective,
+        iterations=runs.iterations,
+    )
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -614,8 +687,9 @@ def verify_kkt_many(
     lps: Sequence[LinearProgram], sols: Sequence[LpSolution], tolerance: float = 1e-8
 ) -> list[KktReport]:
     """:func:`verify_kkt` for every pair of ``lps`` and ``sols``, which must
-    share one shape, in one stacked check; report ``i`` certifies solution
-    ``i`` for LP ``i`` with the arithmetic of the check on that pair alone."""
+    share one shape, in one stacked check (:func:`kkt_residuals`); report
+    ``i`` certifies solution ``i`` for LP ``i`` with the arithmetic of the
+    check on that pair alone."""
     lps, sols = list(lps), list(sols)
     if not lps or len(lps) != len(sols):
         raise LpInputError("KKT verification needs one solution per LP, at least one")
@@ -623,19 +697,49 @@ def verify_kkt_many(
         raise LpInputError("stacked KKT verification needs LPs of one shape")
     if any(sol.status != OPTIMAL for sol in sols):
         raise LpInputError("KKT verification needs an optimal solution")
-    A = np.array([lp.eq_matrix for lp in lps])
-    x = np.array([sol.primal for sol in sols])
-    lo = np.array([lp.lower_bounds for lp in lps])
-    hi = np.array([lp.upper_bounds for lp in lps])
+    residuals = kkt_residuals(
+        np.array([lp.objective for lp in lps]),
+        np.array([lp.eq_matrix for lp in lps]),
+        np.array([lp.eq_rhs for lp in lps]),
+        np.array([lp.lower_bounds for lp in lps]),
+        np.array([lp.upper_bounds for lp in lps]),
+        np.array([sol.primal for sol in sols]),
+        np.array([sol.duals for sol in sols]),
+        tolerance,
+    )
+    names = ("primal feasibility", "dual feasibility", "complementary slackness")
+    reports = []
+    for values in zip(*(r.tolist() for r in residuals)):
+        violations = ()
+        if not max(values) <= tolerance:
+            violations = tuple((name, v) for name, v in zip(names, values) if v > tolerance)
+        reports.append(KktReport(*values, violations=violations, tolerance=tolerance))
+    return reports
+
+
+def kkt_residuals(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    tolerance: float = 1e-8,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residuals of :func:`verify_kkt` for a stack of claimed optimal
+    points ``x`` (``(k, n)``) and duals ``y`` (``(k, m)``) of the LPs ``c``,
+    ``A``, ``b``, ``lo``, ``hi``, stacked the same way; any LP array may be
+    one LP's, broadcast against the stack.  Returns the primal-feasibility,
+    dual-feasibility and complementary-slackness residual of each LP."""
     below = lo - x
     above = x - hi
 
-    residual = np.abs((A @ x[..., None])[..., 0] - [lp.eq_rhs for lp in lps]).max(axis=1)
+    residual = np.abs((A @ x[..., None])[..., 0] - b).max(axis=1)
     primal = np.maximum(residual, below.max(axis=1, initial=0.0))
     primal = np.maximum(primal, above.max(axis=1, initial=0.0))
 
-    y = np.array([sol.duals for sol in sols])
-    d = np.array([lp.objective for lp in lps]) - (y[:, None, :] @ A)[:, 0]
+    d = c - (y[:, None, :] @ A)[:, 0]
     # A variable within _ACTIVE_BOUND_TOL of a bound may carry a reduced
     # cost of that bound's sign (x - lo is -(lo - x) to the bit); one
     # strictly inside may carry none, and one on both bounds any.
@@ -652,15 +756,7 @@ def verify_kkt_many(
     gap = np.where(np.isfinite(gap), np.maximum(gap, 0.0), 0.0)
     size = np.abs(d)
     comp = np.where(size <= tolerance, 0.0, size * gap).max(axis=1, initial=0.0)
-
-    names = ("primal feasibility", "dual feasibility", "complementary slackness")
-    reports = []
-    for values in zip(primal.tolist(), dual.tolist(), comp.tolist()):
-        violations = ()
-        if not max(values) <= tolerance:
-            violations = tuple((name, v) for name, v in zip(names, values) if v > tolerance)
-        reports.append(KktReport(*values, violations=violations, tolerance=tolerance))
-    return reports
+    return primal, dual, comp
 
 
 def format_lp(lp: LinearProgram) -> str:

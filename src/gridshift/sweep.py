@@ -5,6 +5,17 @@ CSV text for the command-line tool: fixed column order, 12 significant
 digits, LF newlines.  Identical inputs must yield byte-identical output, so
 no timestamps, locales, or dict-ordering tricks are allowed anywhere.
 
+A sweep, and the verification gate, carry the shift grid as columns from
+the LP solve to the CSV or the report: the dispatch comes as
+:class:`~gridshift.dispatch.DispatchColumns`, the closed forms are
+evaluated on the whole grid with
+:meth:`~gridshift.closed_form.PiecewiseObjective.at`, the settlement costs
+elementwise, and :func:`sweep_csv_lines` formats its rows straight from
+those arrays; :func:`sweep_points` wraps the same columns in
+:class:`SweepPoint` objects.  :func:`verify_scenario` reduces its columns
+to worst cases with numpy reductions, through which a NaN passes (and
+fails the check).
+
 A capacity heatmap is one call to
 :func:`~gridshift.closed_form.classify_alignment_grid` over the flattened
 (F01, F12) grid: only the shift threshold varies between cells, so every
@@ -32,7 +43,7 @@ from .closed_form import (
 from .dispatch import (
     _solve_ed_cold,
     dc_cost_numeric,
-    solve_ed_grid,
+    solve_ed_columns,
     sw_cost_numeric,
 )
 from .grid_model import ThreeBusScenario, csv_number, tau
@@ -83,20 +94,50 @@ class SweepPoint:
         return self.sw_numeric - self.dc_numeric
 
     def to_csv_row(self) -> str:
-        cells = (
-            csv_number(self.delta),
-            csv_number(self.dc_analytic),
-            csv_number(self.dc_numeric),
-            csv_number(abs(self.dc_analytic - self.dc_numeric)),
-            csv_number(self.sw_analytic),
-            csv_number(self.sw_numeric),
-            csv_number(abs(self.sw_analytic - self.sw_numeric)),
-            csv_number(self.residual),
-            self.regime,
-            csv_number(self.lambda1),
-            csv_number(self.pi1),
+        """This point's line of :func:`sweep_csv_lines`."""
+        return _csv_row(**vars(self))
+
+
+def _csv_row(delta, dc_analytic, dc_numeric, sw_analytic, sw_numeric, regime, lambda1, pi1) -> str:
+    """One sweep CSV line from the fields of a :class:`SweepPoint`."""
+    return ",".join(
+        (
+            csv_number(delta),
+            csv_number(dc_analytic),
+            csv_number(dc_numeric),
+            csv_number(abs(dc_analytic - dc_numeric)),
+            csv_number(sw_analytic),
+            csv_number(sw_numeric),
+            csv_number(abs(sw_analytic - sw_numeric)),
+            csv_number(sw_numeric - dc_numeric),
+            regime,
+            csv_number(lambda1),
+            csv_number(pi1),
         )
-        return ",".join(cells)
+    )
+
+
+def _sweep_columns(s: ThreeBusScenario, resolution: int) -> list[list]:
+    """Both objectives along the shift grid by both routes, as the columns
+    of :class:`SweepPoint` in field order (lists of Python floats and
+    strings)."""
+    dc_objective, sw_objective = objectives(s)
+    out = solve_ed_columns(s, delta_grid(s.L, resolution))
+    d = out.delta
+    # Python floats overflow to inf and turn invalid (NaN) without a
+    # warning; so do these columns, which must give the same floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = (
+            d,
+            dc_objective.at(d),
+            dc_cost_numeric(s, out),
+            sw_objective.at(d),
+            sw_cost_numeric(s, out),
+            np.where(np.abs(out.lmp[1]) <= CROSS_PATH_TOL, "renewable", "local-generation"),
+            out.lmp[1],
+            out.lme[1],
+        )
+    return [c.tolist() for c in columns]
 
 
 def sweep_points(s: ThreeBusScenario, resolution: int = 200) -> list[SweepPoint]:
@@ -105,32 +146,16 @@ def sweep_points(s: ThreeBusScenario, resolution: int = 200) -> list[SweepPoint]
     Raises :class:`ScenarioInvalidError` on an invalid scenario (via the
     closed-form construction).  Every grid point is emitted, including any
     that fall on the threshold itself.  The dispatch side comes from
-    :func:`~gridshift.dispatch.solve_ed_grid`, which reads every point off
-    the LP's pieces (one solve, one pivot per break);
+    :func:`~gridshift.dispatch.solve_ed_columns`, which reads every point
+    off the LP's pieces (one solve, one pivot per break);
     :func:`verify_scenario` is the check that cold-solves every point.
     """
-    dc_objective, sw_objective = objectives(s)
-    points = []
-    for out in solve_ed_grid(s, delta_grid(s.L, resolution)):
-        d = out.delta
-        regime = "renewable" if abs(out.lmp[1]) <= CROSS_PATH_TOL else "local-generation"
-        points.append(
-            SweepPoint(
-                delta=d,
-                dc_analytic=dc_objective.evaluate(d),
-                dc_numeric=dc_cost_numeric(s, out),
-                sw_analytic=sw_objective.evaluate(d),
-                sw_numeric=sw_cost_numeric(s, out),
-                regime=regime,
-                lambda1=out.lmp[1],
-                pi1=out.lme[1],
-            )
-        )
-    return points
+    return [SweepPoint(*row) for row in zip(*_sweep_columns(s, resolution))]
 
 
 def sweep_csv_lines(s: ThreeBusScenario, resolution: int = 200) -> list[str]:
-    return [SWEEP_HEADER] + [p.to_csv_row() for p in sweep_points(s, resolution)]
+    """:func:`sweep_points` as CSV, formatted straight from its columns."""
+    return [SWEEP_HEADER] + [_csv_row(*row) for row in zip(*_sweep_columns(s, resolution))]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,9 +356,11 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     instances, and the closed forms reproduce what the LP route measures.
     Unlike :func:`sweep_points`, this walks no pieces, so it checks that
     route from outside.  The LPs share only the numpy calls:
-    :func:`~gridshift.lp_core.solve_many` runs each one's own simplex in one
-    lock-step batch, and :func:`~gridshift.lp_core.verify_kkt_many`
-    certifies them in one stacked check.
+    :func:`~gridshift.lp_core.solve_rhs` runs each one's own simplex in one
+    lock-step batch of the dispatch LP at a stack of right-hand sides, and
+    :func:`~gridshift.lp_core.kkt_residuals` certifies them in one stacked
+    check.  Every worst case is a reduction over columns that lets a NaN
+    through, so a NaN deviation or residual fails the check.
     """
     dc_objective, sw_objective = objectives(s)
     t = tau(s)
@@ -342,18 +369,23 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     deltas = delta_grid(s.L, resolution)
     checked = deltas[np.abs(deltas - t.value) > BREAKPOINT_EXCLUSION]
     if checked.size:
-        lps, outcomes, sols = _solve_ed_cold(s, checked)
-        reports = lp_core.verify_kkt_many(lps, sols, tolerance=KKT_TOL)
-        for out, kkt in zip(outcomes, reports):
-            max_kkt = max(
-                max_kkt,
-                kkt.primal_feasibility,
-                kkt.dual_feasibility,
-                kkt.complementary_slackness,
-            )
-            d = out.delta
-            max_dc = max(max_dc, abs(dc_objective.evaluate(d) - dc_cost_numeric(s, out)))
-            max_sw = max(max_sw, abs(sw_objective.evaluate(d) - sw_cost_numeric(s, out)))
+        lp, rhs, sols, out = _solve_ed_cold(s, checked)
+        residuals = lp_core.kkt_residuals(
+            lp.objective,
+            lp.eq_matrix,
+            rhs,
+            lp.lower_bounds,
+            lp.upper_bounds,
+            sols.primal,
+            sols.duals,
+            KKT_TOL,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            dc = np.abs(dc_objective.at(checked) - dc_cost_numeric(s, out))
+            sw = np.abs(sw_objective.at(checked) - sw_cost_numeric(s, out))
+        max_dc, max_sw, max_kkt = (
+            float(np.max(v, initial=0.0)) for v in (dc, sw, np.stack(residuals))
+        )
 
     return VerificationReport(
         threshold=t.value,

@@ -135,6 +135,18 @@ class TestVerifyCommand:
         assert rc == 3
         assert "result: FAIL" in capsys.readouterr().out
 
+    def test_nan_deviation_exits_3(self, tmp_path, capsys):
+        # A valid scenario whose numeric system cost is NaN (see
+        # tests/test_sweep.py) must not verify.
+        path = tmp_path / "ceiling.txt"
+        s = scenario_gen.canonical_scenario(c1=2e307, c2=1e308, alpha_dc=0.0, alpha_sw=0.0)
+        write_scenario_file(s, path)
+        rc = cli.main(["verify", "--scenario", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "system cost: nan" in out
+        assert "result: FAIL" in out
+
     def test_output_file_deterministic(self, canonical_path, tmp_path):
         a = tmp_path / "v1.txt"
         b = tmp_path / "v2.txt"

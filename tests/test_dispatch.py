@@ -11,6 +11,7 @@ from gridshift.dispatch import (
     DeltaRangeError,
     DispatchInfeasibleError,
     build_ed,
+    _outcomes,
     _solve_ed_cold,
     dc_cost_numeric,
     pieces,
@@ -174,6 +175,17 @@ def _signals(priced) -> bytes:
     return _bits([*priced.lmp, *priced.lme])
 
 
+def _cold_rows(s, deltas):
+    """The cold route's batch at ``deltas`` split per shift: each shift's
+    own dispatch LP, outcome and solution."""
+    lp, rhs, sols, columns = _solve_ed_cold(s, deltas)
+    lps = [
+        lp_core.LinearProgram(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds)
+        for b in rhs
+    ]
+    return lps, _outcomes(columns), sols.rows()
+
+
 def _assert_grid_matches_cold(s, deltas) -> int:
     """``solve_ed_grid`` against a cold solve at every shift, all taken in one
     batch.  Returns the number of shifts at which the cold solve is
@@ -192,7 +204,7 @@ def _assert_grid_matches_cold(s, deltas) -> int:
     tol = lp_core.TOLERANCE * max(1.0, s.L)
     grid = solve_ed_grid(s, deltas)
     assert len(grid) == len(deltas)
-    lps, colds, sols = _solve_ed_cold(s, deltas)
+    lps, colds, sols = _cold_rows(s, deltas)
     degenerate_points = 0
     for d, got, cold, lp, sol in zip(deltas, grid, colds, lps, sols):
         assert got.delta == cold.delta == float(d)
@@ -223,7 +235,7 @@ class TestGridDispatch:
             deltas = np.sort(
                 np.concatenate([delta_grid(s.L, 23), scenario_gen.knife_edge_shifts(s)])
             )
-            lps, outcomes, sols = _solve_ed_cold(s, deltas)
+            lps, outcomes, sols = _cold_rows(s, deltas)
             for d, lp, out, sol in zip(deltas, lps, outcomes, sols):
                 alone, sol_alone = solve_ed_detailed(s, float(d))
                 assert out == alone
@@ -309,6 +321,10 @@ class TestInfeasibility:
         with pytest.raises(DispatchInfeasibleError) as err:
             solve_ed(stranded, 0.0)
         assert any("bus-0" in b for b in err.value.binding)
+        # The cold route names the same cut.
+        with pytest.raises(DispatchInfeasibleError) as cold:
+            solve_ed_detailed(stranded, 0.0)
+        assert cold.value.binding == err.value.binding
         # sanity: the base case itself still dispatches
         solve_ed(s, 0.0)
 

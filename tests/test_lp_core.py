@@ -21,6 +21,7 @@ from gridshift.lp_core import (
     format_lp,
     solve,
     solve_many,
+    solve_rhs,
     verify_kkt,
     verify_kkt_many,
 )
@@ -249,6 +250,27 @@ class TestPinnedTrace:
                 solutions[i] = sol
         assert trace_digest(solutions) == TRACE_SHA256
 
+    def test_rhs_stacks_match_the_pinned_digest(self):
+        # The bundled dispatch LPs (from index 550 on) differ only in their
+        # right-hand sides, so each scenario's LPs stack into one LP at many
+        # right-hand sides.  The random LPs are grouped the same way, and a
+        # few small ones share all but the right-hand side too.
+        lps = trace_lps()
+        groups = {}
+        for i, lp in enumerate(lps):
+            shared = (lp.objective, lp.eq_matrix, lp.lower_bounds, lp.upper_bounds)
+            key = (lp.eq_matrix.shape, *(a.tobytes() for a in shared))
+            groups.setdefault(key, []).append(i)
+        dispatch = [rows for rows in groups.values() if rows[-1] >= 550]
+        assert sum(map(len, dispatch)) == len(lps) - 550
+        assert min(map(len, dispatch)) > 10
+        solutions = [None] * len(lps)
+        for rows in groups.values():
+            stacked = solve_rhs(lps[rows[0]], [lps[i].eq_rhs for i in rows])
+            for i, sol in zip(rows, stacked.rows()):
+                solutions[i] = sol
+        assert trace_digest(solutions) == TRACE_SHA256
+
 
 def _bland_lp() -> LinearProgram:
     """21 rows with a zero right-hand side: phase 1 makes a zero step per
@@ -345,18 +367,26 @@ class TestSolveMany:
         with pytest.raises(SolverFailure, match="singular basis"):
             solve(toy_lp())
 
-    def test_with_rhs_shares_all_but_the_right_hand_side(self):
+    def test_rhs_stack_checks_and_solves_each_row(self):
+        # One LP at a stack of right-hand sides: each row solves as that LP
+        # with the row as its right-hand side, to the bit, and a row whose
+        # LP is infeasible leaves NaN in its numeric columns.
         lp = toy_lp()
-        moved = lp.with_rhs([7.0])
-        assert moved.eq_matrix is lp.eq_matrix and moved.objective is lp.objective
-        assert not moved.eq_rhs.flags.writeable
-        assert format_lp(moved) == format_lp(
-            LinearProgram(lp.objective, lp.eq_matrix, [7.0], lp.lower_bounds, lp.upper_bounds)
-        )
-        with pytest.raises(LpInputError):
-            lp.with_rhs([1.0, 2.0])
-        with pytest.raises(LpInputError):
-            lp.with_rhs([np.nan])
+        rhs = [[7.0], [5.0], [-1.0]]
+        stacked = solve_rhs(lp, rhs)
+        alone = [
+            solve(LinearProgram(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds))
+            for b in rhs
+        ]
+        assert trace_digest(stacked.rows()) == trace_digest(alone)
+        assert stacked.status == (OPTIMAL, OPTIMAL, INFEASIBLE)
+        assert np.isnan(stacked.primal[2]).all() and np.isnan(stacked.duals[2]).all()
+        for wrong_shape in ([7.0], [[1.0, 2.0]], np.zeros((0, 1)), [[[7.0]]]):
+            with pytest.raises(LpInputError, match="rhs stack has shape"):
+                solve_rhs(lp, wrong_shape)
+        for not_finite in ([[7.0], [np.nan]], [[-np.inf]]):
+            with pytest.raises(LpInputError, match="must be finite"):
+                solve_rhs(lp, not_finite)
 
 
 class TestKktMany:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scenario_gen
-from gridshift import closed_form, grid_model, lp_core, sweep
+from gridshift import closed_form, dispatch, grid_model, lp_core, sweep
 from gridshift.closed_form import (
     DECISION_TOL,
     DegenerateWeightsError,
@@ -60,6 +60,19 @@ def _count_lps(monkeypatch, name) -> list:
     return lps
 
 
+def _count_constructions(monkeypatch, classes) -> collections.Counter:
+    """Count, by class name, the instances of ``classes`` constructed."""
+    counts = collections.Counter()
+    for cls in classes:
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
 class TestDeltaGrid:
     def test_endpoints_exact(self):
         grid = delta_grid(1.0, 5)
@@ -71,6 +84,10 @@ class TestDeltaGrid:
             delta_grid(1.0, 1)
 
 
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
 class TestSweep:
     def test_points_agree_across_paths(self):
         s = scenario_gen.canonical_scenario()
@@ -80,6 +97,30 @@ class TestSweep:
             assert p.dc_numeric == pytest.approx(p.dc_analytic, abs=1e-9)
             assert p.sw_numeric == pytest.approx(p.sw_analytic, abs=1e-9)
             assert p.residual == pytest.approx(p.sw_numeric - p.dc_numeric)
+        # The sweep's columns also equal one scalar evaluation per point,
+        # bit for bit: solve_ed, the settlement costs of its outcome, and
+        # the closed forms' evaluate.  The draws include thresholds on a
+        # grid node (the canonical one at 11 points, four moved onto a node
+        # of the 200-point grid) and a threshold at the block edge.
+        mix = scenario_gen.grid_mix()
+        cases = [(scenario_gen.canonical_scenario(), 11), (mix[-3], 21)]
+        cases += [(s, 41) for s in mix[:36:9]] + [(s, 200) for s in mix[36:56:5]]
+        on_node = 0
+        for s, resolution in cases:
+            dc, sw = closed_form.objectives(s)
+            points = sweep_points(s, resolution)
+            on_node += min(abs(p.delta - tau(s).value) for p in points) <= 1e-12
+            for p in points:
+                o = dispatch.solve_ed(s, p.delta)
+                expected = (
+                    p.delta, dc.evaluate(p.delta), dispatch.dc_cost_numeric(s, o),
+                    sw.evaluate(p.delta), dispatch.sw_cost_numeric(s, o), o.lmp[1], o.lme[1],
+                )
+                got = (p.delta, p.dc_analytic, p.dc_numeric, p.sw_analytic, p.sw_numeric, p.lambda1, p.pi1)
+                assert _bits(got) == _bits(expected)
+                assert p.regime == ("renewable" if abs(o.lmp[1]) <= 1e-6 else "local-generation")
+            assert sweep_csv_lines(s, resolution)[1:] == [p.to_csv_row() for p in points]
+        assert on_node >= 6
 
     def test_regime_switches_at_threshold(self):
         s = scenario_gen.canonical_scenario()
@@ -120,6 +161,28 @@ class TestSweep:
         calls = _count_calls(monkeypatch, closed_form, "validate")
         sweep_points(scenario_gen.canonical_scenario(), 11)
         assert len(calls) == 1
+
+    def test_builds_no_object_per_point(self, monkeypatch):
+        # The grid travels as columns from the LP to the CSV and the report:
+        # a 200-point sweep builds the walk's one LP and its one solution,
+        # and a 200-point verify the one dispatch LP it solves at a stack of
+        # right-hand sides; no point gets an object of its own.
+        counts = _count_constructions(
+            monkeypatch,
+            (
+                lp_core.LinearProgram,
+                lp_core.LpSolution,
+                lp_core.KktReport,
+                dispatch.DispatchOutcome,
+                sweep.SweepPoint,
+            ),
+        )
+        s = scenario_gen.canonical_scenario()
+        assert len(sweep_csv_lines(s, 200)) == 201
+        assert counts == {"LinearProgram": 1, "LpSolution": 1}
+        counts.clear()
+        assert verify_scenario(s, 200).passed
+        assert counts == {"LinearProgram": 1}
 
 
 class TestHeatmap:
@@ -413,20 +476,36 @@ class TestVerification:
     def test_cold_solves_and_certifies_every_point(self, monkeypatch):
         # verify is the independent check on the sweep's pieces: one cold
         # solve and one optimality check per grid point off the threshold,
-        # and no other solve.  The solver is handed LPs alone, never a basis
-        # to start from.
-        calls = _count_calls(monkeypatch, lp_core, "solve_many")
-        solves = _count_lps(monkeypatch, "solve_many")
-        checks = _count_lps(monkeypatch, "verify_kkt_many")
+        # and no other solve.  The solver is handed the dispatch LP and a
+        # stack of right-hand sides alone, never a basis to start from, and
+        # the check certifies what it returned.
+        stacks, checks = [], []
+        real_solve_rhs, real_kkt = lp_core.solve_rhs, lp_core.kkt_residuals
+
+        def solve_rhs(*args):
+            stacks.append((args, real_solve_rhs(*args)))
+            return stacks[-1][1]
+
+        def kkt_residuals(*args):
+            checks.append(args)
+            return real_kkt(*args)
+
+        monkeypatch.setattr(lp_core, "solve_rhs", solve_rhs)
+        monkeypatch.setattr(lp_core, "kkt_residuals", kkt_residuals)
+        lone = _count_lps(monkeypatch, "solve_many")
         s = scenario_gen.canonical_scenario()
         report = verify_scenario(s, resolution=11)
         assert report.points_skipped == 1
-        assert len(solves) == len(checks) == 10
-        assert all(len(args) == 1 for args in calls)
-        shifts = [lp.eq_rhs[1] - s.l1 for lp in solves]
+        assert not lone
+        assert len(stacks) == len(checks) == 1
+        ((lp, rhs), sols), = stacks
+        assert len(rhs) == len(sols.primal) == 10
+        shifts = np.asarray(rhs)[:, 1] - s.l1
         expected = [d for d in delta_grid(s.L, 11) if abs(d - tau(s).value) > 1e-6]
         np.testing.assert_allclose(shifts, expected, rtol=0.0, atol=1e-12)
-        assert all(check is solve for check, solve in zip(checks, solves))
+        (c, A, b, lo, hi, x, y, tol), = checks
+        assert (c, A, lo, hi) == (lp.objective, lp.eq_matrix, lp.lower_bounds, lp.upper_bounds)
+        assert b is rhs and x is sols.primal and y is sols.duals
 
     def test_validates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, closed_form, "validate")
@@ -446,6 +525,21 @@ class TestVerification:
             s = scenario_gen.random_valid_scenario(rng)
             report = verify_scenario(s, resolution=40)
             assert report.passed, report.to_text()
+
+    def test_nan_deviation_fails(self):
+        # Offers near the float ceiling pass validation, but the system
+        # settlement of every point but the last overflows to inf, and with
+        # alpha_sw = 0 its price part is weighted by zero: the numeric
+        # system cost is NaN.  The worst case must carry the NaN and fail.
+        s = scenario_gen.canonical_scenario(c1=2e307, c2=1e308, alpha_dc=0.0, alpha_sw=0.0)
+        assert grid_model.validate(s).valid
+        report = verify_scenario(s)
+        assert math.isnan(report.max_sw_deviation)
+        assert not report.passed
+        lines = report.to_text().splitlines()
+        assert lines[3].startswith("max |analytic - numeric| system cost: nan ")
+        assert lines[3].endswith("FAIL")
+        assert lines[-1] == "result: FAIL"
 
     def test_free_bus1_generator_passes(self):
         # With c1 = 0 the bus-1 price is zero on both sides of the threshold,
