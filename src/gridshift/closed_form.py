@@ -21,7 +21,7 @@ from .grid_model import (
     ThreeBusScenario,
     ValidityReport,
     choose,
-    csv_number,
+    csv_row,
     eta,
     tau,
     threshold_grid,
@@ -216,20 +216,8 @@ class AlignmentReport:
     )
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            (
-                csv_number(self.delta_star_dc),
-                csv_number(self.delta_star_sw),
-                self.verdict,
-                self.binding_case,
-                csv_number(self.sw_at_dc_choice),
-                csv_number(self.sw_at_sw_choice),
-                csv_number(self.externality_at_dc_choice),
-                csv_number(self.suboptimality_ratio),
-                csv_number(self.residual_at_dc_choice),
-                csv_number(self.residual_at_sw_choice),
-            )
-        )
+        """This report's line under :attr:`CSV_HEADER` (fields in order)."""
+        return csv_row(vars(self).values())
 
     def to_text(self) -> str:
         aligned = self.verdict == "aligned"

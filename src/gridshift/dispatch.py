@@ -356,19 +356,26 @@ def dc_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome | DispatchColumns)
     bus marginal-emission rate by ``alpha_dc``.  A float for one outcome; for
     columns, the same operations elementwise, so each entry is the float
     one outcome would give, to the bit."""
-    a = s.alpha_dc
     price_part = out.lmp[1] * out.delta + out.lmp[2] * (s.L - out.delta)
     emission_part = out.lme[1] * out.delta + out.lme[2] * (s.L - out.delta)
-    return a * price_part + (1.0 - a) * emission_part
+    return _blend(s.alpha_dc, price_part, emission_part)
 
 
 def sw_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome | DispatchColumns):
     """System-wide settlement over the *entire* generator-bus loads (base plus
     shifted), blended by ``alpha_sw``; bus 0 carries no generator offer.
     Elementwise on columns, as :func:`dc_cost_numeric`."""
-    a = s.alpha_sw
     load1 = s.l1 + out.delta
     load2 = s.l2 - out.delta
     price_part = out.lmp[1] * load1 + out.lmp[2] * load2
     emission_part = out.lme[1] * load1 + out.lme[2] * load2
-    return a * price_part + (1.0 - a) * emission_part
+    return _blend(s.alpha_sw, price_part, emission_part)
+
+
+def _blend(a: float, price_part, emission_part):
+    """``a * price_part + (1 - a) * emission_part``, with a part weighted by
+    zero left out, so that a part that overflowed to inf cannot turn the
+    cost into ``0 * inf = NaN``."""
+    price = a * price_part if a != 0.0 else 0.0
+    emission = (1.0 - a) * emission_part if a != 1.0 else 0.0
+    return price + emission

@@ -5,7 +5,8 @@ power), a generator bus 1 carrying flexible demand, and a generator bus 2
 hosting the remainder of a shiftable load block ``L``.  Everything downstream
 (dispatch, closed forms, sweeps) consumes the immutable scenario value defined
 here, and the regime analysis is only meaningful when :func:`validate` passes.
-:func:`csv_number` is the number format every CSV writer shares.
+Every CSV line comes from :func:`csv_row` (the one row format) or
+:func:`csv_lines` (the one table writer), both through :func:`csv_number`.
 """
 
 from __future__ import annotations
@@ -324,8 +325,16 @@ def parse_scenario(text: str) -> ThreeBusScenario:
 
 
 def parse_scenario_file(path) -> ThreeBusScenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    """:func:`parse_scenario` on a UTF-8 file; a leading byte-order mark is
+    skipped (not by "utf-8-sig", whose error offsets start after it)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})", line) from None
+    return parse_scenario(text)
 
 
 def serialize_scenario(s: ThreeBusScenario) -> str:
@@ -336,6 +345,32 @@ def serialize_scenario(s: ThreeBusScenario) -> str:
 def csv_number(x: float) -> str:
     """Fixed 12-significant-digit rendering used by every CSV writer."""
     return f"{x:.12g}"
+
+
+def csv_row(values) -> str:
+    """One CSV line: numbers through :func:`csv_number`, strings as they are."""
+    return ",".join([v if isinstance(v, str) else csv_number(v) for v in values])
+
+
+def csv_lines(header: str, columns) -> list[str]:
+    """The ``header`` line, then one :func:`csv_row` line per entry of the
+    equally long ``columns``, each a column of numbers or of strings.
+
+    Each distinct value of a number column is formatted once.  Values are
+    keyed by their bit pattern, not compared as floats, because ``0.0`` and
+    ``-0.0`` are equal yet print as ``0`` and ``-0``.
+    """
+    texts = []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype.kind in "OU":
+            texts.append(column.tolist())
+            continue
+        bits = column.astype(np.float64, copy=False).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        formatted = [csv_number(x) for x in distinct.view(np.float64).tolist()]
+        texts.append(np.array(formatted, dtype=object)[inverse].tolist())
+    return [header, *map(",".join, zip(*texts))]
 
 
 def write_scenario_file(s: ThreeBusScenario, path) -> None:

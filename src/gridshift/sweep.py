@@ -10,19 +10,21 @@ the LP solve to the CSV or the report: the dispatch comes as
 :class:`~gridshift.dispatch.DispatchColumns`, the closed forms are
 evaluated on the whole grid with
 :meth:`~gridshift.closed_form.PiecewiseObjective.at`, the settlement costs
-elementwise, and :func:`sweep_csv_lines` formats its rows straight from
-those arrays; :func:`sweep_points` wraps the same columns in
-:class:`SweepPoint` objects.  :func:`verify_scenario` reduces its columns
-to worst cases with numpy reductions, through which a NaN passes (and
-fails the check).
+elementwise, and :func:`sweep_csv_lines` writes those arrays through
+:func:`~gridshift.grid_model.csv_lines`; :func:`sweep_points` wraps the same
+columns in :class:`SweepPoint` objects.  :func:`verify_scenario` reduces its
+columns to worst cases with numpy reductions, through which a NaN passes
+(and fails the check).
 
 A capacity heatmap is one call to
 :func:`~gridshift.closed_form.classify_alignment_grid` over the flattened
 (F01, F12) grid: only the shift threshold varies between cells, so every
 cell is classified by the same array expressions and no per-cell scenario is
-built.  :func:`heatmap_csv_lines` formats its rows straight from those
-arrays; :func:`heatmap_cells` wraps the same arrays in :class:`HeatmapCell`
-objects.
+built.  :func:`heatmap_csv_lines` writes those arrays, and the boundary
+rows, through :func:`~gridshift.grid_model.csv_lines`, which formats the
+many repeats of a scan (axis values, shared optima, all-NaN invalid cells)
+once each; :func:`heatmap_cells` wraps the same arrays in
+:class:`HeatmapCell` objects.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 
 from . import lp_core
 from .closed_form import (
-    AlignmentGrid,
     DegenerateWeightsError,
     classify_alignment_grid,
     cutoff,
@@ -46,7 +47,7 @@ from .dispatch import (
     solve_ed_columns,
     sw_cost_numeric,
 )
-from .grid_model import ThreeBusScenario, csv_number, tau
+from .grid_model import ThreeBusScenario, csv_lines, csv_row, tau
 
 #: Grid points this close to the threshold are excluded from the cold
 #: cross-check: a cold solve of the degenerate vertex there may stop in
@@ -95,39 +96,30 @@ class SweepPoint:
 
     def to_csv_row(self) -> str:
         """This point's line of :func:`sweep_csv_lines`."""
-        return _csv_row(**vars(self))
+        return csv_row(_sweep_fields(**vars(self)))
 
 
-def _csv_row(delta, dc_analytic, dc_numeric, sw_analytic, sw_numeric, regime, lambda1, pi1) -> str:
-    """One sweep CSV line from the fields of a :class:`SweepPoint`."""
-    return ",".join(
-        (
-            csv_number(delta),
-            csv_number(dc_analytic),
-            csv_number(dc_numeric),
-            csv_number(abs(dc_analytic - dc_numeric)),
-            csv_number(sw_analytic),
-            csv_number(sw_numeric),
-            csv_number(abs(sw_analytic - sw_numeric)),
-            csv_number(sw_numeric - dc_numeric),
-            regime,
-            csv_number(lambda1),
-            csv_number(pi1),
-        )
+def _sweep_fields(delta, dc_analytic, dc_numeric, sw_analytic, sw_numeric, regime, lambda1, pi1):
+    """The fields of a :class:`SweepPoint` (or its columns) in
+    :data:`SWEEP_HEADER` order: each objective's cross-path gap after its
+    two values, and the residual after the system cost."""
+    return (
+        delta, dc_analytic, dc_numeric, abs(dc_analytic - dc_numeric),
+        sw_analytic, sw_numeric, abs(sw_analytic - sw_numeric), sw_numeric - dc_numeric,
+        regime, lambda1, pi1,
     )
 
 
-def _sweep_columns(s: ThreeBusScenario, resolution: int) -> list[list]:
+def _sweep_columns(s: ThreeBusScenario, resolution: int) -> tuple[np.ndarray, ...]:
     """Both objectives along the shift grid by both routes, as the columns
-    of :class:`SweepPoint` in field order (lists of Python floats and
-    strings)."""
+    of :class:`SweepPoint` in field order."""
     dc_objective, sw_objective = objectives(s)
     out = solve_ed_columns(s, delta_grid(s.L, resolution))
     d = out.delta
     # Python floats overflow to inf and turn invalid (NaN) without a
     # warning; so do these columns, which must give the same floats.
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = (
+        return (
             d,
             dc_objective.at(d),
             dc_cost_numeric(s, out),
@@ -137,7 +129,6 @@ def _sweep_columns(s: ThreeBusScenario, resolution: int) -> list[list]:
             out.lmp[1],
             out.lme[1],
         )
-    return [c.tolist() for c in columns]
 
 
 def sweep_points(s: ThreeBusScenario, resolution: int = 200) -> list[SweepPoint]:
@@ -150,12 +141,15 @@ def sweep_points(s: ThreeBusScenario, resolution: int = 200) -> list[SweepPoint]
     off the LP's pieces (one solve, one pivot per break);
     :func:`verify_scenario` is the check that cold-solves every point.
     """
-    return [SweepPoint(*row) for row in zip(*_sweep_columns(s, resolution))]
+    columns = (c.tolist() for c in _sweep_columns(s, resolution))
+    return [SweepPoint(*row) for row in zip(*columns)]
 
 
 def sweep_csv_lines(s: ThreeBusScenario, resolution: int = 200) -> list[str]:
     """:func:`sweep_points` as CSV, formatted straight from its columns."""
-    return [SWEEP_HEADER] + [_csv_row(*row) for row in zip(*_sweep_columns(s, resolution))]
+    columns = _sweep_columns(s, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats
+        return csv_lines(SWEEP_HEADER, _sweep_fields(*columns))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,26 +170,15 @@ class HeatmapCell:
     verdict: str  # "aligned" | "misaligned" | "invalid"
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            (
-                csv_number(self.F01),
-                csv_number(self.F12),
-                csv_number(self.delta_star_sw),
-                csv_number(self.delta_star_dc),
-                csv_number(self.sw_at_sw_opt),
-                csv_number(self.sw_at_dc_opt),
-                csv_number(self.ratio),
-                self.verdict,
-            )
-        )
+        """This cell's line of :func:`heatmap_csv_lines` (fields in order)."""
+        return csv_row(vars(self).values())
 
 
-def _heatmap_grid(
+def _heatmap_columns(
     s: ThreeBusScenario, f01_values: np.ndarray, f12_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, AlignmentGrid, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, ...]:
     """Classify every (F01, F12) pair of the two axes, row-major with F01
-    outer: the cells' line limits, the grid, and its numeric heatmap columns
-    in CSV order."""
+    outer: the columns of :class:`HeatmapCell` in field order."""
     f01, f12 = np.meshgrid(
         np.asarray(f01_values, dtype=float),
         np.asarray(f12_values, dtype=float),
@@ -203,14 +186,10 @@ def _heatmap_grid(
     )
     f01, f12 = f01.ravel(), f12.ravel()
     grid = classify_alignment_grid(s, f01, f12)
-    numbers = (
-        grid.delta_star_sw,
-        grid.delta_star_dc,
-        grid.sw_at_sw_choice,
-        grid.sw_at_dc_choice,
-        grid.suboptimality_ratio,
+    return (
+        f01, f12, grid.delta_star_sw, grid.delta_star_dc,
+        grid.sw_at_sw_choice, grid.sw_at_dc_choice, grid.suboptimality_ratio, grid.verdict,
     )
-    return f01, f12, grid, numbers
 
 
 def heatmap_cells(
@@ -224,9 +203,8 @@ def heatmap_cells(
     re-derives everything from its grid values.  All classification here is
     closed-form, so the scan involves no LP solves.
     """
-    f01, f12, grid, numbers = _heatmap_grid(s, f01_values, f12_values)
-    columns = (f01, f12, *numbers, grid.verdict)
-    return [HeatmapCell(*row) for row in zip(*(c.tolist() for c in columns))]
+    columns = (c.tolist() for c in _heatmap_columns(s, f01_values, f12_values))
+    return [HeatmapCell(*row) for row in zip(*columns)]
 
 
 def alignment_cutoffs(s: ThreeBusScenario) -> tuple[float, float]:
@@ -274,27 +252,10 @@ def heatmap_csv_lines(
         raise ValueError("resolution must be at least 2")
     f01_values = np.linspace(f01_range[0], f01_range[1], resolution)
     f12_values = np.linspace(f12_range[0], f12_range[1], resolution)
-    _, _, grid, numbers = _heatmap_grid(s, f01_values, f12_values)
-    # Rows come straight from the arrays in one pass: each axis value is
-    # formatted once, each valid cell's numbers once, and every invalid cell
-    # shares one tail.
-    invalid_tail = ",".join([csv_number(math.nan)] * len(numbers) + ["invalid"])
-    valid = grid.valid
-    valid_tails = map(
-        ",".join,
-        zip(*(map(csv_number, c[valid].tolist()) for c in numbers), grid.verdict[valid].tolist()),
+    return (
+        csv_lines(HEATMAP_HEADER, _heatmap_columns(s, f01_values, f12_values)),
+        csv_lines(BOUNDARY_HEADER, zip(*boundary_rows(s, f12_values))),
     )
-    f12_text = [csv_number(f12) for f12 in f12_values.tolist()]
-    heads = (f"{f01},{f12}" for f01 in map(csv_number, f01_values.tolist()) for f12 in f12_text)
-    cell_lines = [HEATMAP_HEADER] + [
-        f"{head},{next(valid_tails) if ok else invalid_tail}"
-        for head, ok in zip(heads, valid.tolist())
-    ]
-    boundary_lines = [BOUNDARY_HEADER] + [
-        ",".join((csv_number(f12), csv_number(a), csv_number(b)))
-        for f12, a, b in boundary_rows(s, f12_values)
-    ]
-    return cell_lines, boundary_lines
 
 
 def default_f01_range(s: ThreeBusScenario, f12_range: tuple[float, float]) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (exit codes and output)."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -136,10 +137,10 @@ class TestVerifyCommand:
         assert "result: FAIL" in capsys.readouterr().out
 
     def test_nan_deviation_exits_3(self, tmp_path, capsys):
-        # A valid scenario whose numeric system cost is NaN (see
+        # A valid scenario whose system-cost deviation is NaN (see
         # tests/test_sweep.py) must not verify.
         path = tmp_path / "ceiling.txt"
-        s = scenario_gen.canonical_scenario(c1=2e307, c2=1e308, alpha_dc=0.0, alpha_sw=0.0)
+        s = scenario_gen.canonical_scenario(c1=2e307, c2=1e308, alpha_dc=0.0, alpha_sw=1.0)
         write_scenario_file(s, path)
         rc = cli.main(["verify", "--scenario", str(path)])
         out = capsys.readouterr().out
@@ -163,6 +164,24 @@ class TestErrorPaths:
         rc = cli.main(["sweep", "--scenario", str(path)])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"c1 = 1\n# caf\xe9\n")
+        rc = cli.main(["sweep", "--scenario", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 2: byte 12 is not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_byte_order_mark_is_skipped(self, canonical_path, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        text = pathlib.Path(canonical_path).read_bytes()
+        path.write_bytes(b"\xef\xbb\xbf# written with a byte-order mark\n" + text)
+        assert cli.main(["sweep", "--scenario", canonical_path, "--resolution", "5"]) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(["sweep", "--scenario", str(path), "--resolution", "5"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--scenario", str(tmp_path / "nope.txt")])

@@ -13,7 +13,9 @@ from gridshift.grid_model import (
     ThreeBusScenario,
     bundled_scenario_names,
     bundled_scenario_path,
+    csv_lines,
     csv_number,
+    csv_row,
     eta,
     parse_scenario,
     parse_scenario_file,
@@ -198,6 +200,18 @@ class TestCsvNumber:
         assert csv_number(2.0) == "2"
         assert csv_number(-0.0) == "-0"
         assert csv_number(1.0 / 3.0) == "0.333333333333"
+
+    def test_table_writer_formats_like_rows_on_hostile_columns(self):
+        # csv_lines formats each distinct float once; 0.0 and -0.0 compare
+        # equal but print differently, so each must keep its own text.
+        nan, inf = float("nan"), float("inf")
+        numbers = [0.0, -0.0, nan, inf, -inf, 0.6000000000000001, -0.0, 0.0, nan, -inf, 0.6, -0.0]
+        labels = [f"r{i}" for i in range(len(numbers))]
+        lines = csv_lines("x,label", [np.array(numbers), labels])
+        assert lines == ["x,label"] + [csv_row(row) for row in zip(numbers, labels)]
+        zeros = [line.split(",")[0] for line, x in zip(lines[1:], numbers) if x == 0.0]
+        assert zeros == ["0", "-0", "-0", "0", "-0"]
+        assert lines[6] == "0.6,r5"
 
 
 class TestBundledScenarios:

@@ -145,6 +145,18 @@ class TestSweep:
         with pytest.raises(ScenarioInvalidError):
             sweep_points(scenario_gen.canonical_scenario(c2=0.5))
 
+    def test_zero_weighted_overflow_stays_out(self):
+        # Offers near the float ceiling pass validation, and the system
+        # settlement's price part overflows to inf; weighted by zero it must
+        # drop out rather than make the numeric costs 0 * inf = NaN.
+        s = scenario_gen.canonical_scenario(c1=2e307, c2=1e308, alpha_dc=0.0, alpha_sw=0.0)
+        assert grid_model.validate(s).valid
+        assert sweep_csv_lines(s, 3)[1] == "0,2,2,0,4,4,0,2,renewable,0,0"
+        for p in sweep_points(s, 200):
+            fields = (p.dc_analytic, p.dc_numeric, p.sw_analytic, p.sw_numeric, p.residual)
+            assert all(math.isfinite(v) for v in fields), p
+        assert verify_scenario(s).passed
+
     def test_solves_once_per_basis(self, monkeypatch):
         # Two price regimes, one solve: the walk solves at shift 0 and
         # reaches the right regime by one pivot.  linspace(0, 1, 11) puts a
@@ -527,11 +539,11 @@ class TestVerification:
             assert report.passed, report.to_text()
 
     def test_nan_deviation_fails(self):
-        # Offers near the float ceiling pass validation, but the system
-        # settlement of every point but the last overflows to inf, and with
-        # alpha_sw = 0 its price part is weighted by zero: the numeric
-        # system cost is NaN.  The worst case must carry the NaN and fail.
-        s = scenario_gen.canonical_scenario(c1=2e307, c2=1e308, alpha_dc=0.0, alpha_sw=0.0)
+        # Offers near the float ceiling pass validation, but with
+        # alpha_sw = 1 the system cost of every point but the last
+        # overflows to inf on both routes, and inf - inf is a NaN deviation.
+        # The worst case must carry the NaN and fail.
+        s = scenario_gen.canonical_scenario(c1=2e307, c2=1e308, alpha_dc=0.0, alpha_sw=1.0)
         assert grid_model.validate(s).valid
         report = verify_scenario(s)
         assert math.isnan(report.max_sw_deviation)
