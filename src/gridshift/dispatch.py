@@ -14,9 +14,9 @@ cross-check the closed-form objectives numerically.
 
 Both routes carry a grid of shifts as columns (:class:`DispatchColumns`)
 from the solve to the settlement costs, which work elementwise on them; no
-per-shift object is built.  :func:`solve_ed`, :func:`solve_ed_grid` and
-:func:`solve_ed_detailed` build :class:`DispatchOutcome` rows from the
-columns only for their own callers.
+per-shift object is built.  :func:`solve_ed` and :func:`solve_ed_detailed`
+are one-shift faces: row 0 of :func:`solve_ed_columns` and of the cold
+route, as one :class:`DispatchOutcome`.
 """
 
 from __future__ import annotations
@@ -186,19 +186,16 @@ def _diagnose_infeasible(s: ThreeBusScenario, delta: float) -> DispatchInfeasibl
     )
 
 
-def _outcomes(columns: DispatchColumns) -> list[DispatchOutcome]:
-    """One outcome per shift, from its rows of ``columns``."""
-    return [
-        DispatchOutcome(d, *x, tuple(lmp), tuple(lme), cost, flag)
-        for d, x, lmp, lme, cost, flag in zip(
-            columns.delta.tolist(),
-            columns.flows.tolist(),
-            columns.lmp.T.tolist(),
-            columns.lme.T.tolist(),
-            columns.total_cost.tolist(),
-            columns.degenerate.tolist(),
-        )
-    ]
+def _outcome(columns: DispatchColumns, i: int) -> DispatchOutcome:
+    """The outcome at shift ``i`` of ``columns``."""
+    return DispatchOutcome(
+        float(columns.delta[i]),
+        *columns.flows[i].tolist(),
+        tuple(columns.lmp[:, i].tolist()),
+        tuple(columns.lme[:, i].tolist()),
+        float(columns.total_cost[i]),
+        bool(columns.degenerate[i]),
+    )
 
 
 def _prices(s: ThreeBusScenario, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,17 +317,12 @@ def solve_ed_detailed(
     callers can run independent optimality checks on it.  The prices are
     those of the basis the simplex stopped in: at a break, either one."""
     _, _, sols, columns = _solve_ed_cold(s, [delta])
-    return _outcomes(columns)[0], sols.rows()[0]
+    return _outcome(columns, 0), lp_core._solution(sols, 0)
 
 
 def solve_ed(s: ThreeBusScenario, delta: float) -> DispatchOutcome:
-    """:func:`solve_ed_grid` at one shift."""
-    return solve_ed_grid(s, [delta])[0]
-
-
-def solve_ed_grid(s: ThreeBusScenario, deltas: Iterable[float]) -> list[DispatchOutcome]:
-    """:func:`solve_ed_columns` as one :class:`DispatchOutcome` per shift."""
-    return _outcomes(solve_ed_columns(s, deltas))
+    """:func:`solve_ed_columns` at one shift."""
+    return _outcome(solve_ed_columns(s, [delta]), 0)
 
 
 def solve_ed_columns(s: ThreeBusScenario, deltas: Iterable[float]) -> DispatchColumns:

@@ -293,13 +293,16 @@ def eta(s: ThreeBusScenario, bus: int, agent: str) -> float:
 def parse_scenario(text: str) -> ThreeBusScenario:
     """Parse ``key = value`` scenario text.
 
-    ``#`` starts a comment (full-line or trailing), blank lines are skipped,
-    every key in :data:`SCENARIO_KEYS` must appear exactly once, and no other
-    keys are allowed.  Values round-trip exactly through
-    :func:`serialize_scenario` because both sides use ``repr`` floats.
+    Lines end at a line feed only (a carriage return before it is dropped),
+    so line numbers count the file's lines.  ``#`` starts a comment
+    (full-line or trailing), blank lines are skipped, every key in
+    :data:`SCENARIO_KEYS` must appear exactly once, and no other keys are
+    allowed.  Values round-trip exactly through :func:`serialize_scenario`
+    because both sides use ``repr`` floats.
     """
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -18,17 +18,15 @@ stacked product and solve does the arithmetic a lone solve does, so a batch
 changes no bit of any solution.  The lock-step core takes the LP data as
 stacked arrays and returns the solutions as columns (:class:`LpSolutions`).
 :func:`solve_rhs` solves one LP at a stack of right-hand sides with no LP
-object per row; :func:`solve_many` stacks a list of LPs and returns one
-:class:`LpSolution` each, and :func:`solve` is a batch of one.
-:func:`kkt_residuals` certifies a stack the same way, and
-:func:`verify_kkt_many` wraps it for a list of LPs.
+object per row, and :func:`solve` is row 0 of a one-row stack.
+:func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
+is its one-LP face.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +56,7 @@ except ImportError:  # pragma: no cover - a numpy that moved its internals
 
 
 class LpInputError(ValueError):
-    """Malformed problem data: shape mismatch, NaN entries, or lo > hi."""
+    """Malformed problem data: shape mismatch, NaN, lo > hi, or a box with no real point."""
 
 
 class SolverFailure(RuntimeError):
@@ -69,8 +67,8 @@ class SolverFailure(RuntimeError):
 class LinearProgram:
     """``min objective . x`` with ``eq_matrix @ x == eq_rhs`` and box bounds.
 
-    Arrays are copied and frozen at construction; bounds may be +/-inf but
-    never NaN, and every lower bound must not exceed its upper bound.
+    Arrays are copied and frozen at construction; bounds may be -inf below
+    and +inf above but never NaN, and no lower bound may exceed its upper.
     """
 
     objective: np.ndarray
@@ -108,6 +106,10 @@ class LinearProgram:
                 raise LpInputError("bounds may be infinite but not NaN")
             bad = int(np.argmax(lo - hi))
             raise LpInputError(f"lower bound exceeds upper bound for variable {bad}")
+        empty = np.isposinf(lo) | np.isneginf(hi)
+        if empty.any():
+            bad = int(np.argmax(empty))
+            raise LpInputError(f"variable {bad} has no real point in [{lo[bad]}, {hi[bad]}]")
         # The arrays above are this LP's own copies; freeze them in place.
         for name, arr in (
             ("objective", c),
@@ -130,7 +132,7 @@ class LinearProgram:
 
 @dataclasses.dataclass(frozen=True)
 class LpSolution:
-    """Result of :func:`solve` or of one LP of :func:`solve_many`.
+    """Result of :func:`solve`: one row of :class:`LpSolutions`.
 
     ``duals`` are the simplex multipliers of the terminating basis, i.e. the
     sensitivity of the optimal objective to each equality right-hand side.
@@ -149,8 +151,8 @@ class LpSolution:
 
 
 class LpSolutions(NamedTuple):
-    """Result of :func:`solve_rhs`, and inside :func:`solve_many`: the fields
-    of :class:`LpSolution` as columns, one row per LP of the stack.
+    """Result of :func:`solve_rhs`: the fields of :class:`LpSolution` as
+    columns, one row per LP of the stack.
 
     ``status`` holds each LP's label; ``primal``, ``duals``,
     ``reduced_costs`` and ``objective_value`` are NaN in the rows of LPs that
@@ -167,26 +169,23 @@ class LpSolutions(NamedTuple):
     objective_value: np.ndarray
     iterations: np.ndarray
 
-    def rows(self) -> list[LpSolution]:
-        """One :class:`LpSolution` per LP, in stack order."""
-        n = self.primal.shape[1]
-        bases = self.basis.tolist()
-        objective = self.objective_value.tolist()
-        iterations = self.iterations.tolist()
-        return [
-            LpSolution(
-                OPTIMAL,
-                self.primal[i],
-                self.duals[i],
-                self.reduced_costs[i],
-                tuple(j for j in bases[i] if j < n),
-                objective[i],
-                iterations[i],
-            )
-            if status == OPTIMAL
-            else LpSolution(status, None, None, None, (), None, iterations[i])
-            for i, status in enumerate(self.status)
-        ]
+
+def _solution(sols: LpSolutions, i: int) -> LpSolution:
+    """Row ``i`` of ``sols`` as an :class:`LpSolution`, without the
+    placeholders of linearly dependent rows in its basis."""
+    iterations = int(sols.iterations[i])
+    if sols.status[i] != OPTIMAL:
+        return LpSolution(sols.status[i], None, None, None, (), None, iterations)
+    n = sols.primal.shape[1]
+    return LpSolution(
+        OPTIMAL,
+        sols.primal[i],
+        sols.duals[i],
+        sols.reduced_costs[i],
+        tuple(j for j in sols.basis[i].tolist() if j < n),
+        float(sols.objective_value[i]),
+        iterations,
+    )
 
 
 #: Batches up to this many LPs take their pivot steps one LP at a time in
@@ -452,49 +451,23 @@ def _refresh_basics(runs: _Runs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return fb, BT
 
 
-def solve_many(lps: Sequence[LinearProgram]) -> list[LpSolution]:
-    """Run the two-phase bounded-variable simplex method on every LP of
-    ``lps``, which must share one shape; solution ``i`` belongs to LP ``i``.
-
-    Each LP runs its own simplex: phase 1 minimizes the total artificial
-    infeasibility from a deterministic starting point (every variable at its
-    lower bound when finite, otherwise its upper bound, otherwise zero), and
-    phase 2 reoptimizes the true objective with the artificials pinned to
-    zero, each with its own pricing, Bland switch and pivot count.  Only the
-    numpy calls are shared: each pivot round prices every LP of the batch in
-    stacked calls, then solves for the pivot columns of the LPs still
-    pivoting in one stacked call and ratio-tests them together.  Every LP
-    does the arithmetic it would do alone, so its solution does not depend
-    on the rest of the batch, to the bit.
-
-    Raises :class:`LpInputError` on an empty batch or mixed shapes, and
-    :class:`SolverFailure`, naming the LP, if one exhausts the iteration
-    budget ``max(200, 10 * (variables + rows))`` or meets a singular basis.
-    """
-    lps = list(lps)
-    if not lps:
-        raise LpInputError("solve_many needs at least one LP")
-    m, n = lps[0].eq_matrix.shape
-    if any(lp.eq_matrix.shape != (m, n) for lp in lps):
-        raise LpInputError(f"solve_many needs LPs of one shape; LP 0 is {m}x{n}")
-    return _solve_arrays(
-        np.array([lp.objective for lp in lps]),
-        np.array([lp.eq_matrix for lp in lps]),
-        np.array([lp.eq_rhs for lp in lps]),
-        np.array([lp.lower_bounds for lp in lps]),
-        np.array([lp.upper_bounds for lp in lps]),
-    ).rows()
-
-
 def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
-    """``lp`` solved at every row of ``rhs``, a ``(k, rows)`` stack of
-    equality right-hand sides, in one lock-step batch: row ``i`` of the
-    result is, to the bit, what :func:`solve_many` gives for ``lp`` with
-    ``rhs[i]`` as its right-hand side.  No LP object is built per row: the
-    other arrays of ``lp`` are repeated straight into the stack.
+    """Run the two-phase bounded-variable simplex method on ``lp`` at every
+    row of ``rhs``, a ``(k, rows)`` stack of equality right-hand sides, in
+    one lock-step batch with no LP object per row.
+
+    Phase 1 minimizes the total artificial infeasibility from a
+    deterministic start (every variable at its lower bound when finite,
+    otherwise its upper bound, otherwise zero), and phase 2 reoptimizes the
+    true objective with the artificials pinned to zero.  Each row has its
+    own pricing, Bland switch and pivot count, and the rows share only the
+    numpy calls, so row ``i`` is, to the bit, what the LP with right-hand
+    side ``rhs[i]`` gets alone.
 
     Raises :class:`LpInputError` if ``rhs`` is not such a stack, with at
-    least one row, of finite numbers, and otherwise as :func:`solve_many`.
+    least one row, of finite numbers, and :class:`SolverFailure`, naming the
+    row, if one exhausts the iteration budget
+    ``max(200, 10 * (variables + rows))`` or meets a singular basis.
     """
     b = np.array(rhs, dtype=float)
     m, n = lp.eq_matrix.shape
@@ -648,17 +621,17 @@ def _solve_stack(
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Run the two-phase bounded-variable simplex method on ``lp``: the
-    simplex of :func:`solve_many`, on a batch of one."""
-    return solve_many([lp])[0]
+    """Run the two-phase bounded-variable simplex method on ``lp``: row 0 of
+    :func:`solve_rhs` at the one right-hand side of ``lp``."""
+    return _solution(solve_rhs(lp, lp.eq_rhs[None]), 0)
 
 
 @dataclasses.dataclass(frozen=True)
 class KktReport:
     """Worst-case optimality-condition residuals for a claimed solution.
 
-    ``violations`` lists every check whose residual exceeds ``tolerance``;
-    an empty list certifies the solution to that tolerance.
+    ``violations`` lists every check whose residual is not within
+    ``tolerance``; an empty list certifies the solution to that tolerance.
     """
 
     primal_feasibility: float
@@ -678,43 +651,18 @@ def verify_kkt(lp: LinearProgram, sol: LpSolution, tolerance: float = 1e-8) -> K
     The reduced costs are recomputed from ``sol.duals`` rather than trusted
     from the solution, so this is an independent certificate of optimality:
     all three residuals within ``tolerance`` proves ``sol`` optimal for ``lp``
-    up to that tolerance.  Requires ``sol.status == OPTIMAL``.
+    up to that tolerance, and a NaN residual is a violation.  Requires
+    ``sol.status == OPTIMAL``.
     """
-    return verify_kkt_many([lp], [sol], tolerance)[0]
-
-
-def verify_kkt_many(
-    lps: Sequence[LinearProgram], sols: Sequence[LpSolution], tolerance: float = 1e-8
-) -> list[KktReport]:
-    """:func:`verify_kkt` for every pair of ``lps`` and ``sols``, which must
-    share one shape, in one stacked check (:func:`kkt_residuals`); report
-    ``i`` certifies solution ``i`` for LP ``i`` with the arithmetic of the
-    check on that pair alone."""
-    lps, sols = list(lps), list(sols)
-    if not lps or len(lps) != len(sols):
-        raise LpInputError("KKT verification needs one solution per LP, at least one")
-    if any(lp.eq_matrix.shape != lps[0].eq_matrix.shape for lp in lps):
-        raise LpInputError("stacked KKT verification needs LPs of one shape")
-    if any(sol.status != OPTIMAL for sol in sols):
+    if sol.status != OPTIMAL:
         raise LpInputError("KKT verification needs an optimal solution")
-    residuals = kkt_residuals(
-        np.array([lp.objective for lp in lps]),
-        np.array([lp.eq_matrix for lp in lps]),
-        np.array([lp.eq_rhs for lp in lps]),
-        np.array([lp.lower_bounds for lp in lps]),
-        np.array([lp.upper_bounds for lp in lps]),
-        np.array([sol.primal for sol in sols]),
-        np.array([sol.duals for sol in sols]),
-        tolerance,
-    )
+    # The LP's own arrays broadcast against the one-row stack of the point.
+    arrays = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.lower_bounds, lp.upper_bounds)
+    residuals = kkt_residuals(*arrays, np.array([sol.primal]), np.array([sol.duals]), tolerance)
+    values = [float(r[0]) for r in residuals]
     names = ("primal feasibility", "dual feasibility", "complementary slackness")
-    reports = []
-    for values in zip(*(r.tolist() for r in residuals)):
-        violations = ()
-        if not max(values) <= tolerance:
-            violations = tuple((name, v) for name, v in zip(names, values) if v > tolerance)
-        reports.append(KktReport(*values, violations=violations, tolerance=tolerance))
-    return reports
+    violations = tuple((name, v) for name, v in zip(names, values) if not v <= tolerance)
+    return KktReport(*values, violations=violations, tolerance=tolerance)
 
 
 def kkt_residuals(

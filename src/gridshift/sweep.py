@@ -7,7 +7,8 @@ no timestamps, locales, or dict-ordering tricks are allowed anywhere.
 
 A sweep, and the verification gate, carry the shift grid as columns from
 the LP solve to the CSV or the report: the dispatch comes as
-:class:`~gridshift.dispatch.DispatchColumns`, the closed forms are
+:class:`~gridshift.dispatch.DispatchColumns` (for a sweep off the pieces,
+for the gate from one stack of cold solves), the closed forms are
 evaluated on the whole grid with
 :meth:`~gridshift.closed_form.PiecewiseObjective.at`, the settlement costs
 elementwise, and :func:`sweep_csv_lines` writes those arrays through

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lp_oracle
+import lp_stack
 import scenario_gen
 from gridshift import cli
 from gridshift.closed_form import (
@@ -31,7 +32,7 @@ from gridshift.grid_model import (
     tau,
     write_scenario_file,
 )
-from gridshift.lp_core import OPTIMAL, solve_many, verify_kkt_many
+from gridshift.lp_core import OPTIMAL, kkt_residuals
 from gridshift.sweep import (
     alignment_cutoffs,
     default_f01_range,
@@ -62,7 +63,7 @@ def test_criterion_1_closed_form_matches_dispatch_everywhere(capsys):
     # (grid points within 1e-6 of the threshold excluded: the LP's break and
     # the closed-form threshold agree only to rounding, so a point between
     # them may be priced on opposite sides of the kink).  The dispatch side
-    # is read off the LP's pieces (solve_ed_grid), which tests/test_dispatch.py
+    # is read off the LP's pieces (solve_ed_columns), which tests/test_dispatch.py
     # checks against a cold solve at every grid point, verify_scenario against
     # cold solves plus optimality checks, and tests/test_properties.py against
     # the closed forms with no grid.
@@ -227,9 +228,10 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
     # 10,000 random bounded LPs against the brute-force vertex enumerator:
     # statuses must agree, optima must match to 1e-8, and every optimal
     # solution must pass an independent optimality check at 1e-8.  The LPs
-    # are solved and checked in one batch per shape (each solution is the one
-    # its LP gets alone; tests/test_lp_core.py pins that to the bit).  Then
-    # the dispatch at the degenerate threshold vertex must still terminate.
+    # are solved and checked in one batch per shape (each solution, and each
+    # check, is the one its LP gets alone; tests/test_lp_core.py pins that to
+    # the bit).  Then the dispatch at the degenerate threshold vertex must
+    # still terminate.
     started = time.perf_counter()
     rng = np.random.default_rng(106)
     lps = [lp_oracle.random_bounded_lp(rng) for _ in range(10000)]
@@ -240,7 +242,7 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
     optimal_count = 0
     for group in by_shape.values():
         solved = []
-        for lp, sol in zip(group, solve_many(group)):
+        for lp, sol in zip(group, lp_stack.solve_stack(group)):
             expected = lp_oracle.reference_solve(lp)
             if sol.status != expected.status:
                 status_bad += 1
@@ -252,8 +254,13 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
                 objective_bad += 1
             solved.append((lp, sol))
         if solved:
-            reports = verify_kkt_many(*zip(*solved), tolerance=1e-8)
-            kkt_bad += sum(not report.ok for report in reports)
+            residuals = kkt_residuals(
+                *lp_stack.stack([lp for lp, _ in solved]),
+                np.array([sol.primal for _, sol in solved]),
+                np.array([sol.duals for _, sol in solved]),
+                1e-8,
+            )
+            kkt_bad += int(np.count_nonzero(~(np.max(residuals, axis=0) <= 1e-8)))
     scen_rng = np.random.default_rng(1106)
     degenerate_ok = 0
     for _ in range(50):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lp_oracle
+import lp_stack
 import scenario_gen
 from gridshift import lp_core
 from gridshift.dispatch import (
@@ -11,13 +12,13 @@ from gridshift.dispatch import (
     DeltaRangeError,
     DispatchInfeasibleError,
     build_ed,
-    _outcomes,
+    _outcome,
     _solve_ed_cold,
     dc_cost_numeric,
     pieces,
     solve_ed,
+    solve_ed_columns,
     solve_ed_detailed,
-    solve_ed_grid,
     sw_cost_numeric,
 )
 from gridshift.grid_model import tau
@@ -175,6 +176,11 @@ def _signals(priced) -> bytes:
     return _bits([*priced.lmp, *priced.lme])
 
 
+def _outcomes(columns):
+    """One outcome per shift of ``columns``."""
+    return [_outcome(columns, i) for i in range(len(columns.delta))]
+
+
 def _cold_rows(s, deltas):
     """The cold route's batch at ``deltas`` split per shift: each shift's
     own dispatch LP, outcome and solution."""
@@ -183,12 +189,12 @@ def _cold_rows(s, deltas):
         lp_core.LinearProgram(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds)
         for b in rhs
     ]
-    return lps, _outcomes(columns), sols.rows()
+    return lps, _outcomes(columns), lp_stack.rows(sols)
 
 
 def _assert_grid_matches_cold(s, deltas) -> int:
-    """``solve_ed_grid`` against a cold solve at every shift, all taken in one
-    batch.  Returns the number of shifts at which the cold solve is
+    """``solve_ed_columns`` against a cold solve at every shift, all taken in
+    one batch.  Returns the number of shifts at which the cold solve is
     degenerate.
 
     Each shift takes the prices of the piece holding it, the left one when
@@ -202,7 +208,7 @@ def _assert_grid_matches_cold(s, deltas) -> int:
     """
     walk = pieces(s)
     tol = lp_core.TOLERANCE * max(1.0, s.L)
-    grid = solve_ed_grid(s, deltas)
+    grid = _outcomes(solve_ed_columns(s, deltas))
     assert len(grid) == len(deltas)
     lps, colds, sols = _cold_rows(s, deltas)
     degenerate_points = 0
@@ -247,7 +253,7 @@ class TestGridDispatch:
         """The pieces against a cold solve at every grid point.
 
         ``sweep_points`` (and so acceptance criterion 1) reads its dispatch
-        from ``solve_ed_grid``, which solves once and pivots once per break.
+        from ``solve_ed_columns``, which solves once and pivots once per break.
         This is the cold per-point check of that route.  Every other
         scenario also gets shifts on the knife edges around its threshold.
         """
@@ -274,24 +280,24 @@ class TestGridDispatch:
         node = float(delta_grid(s.L, 11)[1])
         tol = lp_core.TOLERANCE * max(1.0, s.L)
         shifts = [node, left.end + tol, left.end + 2.0 * tol]
-        grid = solve_ed_grid(s, shifts)
+        grid = _outcomes(solve_ed_columns(s, shifts))
         assert [_signals(o) for o in grid] == [_signals(left)] * 2 + [_signals(right)]
         assert grid[0].degenerate
         solves = []
-        real_solve_many = lp_core.solve_many
+        real_solve_arrays = lp_core._solve_arrays
 
-        def solve_many(lps):
-            solves.extend(lps)
-            return real_solve_many(lps)
+        def solve_arrays(c, *arrays):
+            solves.extend(c)
+            return real_solve_arrays(c, *arrays)
 
-        monkeypatch.setattr(lp_core, "solve_many", solve_many)
+        monkeypatch.setattr(lp_core, "_solve_arrays", solve_arrays)
         assert solve_ed(s, node) == grid[0]
         assert len(solves) == 1
 
     def test_out_of_block_shift_rejected(self):
         s = scenario_gen.canonical_scenario()
         with pytest.raises(DeltaRangeError):
-            solve_ed_grid(s, [0.0, 0.5, s.L + 0.01])
+            solve_ed_columns(s, [0.0, 0.5, s.L + 0.01])
 
 
 class TestCostEvaluations:
@@ -343,6 +349,6 @@ class TestInfeasibility:
         cold, _ = solve_ed_detailed(s, 0.5)
         assert (solve_ed(s, 0.5).lmp, solve_ed(s, 0.5).lme) == (cold.lmp, cold.lme)
         with pytest.raises(DispatchInfeasibleError) as err:
-            solve_ed_grid(s, [0.0, 0.5, 0.9])
+            solve_ed_columns(s, [0.0, 0.5, 0.9])
         assert any("bus-2" in b for b in err.value.binding)
 

@@ -175,6 +175,20 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match="line 3: duplicate key 'c1'"):
             parse_scenario("\nc1 = 1.0\nc1 = 2.0\n")
 
+    def test_lines_end_at_line_feeds_only(self):
+        # Form feed, NEL and the ASCII and Unicode separators are not line
+        # ends: a key after one is part of the value before it, and line
+        # numbers count line feeds.  A carriage return before a line feed is
+        # dropped.
+        text = serialize_scenario(scenario_gen.canonical_scenario())
+        assert parse_scenario(text.replace("\n", "\r\n")) == parse_scenario(text)
+        joined = text.replace("\nc2 = ", "\x0cc2 = ", 1)
+        with pytest.raises(ScenarioParseError, match=r"line 1: could not parse value '1\.0\\x0cc2 = 2\.0'"):
+            parse_scenario(joined)
+        for separator in ("\x85", "\u2028", "\x1c"):
+            with pytest.raises(ScenarioParseError, match="line 2: unknown key 'w'"):
+                parse_scenario(f"# note{separator}more\nw = 3\n")
+
     def test_bad_number_reports_line(self):
         with pytest.raises(ScenarioParseError, match="line 1"):
             parse_scenario("c1 = cheap\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lp_oracle
+import lp_stack
 import scenario_gen
 from gridshift import lp_core
 from gridshift.dispatch import build_ed
@@ -20,10 +21,8 @@ from gridshift.lp_core import (
     SolverFailure,
     format_lp,
     solve,
-    solve_many,
     solve_rhs,
     verify_kkt,
-    verify_kkt_many,
 )
 
 INF = np.inf
@@ -94,6 +93,13 @@ class TestInputValidation:
         with pytest.raises(LpInputError):
             LinearProgram([np.nan], [[1.0]], [1.0], [0.0], [1.0])
 
+    def test_box_without_real_point_rejected(self):
+        # A lower bound of +inf or an upper bound of -inf leaves no real
+        # value for the variable, even where lo <= hi holds.
+        for lo, hi in ((INF, INF), (-INF, -INF), (0.0, -INF), (INF, 5.0)):
+            with pytest.raises(LpInputError, match="variable 1"):
+                LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, lo], [5.0, hi])
+
 
 class TestDegenerateClassic:
     def test_cycling_prone_problem_terminates(self):
@@ -146,6 +152,19 @@ class TestKktCertificate:
         # Both variables moved up 1e-3, so the row residual is 2e-3.
         assert report.primal_feasibility == pytest.approx(2e-3)
         assert any(name == "primal feasibility" for name, _ in report.violations)
+
+    def test_nan_is_a_violation(self):
+        # min x0 + 2 x1 with x0 + x1 = 1 in the box [0, 5]^2: a NaN in the
+        # point or in the duals makes a residual NaN, which certifies nothing.
+        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [5.0, 5.0])
+        sol = solve(lp)
+        assert verify_kkt(lp, sol).ok
+        for field in ("primal", "duals"):
+            values = getattr(sol, field).copy()
+            values[0] = np.nan
+            report = verify_kkt(lp, dataclasses.replace(sol, **{field: values}))
+            assert not report.ok
+            assert all(np.isnan(v) for _, v in report.violations)
 
 
 class TestDeterminism:
@@ -246,7 +265,7 @@ class TestPinnedTrace:
         assert max(map(len, by_shape.values())) > 100
         solutions = [None] * len(lps)
         for rows in by_shape.values():
-            for i, sol in zip(rows, solve_many([lps[i] for i in rows])):
+            for i, sol in zip(rows, lp_stack.solve_stack([lps[i] for i in rows])):
                 solutions[i] = sol
         assert trace_digest(solutions) == TRACE_SHA256
 
@@ -267,7 +286,7 @@ class TestPinnedTrace:
         solutions = [None] * len(lps)
         for rows in groups.values():
             stacked = solve_rhs(lps[rows[0]], [lps[i].eq_rhs for i in rows])
-            for i, sol in zip(rows, stacked.rows()):
+            for i, sol in zip(rows, lp_stack.rows(stacked)):
                 solutions[i] = sol
         assert trace_digest(solutions) == TRACE_SHA256
 
@@ -314,12 +333,14 @@ def _klee_minty(n: int, objective_scale: float = 1.0) -> LinearProgram:
 
 
 class TestSolveMany:
+    """LPs solved many at a time by the lock-step core."""
+
     def test_batch_member_equals_batch_of_one(self):
         lps = _mixed_batch()
-        batch = solve_many(lps)
+        batch = lp_stack.solve_stack(lps)
         assert {sol.status for sol in batch} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
         for lp, sol in zip(lps, batch):
-            (alone,) = solve_many([lp])
+            alone = solve(lp)
             assert trace_digest([sol]) == trace_digest([alone])
             assert sol.objective_value == alone.objective_value
 
@@ -330,27 +351,28 @@ class TestSolveMany:
 
     def test_small_batch_equals_one_at_a_time(self):
         lps = _mixed_batch()[:5]
-        assert trace_digest(solve_many(lps)) == trace_digest(solve(lp) for lp in lps)
+        assert trace_digest(lp_stack.solve_stack(lps)) == trace_digest(solve(lp) for lp in lps)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(LpInputError):
-            solve_many([])
+        with pytest.raises(LpInputError, match="rhs stack has shape"):
+            solve_rhs(toy_lp(), np.zeros((0, 1)))
 
     def test_mixed_shapes_rejected(self):
-        with pytest.raises(LpInputError):
-            solve_many([toy_lp(), LinearProgram([1.0], [[1.0]], [1.0], [0.0], [2.0])])
+        # A right-hand side of another LP's shape does not fit the stack.
+        with pytest.raises(LpInputError, match="rhs stack has shape"):
+            solve_rhs(toy_lp(), [[1.0, 2.0]])
 
     def test_exhausted_budget_names_the_lp(self):
         # 255 pivots on the 8-dimensional cube exceed the budget of 240.
         batch = [_klee_minty(8, 0.0), _klee_minty(8, 0.0), _klee_minty(8), _klee_minty(8, 0.0)]
         with pytest.raises(SolverFailure, match=r"LP 2: iteration budget 240 exhausted"):
-            solve_many(batch)
+            lp_stack.solve_stack(batch)
         # More cubes than lone scans: the budget runs out in the array step,
         # after the zero-objective cubes before and after them have stopped.
         cubes = [_klee_minty(8)] * (lp_core._SCAN_BATCH + 1)
         batch = [_klee_minty(8, 0.0)] * 3 + cubes + [_klee_minty(8, 0.0)]
         with pytest.raises(SolverFailure, match=r"LP 3: iteration budget 240 exhausted"):
-            solve_many(batch)
+            lp_stack.solve_stack(batch)
 
     def test_singular_basis_is_a_solver_failure(self, monkeypatch):
         real = lp_core._lapack_solve
@@ -378,10 +400,10 @@ class TestSolveMany:
             solve(LinearProgram(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds))
             for b in rhs
         ]
-        assert trace_digest(stacked.rows()) == trace_digest(alone)
+        assert trace_digest(lp_stack.rows(stacked)) == trace_digest(alone)
         assert stacked.status == (OPTIMAL, OPTIMAL, INFEASIBLE)
         assert np.isnan(stacked.primal[2]).all() and np.isnan(stacked.duals[2]).all()
-        for wrong_shape in ([7.0], [[1.0, 2.0]], np.zeros((0, 1)), [[[7.0]]]):
+        for wrong_shape in ([7.0], [[[7.0]]]):
             with pytest.raises(LpInputError, match="rhs stack has shape"):
                 solve_rhs(lp, wrong_shape)
         for not_finite in ([[7.0], [np.nan]], [[-np.inf]]):
@@ -391,21 +413,27 @@ class TestSolveMany:
 
 class TestKktMany:
     def test_stacked_reports_equal_single_checks(self):
+        # kkt_residuals on a stack of LPs that differ in every array gives
+        # each pair the residuals verify_kkt gives it alone, to the bit.
         lps = _mixed_batch()
-        pairs = [(lp, sol) for lp, sol in zip(lps, solve_many(lps)) if sol.status == OPTIMAL]
+        pairs = [(lp, sol) for lp, sol in zip(lps, lp_stack.solve_stack(lps)) if sol.status == OPTIMAL]
         tampered = dataclasses.replace(pairs[0][1], primal=pairs[0][1].primal + 1e-3)
         pairs.append((pairs[0][0], tampered))
-        reports = verify_kkt_many(*zip(*pairs))
-        assert reports == [verify_kkt(lp, sol) for lp, sol in pairs]
+        residuals = lp_core.kkt_residuals(
+            *lp_stack.stack([lp for lp, _ in pairs]),
+            np.array([sol.primal for _, sol in pairs]),
+            np.array([sol.duals for _, sol in pairs]),
+        )
+        reports = [verify_kkt(lp, sol) for lp, sol in pairs]
+        single = [[r.primal_feasibility, r.dual_feasibility, r.complementary_slackness] for r in reports]
+        assert np.array(residuals).T.tolist() == single
         assert all(r.ok for r in reports[:-1]) and not reports[-1].ok
 
-    def test_non_optimal_or_mixed_input_rejected(self):
+    def test_non_optimal_input_rejected(self):
         lp = toy_lp()
         sol = solve(lp)
         with pytest.raises(LpInputError):
-            verify_kkt_many([lp, lp], [sol])
-        with pytest.raises(LpInputError):
-            verify_kkt_many([lp], [dataclasses.replace(sol, status=INFEASIBLE)])
+            verify_kkt(lp, dataclasses.replace(sol, status=INFEASIBLE))
 
 
 class TestFormatDump:

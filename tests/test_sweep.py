@@ -45,19 +45,10 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def _count_lps(monkeypatch, name) -> list:
-    """Record every LP handed to ``lp_core.name`` (a batch entry point whose
-    first argument is the LPs) and pass each call through."""
-    lps = []
-    original = getattr(lp_core, name)
-
-    def counting(batch, *args, **kwargs):
-        batch = list(batch)
-        lps.extend(batch)
-        return original(batch, *args, **kwargs)
-
-    monkeypatch.setattr(lp_core, name, counting)
-    return lps
+def _batch_sizes(calls) -> list[int]:
+    """The number of LPs in each recorded call of the lock-step core
+    (``lp_core._solve_arrays``), through which every LP solve goes."""
+    return [len(c) for c, *_ in calls]
 
 
 def _count_constructions(monkeypatch, classes) -> collections.Counter:
@@ -162,12 +153,12 @@ class TestSweep:
         # reaches the right regime by one pivot.  linspace(0, 1, 11) puts a
         # node on the 0.1 threshold, whose degenerate vertex costs nothing
         # more: the node takes the left piece's prices.
-        solves = _count_lps(monkeypatch, "solve_many")
+        solves = _count_calls(monkeypatch, lp_core, "_solve_arrays")
         sweep_points(scenario_gen.canonical_scenario(), 200)
-        assert len(solves) == 1
+        assert _batch_sizes(solves) == [1]
         solves.clear()
         sweep_points(scenario_gen.canonical_scenario(), 11)
-        assert len(solves) == 1
+        assert _batch_sizes(solves) == [1]
 
     def test_validates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, closed_form, "validate")
@@ -504,11 +495,11 @@ class TestVerification:
 
         monkeypatch.setattr(lp_core, "solve_rhs", solve_rhs)
         monkeypatch.setattr(lp_core, "kkt_residuals", kkt_residuals)
-        lone = _count_lps(monkeypatch, "solve_many")
+        solves = _count_calls(monkeypatch, lp_core, "_solve_arrays")
         s = scenario_gen.canonical_scenario()
         report = verify_scenario(s, resolution=11)
         assert report.points_skipped == 1
-        assert not lone
+        assert _batch_sizes(solves) == [10]
         assert len(stacks) == len(checks) == 1
         ((lp, rhs), sols), = stacks
         assert len(rhs) == len(sols.primal) == 10
