@@ -8,6 +8,9 @@ each side of the threshold, so they can be written down directly and
 optimized by comparing two candidate points — no LP required.  The numeric
 dispatch path in :mod:`gridshift.dispatch` recomputes the same quantities
 independently; the two must agree, and the test suite holds them to that.
+
+:func:`classify_alignment` and :func:`classify_alignment_grid` read one
+derivation of every alignment field, elementwise over a grid's thresholds.
 """
 
 from __future__ import annotations
@@ -195,7 +198,8 @@ class AlignmentReport:
     cases, ``dc-full-sw-threshold`` is the classic split (the data center
     shifts everything while the system would stop at the threshold), and the
     reverse split ``dc-threshold-sw-full`` can only appear when the two
-    agents blend price and emissions with different weights.
+    agents blend price and emissions with different weights, or when the
+    bus-1 base load is negative.
     """
 
     delta_star_dc: float
@@ -237,32 +241,26 @@ class AlignmentReport:
         return "\n".join(lines)
 
 
-class _Alignment(NamedTuple):
-    dc_objective: PiecewiseObjective
-    sw_objective: PiecewiseObjective
-    dc: Shift
-    sw: Shift
-    aligned: bool
-    sw_at_dc_choice: float
-    suboptimality_ratio: float
-
-
-def _alignment(s: ThreeBusScenario, threshold) -> _Alignment:
-    """Both optima at ``threshold`` and what the data-center choice costs the
-    system; elementwise when ``threshold`` holds one value per grid cell."""
+def _alignment(s: ThreeBusScenario, threshold) -> tuple:
+    """Every :class:`AlignmentReport` field at ``threshold``, in field order;
+    elementwise when ``threshold`` holds one value per grid cell."""
     dc_objective = _objective(s, "dc", threshold)
     sw_objective = _objective(s, "sw", threshold)
     dc = _optimum(s, "dc", dc_objective)
     sw = _optimum(s, "sw", sw_objective)
     sw_at_dc_choice = sw_objective.at(dc.delta)
-    return _Alignment(
-        dc_objective=dc_objective,
-        sw_objective=sw_objective,
-        dc=dc,
-        sw=sw,
-        aligned=abs(dc.delta - sw.delta) <= DECISION_TOL,
-        sw_at_dc_choice=sw_at_dc_choice,
-        suboptimality_ratio=sw_at_dc_choice / sw.value,
+    dc_stops, sw_stops = (abs(x.delta - threshold) <= DECISION_TOL for x in (dc, sw))
+    # One division rule on both routes: x/0 is +-inf and 0/0 NaN, silently.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(sw_at_dc_choice, sw.value)
+    return (
+        dc.delta, sw.delta,
+        choose(abs(dc.delta - sw.delta) <= DECISION_TOL, "aligned", "misaligned"),
+        choose(dc_stops, choose(sw_stops, "both-threshold", "dc-threshold-sw-full"),
+               choose(sw_stops, "dc-full-sw-threshold", "both-full")),
+        sw_at_dc_choice, sw.value, sw_at_dc_choice - sw.value,
+        ratio if isinstance(ratio, np.ndarray) else float(ratio),
+        sw_at_dc_choice - dc.value, sw.value - dc_objective.at(sw.delta),
     )
 
 
@@ -271,37 +269,12 @@ def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:
 
     ``externality_at_dc_choice`` is the extra system cost caused by the
     data-center's shift relative to the system optimum, and
-    ``suboptimality_ratio`` the same gap as a ratio (1 exactly when aligned;
-    never below 1, since the system optimum minimizes over the same two
-    candidates).
+    ``suboptimality_ratio`` the same gap as a ratio: 1 exactly when aligned,
+    and never below 1 when the system optimum costs more than 0, since it
+    minimizes over the same two candidates.  At a cost of 0 the ratio is
+    +-inf (NaN if both costs are 0), and below 0 it may be negative.
     """
-    t = _validated_threshold(s)
-    a = _alignment(s, t)
-    dc, sw = a.dc, a.sw
-    dc_at_threshold = abs(dc.delta - t) <= DECISION_TOL
-    sw_at_threshold = abs(sw.delta - t) <= DECISION_TOL
-    if dc_at_threshold and sw_at_threshold:
-        case = "both-threshold"
-    elif not dc_at_threshold and not sw_at_threshold:
-        case = "both-full"
-    elif sw_at_threshold:
-        case = "dc-full-sw-threshold"
-    else:
-        case = "dc-threshold-sw-full"
-
-    return AlignmentReport(
-        delta_star_dc=dc.delta,
-        delta_star_sw=sw.delta,
-        verdict="aligned" if a.aligned else "misaligned",
-        binding_case=case,
-        sw_at_dc_choice=a.sw_at_dc_choice,
-        sw_at_sw_choice=sw.value,
-        externality_at_dc_choice=a.sw_at_dc_choice - sw.value,
-        suboptimality_ratio=a.suboptimality_ratio,
-        residual_at_dc_choice=a.sw_at_dc_choice - dc.value,
-        residual_at_sw_choice=a.sw_objective.evaluate(sw.delta)
-        - a.dc_objective.evaluate(sw.delta),
-    )
+    return AlignmentReport(*_alignment(s, _validated_threshold(s)))
 
 
 class AlignmentGrid(NamedTuple):
@@ -311,7 +284,6 @@ class AlignmentGrid(NamedTuple):
     are NaN on invalid cells.
     """
 
-    valid: np.ndarray
     verdict: np.ndarray
     delta_star_dc: np.ndarray
     delta_star_sw: np.ndarray
@@ -324,7 +296,8 @@ def classify_alignment_grid(
     s: ThreeBusScenario, F01: np.ndarray, F12: np.ndarray
 ) -> AlignmentGrid:
     """Classify ``s`` with its two scanned line limits replaced by each
-    ``(F01[i], F12[i])`` pair, as array expressions over the cells.
+    ``(F01[i], F12[i])`` pair, through the same :func:`_alignment` as
+    :func:`classify_alignment`, elementwise over the cells.
 
     Only the threshold changes from cell to cell, so the rates, cutoffs and
     objective coefficients are computed once.  A cell is invalid where the
@@ -332,15 +305,13 @@ def classify_alignment_grid(
     everywhere when either agent's weights are degenerate.
     """
     t, valid = threshold_grid(s, F01, F12)
-    verdict = np.full(t.shape, "invalid", dtype=object)
-    columns = [np.full(t.shape, np.nan) for _ in range(5)]
+    grid = AlignmentGrid(
+        np.full(t.shape, "invalid", dtype=object), *(np.full(t.shape, np.nan) for _ in range(5))
+    )
     try:
-        a = _alignment(s, t[valid])
+        dc, sw, verdict, _, sw_at_dc, sw_at_sw, _, ratio, _, _ = _alignment(s, t[valid])
     except DegenerateWeightsError:
-        valid[:] = False  # the weights, and so the degeneracy, are every cell's
-    else:
-        verdict[valid] = np.where(a.aligned, "aligned", "misaligned")
-        values = (a.dc.delta, a.sw.delta, a.sw_at_dc_choice, a.sw.value, a.suboptimality_ratio)
-        for column, value in zip(columns, values):
-            column[valid] = value
-    return AlignmentGrid(valid, verdict, *columns)
+        return grid  # the weights, and so the degeneracy, are every cell's
+    for column, value in zip(grid, (verdict, dc, sw, sw_at_dc, sw_at_sw, ratio)):
+        column[valid] = value
+    return grid

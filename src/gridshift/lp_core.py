@@ -652,10 +652,15 @@ def verify_kkt(lp: LinearProgram, sol: LpSolution, tolerance: float = 1e-8) -> K
     from the solution, so this is an independent certificate of optimality:
     all three residuals within ``tolerance`` proves ``sol`` optimal for ``lp``
     up to that tolerance, and a NaN residual is a violation.  Requires
-    ``sol.status == OPTIMAL``.
+    ``sol.status == OPTIMAL`` and a point and duals of ``lp``'s shapes.
     """
     if sol.status != OPTIMAL:
         raise LpInputError("KKT verification needs an optimal solution")
+    if (sol.primal.shape, sol.duals.shape) != (lp.objective.shape, lp.eq_rhs.shape):
+        raise LpInputError(
+            f"primal/duals of shapes {sol.primal.shape}/{sol.duals.shape} do not fit "
+            f"an LP of {lp.objective.shape}/{lp.eq_rhs.shape} variables/rows"
+        )
     # The LP's own arrays broadcast against the one-row stack of the point.
     arrays = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.lower_bounds, lp.upper_bounds)
     residuals = kkt_residuals(*arrays, np.array([sol.primal]), np.array([sol.duals]), tolerance)

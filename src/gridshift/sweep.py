@@ -20,12 +20,13 @@ columns to worst cases with numpy reductions, through which a NaN passes
 A capacity heatmap is one call to
 :func:`~gridshift.closed_form.classify_alignment_grid` over the flattened
 (F01, F12) grid: only the shift threshold varies between cells, so every
-cell is classified by the same array expressions and no per-cell scenario is
-built.  :func:`heatmap_csv_lines` writes those arrays, and the boundary
-rows, through :func:`~gridshift.grid_model.csv_lines`, which formats the
-many repeats of a scan (axis values, shared optima, all-NaN invalid cells)
-once each; :func:`heatmap_cells` wraps the same arrays in
-:class:`HeatmapCell` objects.
+cell is classified elementwise by the derivation that
+:func:`~gridshift.closed_form.classify_alignment` runs on one scenario, and
+no per-cell scenario is built; the boundary is one ``np.where`` per agent.
+:func:`heatmap_csv_lines` writes those arrays through
+:func:`~gridshift.grid_model.csv_lines`, which formats the many repeats of a
+scan (axis values, shared optima, all-NaN invalid cells) once each;
+:func:`heatmap_cells` wraps the same arrays in :class:`HeatmapCell` objects.
 """
 
 from __future__ import annotations
@@ -72,11 +73,20 @@ HEATMAP_HEADER = (
 BOUNDARY_HEADER = "f12,f01_dc_cutoff,f01_sw_cutoff"
 
 
-def delta_grid(L: float, resolution: int) -> np.ndarray:
-    """Uniform shift grid over [0, L] with exact endpoints."""
+def _axis(low: float, high: float, resolution: int) -> np.ndarray:
+    """``resolution`` evenly spaced points from ``low`` to ``high``.  An axis
+    longer than any float array numpy can index raises :class:`MemoryError`,
+    as one numpy cannot allocate does."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    return np.linspace(0.0, L, resolution)
+    if resolution > np.iinfo(np.intp).max // 8:  # 8 bytes per float64
+        raise MemoryError("the grid has more points than an array can hold")
+    return np.linspace(low, high, resolution)
+
+
+def delta_grid(L: float, resolution: int) -> np.ndarray:
+    """Uniform shift grid over [0, L] with exact endpoints."""
+    return _axis(0.0, L, resolution)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,15 +241,12 @@ def boundary_rows(
     caps it; a cutoff above that cap is unreachable and yields NaN.  These
     curves are the analytic alignment boundaries a heatmap should show.
     """
-    dc_cutoff, sw_cutoff = alignment_cutoffs(s)
-    rows = []
-    for f12 in f12_values:
-        f12 = float(f12)
-        plateau = -s.l0 - s.F02 - f12 - s.l1
-        f01_dc = dc_cutoff + s.l1 + f12 if dc_cutoff <= plateau else math.nan
-        f01_sw = sw_cutoff + s.l1 + f12 if sw_cutoff <= plateau else math.nan
-        rows.append((f12, f01_dc, f01_sw))
-    return rows
+    f12 = np.asarray(f12_values, dtype=float)
+    plateau = -s.l0 - s.F02 - f12 - s.l1
+    f01_dc, f01_sw = (
+        np.where(c <= plateau, c + s.l1 + f12, math.nan) for c in alignment_cutoffs(s)
+    )
+    return list(zip(f12.tolist(), f01_dc.tolist(), f01_sw.tolist()))
 
 
 def heatmap_csv_lines(
@@ -249,10 +256,7 @@ def heatmap_csv_lines(
     resolution: int = 50,
 ) -> tuple[list[str], list[str]]:
     """Cell CSV lines and boundary CSV lines for a capacity scan."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    f01_values = np.linspace(f01_range[0], f01_range[1], resolution)
-    f12_values = np.linspace(f12_range[0], f12_range[1], resolution)
+    f01_values, f12_values = (_axis(*r, resolution) for r in (f01_range, f12_range))
     return (
         csv_lines(HEATMAP_HEADER, _heatmap_columns(s, f01_values, f12_values)),
         csv_lines(BOUNDARY_HEADER, zip(*boundary_rows(s, f12_values))),

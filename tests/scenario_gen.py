@@ -44,6 +44,15 @@ def canonical_scenario(**overrides) -> ThreeBusScenario:
     return ThreeBusScenario(**params)
 
 
+def zero_cost_scenario(**overrides) -> ThreeBusScenario:
+    """A valid, renewable-limited scenario (threshold 0.875) whose bus-1
+    base load is negative and whose system optimum, the full shift, costs
+    exactly 0.  ``l2=2.2`` makes that optimum cost -0.1 instead."""
+    params = dict(l0=1.5, l1=-3.5, l2=2.25, F01=2.5, F02=0.125, F12=1.0)
+    params.update(overrides)
+    return canonical_scenario(**params)
+
+
 def _assemble(rng, c1, c2, e1, e2, alpha, block, l1, f02, f12, tau_target):
     congestion_binding = bool(rng.integers(2))
     slack = float(rng.uniform(0.05, 1.0))

@@ -119,6 +119,29 @@ class TestClassifyCommand:
             assert verdict in capsys.readouterr().out, name
 
 
+    def test_system_optimum_costing_zero(self, tmp_path, capsys):
+        # A valid scenario whose system optimum costs exactly 0: the ratio
+        # prints as inf, in the text and the CSV row, and the heatmap over
+        # its neighbourhood agrees, with exit 0 and nothing on stderr.
+        path = tmp_path / "zero.txt"
+        write_scenario_file(scenario_gen.zero_cost_scenario(), path)
+        out = tmp_path / "verdict.csv"
+        rc = cli.main(["classify", "--scenario", str(path), "--out", str(out)])
+        assert rc == 0
+        assert "suboptimality ratio:                   inf" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1] == (
+            "0.875,1,misaligned,dc-threshold-sw-full,2.75,0,2.75,inf,2.5,-1"
+        )
+        heat = tmp_path / "heat.csv"
+        rc = cli.main(
+            ["heatmap", "--scenario", str(path), "--f01-range", "2.4:2.6",
+             "--f12-range", "0.9:1.1", "--resolution", "5", "--out", str(heat)]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert "2.5,1,1,0.875,0,2.75,inf,misaligned" in heat.read_text().splitlines()
+
+
 class TestVerifyCommand:
     def test_canonical_passes(self, canonical_path, capsys):
         rc = cli.main(["verify", "--scenario", canonical_path, "--resolution", "40"])
@@ -240,14 +263,16 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("mode", ["sweep", "verify", "heatmap"])
     def test_grid_too_large_to_allocate_exits_2(self, canonical_path, tmp_path, mode, capsys):
-        # 10**17 grid points cannot be allocated at all, so the request fails
-        # at once; a grid that fits in memory but not in this machine's is
-        # never tried here.
+        # 10**17 grid points cannot be allocated at all, and from 2**62 on
+        # not even indexed, so each request fails at once; a grid that fits
+        # in memory but not in a given machine's is never tried here.
         out = tmp_path / "out.csv"
-        rc = cli.main(
-            [mode, "--scenario", canonical_path, "--resolution", str(10**17), "--out", str(out)]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: --resolution")
-        assert not out.exists()
+        for resolution in (10**17, 2**62, 2**63, 10**20):
+            rc = cli.main(
+                [mode, "--scenario", canonical_path, "--resolution", str(resolution),
+                 "--out", str(out)]
+            )
+            assert rc == 2, resolution
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: --resolution"), resolution
+            assert not out.exists()

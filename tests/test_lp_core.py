@@ -166,6 +166,23 @@ class TestKktCertificate:
             assert not report.ok
             assert all(np.isnan(v) for _, v in report.violations)
 
+    def test_solution_of_another_shape_rejected(self):
+        # A solution whose point or duals do not fit the LP is refused with
+        # both shapes named, not left to fail inside the matrix products.
+        two = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [5.0, 5.0])
+        one = LinearProgram([1.0], [[1.0]], [1.0], [0.0], [5.0])
+        two_rows = LinearProgram(
+            [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], [0.0, 0.0], [5.0, 5.0]
+        )
+        cases = [
+            (two, one, r"shapes \(1,\)/\(1,\) do not fit an LP of \(2,\)/\(1,\)"),
+            (one, two, r"shapes \(2,\)/\(1,\) do not fit an LP of \(1,\)/\(1,\)"),
+            (two_rows, two, r"shapes \(2,\)/\(1,\) do not fit an LP of \(2,\)/\(2,\)"),
+        ]
+        for lp, other, message in cases:
+            with pytest.raises(LpInputError, match=message):
+                verify_kkt(lp, solve(other))
+
 
 class TestDeterminism:
     def test_repeat_solves_are_byte_identical(self):

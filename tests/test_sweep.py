@@ -362,6 +362,19 @@ class TestHeatmapArrayRoute:
         )
         assert verdicts[3] != "invalid" and verdicts[-1] == "invalid"
 
+    def test_system_optimum_costing_zero_or_less(self):
+        # Both routes divide by the system optimum's cost alike: by 0 into
+        # inf, by -0.1 into a negative ratio, with no exception or warning.
+        for l2, cost, ratio in ((2.25, 0.0, math.inf), (2.2, -0.1, -26.5000000000001)):
+            s = scenario_gen.zero_cost_scenario(l2=l2)
+            report = closed_form.classify_alignment(s)
+            assert report.sw_at_sw_choice == pytest.approx(cost, abs=1e-12)
+            assert report.suboptimality_ratio == ratio
+            verdicts = _assert_cells_match_scalar(
+                s, np.linspace(2.4, 2.6, 5), np.linspace(0.9, 1.1, 5)
+            )
+            assert verdicts.count("misaligned") >= 20
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -422,6 +435,26 @@ class TestAnalyticBoundary:
         f12, dc_f01, sw_f01 = rows[2]
         assert math.isnan(dc_f01)  # plateau (0.25) sits below the 0.5 cutoff
         assert sw_f01 == pytest.approx(1.75)
+
+    def test_rows_equal_the_per_row_formula(self):
+        # The rows come from one array expression per agent; each must equal,
+        # to the bit, the formula evaluated one F12 value at a time.
+        rng = np.random.default_rng(12)
+        nan_cells = 0
+        for _ in range(30):
+            s = scenario_gen.random_split_weight_scenario(rng)
+            f12_values = np.linspace(-0.3, s.F12 + s.L + 0.5, 13)
+            cutoffs = alignment_cutoffs(s)
+            expected = []
+            for f12 in f12_values.tolist():
+                plateau = -s.l0 - s.F02 - f12 - s.l1
+                f01 = [c + s.l1 + f12 if c <= plateau else math.nan for c in cutoffs]
+                expected.append((f12, *f01))
+            rows = boundary_rows(s, f12_values)
+            assert all(type(x) is float for row in rows for x in row)
+            np.testing.assert_array_equal(np.array(rows), np.array(expected))
+            nan_cells += int(np.isnan(np.array(rows)).sum())
+        assert 0 < nan_cells < 30 * 13 * 2
 
     def test_heatmap_cells_respect_boundary(self):
         # Every valid cell left of the device-side boundary curve must be
