@@ -164,6 +164,9 @@ def _run_heatmap(scenario, args) -> int:
             )
             return EXIT_PARSE
         out_path = pathlib.Path(args.out)
+        if not out_path.name:  # "", "." or "/": no file name to derive from
+            print(f"error: --out {args.out!r} names no file to write", file=sys.stderr)
+            return EXIT_PARSE
         suffix = out_path.suffix or ".csv"
         boundary_out = str(out_path.with_name(out_path.stem + "_boundary" + suffix))
     cell_lines, boundary_lines = sweep_mod.heatmap_csv_lines(

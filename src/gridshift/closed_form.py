@@ -241,6 +241,13 @@ class AlignmentReport:
         return "\n".join(lines)
 
 
+#: :attr:`AlignmentReport.binding_case` by ``2 * dc_stops + sw_stops``,
+#: where each flag says that agent stops at the threshold.
+_BINDING_CASES = np.array(
+    ["both-full", "dc-full-sw-threshold", "dc-threshold-sw-full", "both-threshold"]
+)
+
+
 def _alignment(s: ThreeBusScenario, threshold) -> tuple:
     """Every :class:`AlignmentReport` field at ``threshold``, in field order;
     elementwise when ``threshold`` holds one value per grid cell."""
@@ -250,14 +257,14 @@ def _alignment(s: ThreeBusScenario, threshold) -> tuple:
     sw = _optimum(s, "sw", sw_objective)
     sw_at_dc_choice = sw_objective.at(dc.delta)
     dc_stops, sw_stops = (abs(x.delta - threshold) <= DECISION_TOL for x in (dc, sw))
+    case = _BINDING_CASES[2 * dc_stops + sw_stops]
     # One division rule on both routes: x/0 is +-inf and 0/0 NaN, silently.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(sw_at_dc_choice, sw.value)
     return (
         dc.delta, sw.delta,
         choose(abs(dc.delta - sw.delta) <= DECISION_TOL, "aligned", "misaligned"),
-        choose(dc_stops, choose(sw_stops, "both-threshold", "dc-threshold-sw-full"),
-               choose(sw_stops, "dc-full-sw-threshold", "both-full")),
+        case if isinstance(case, np.ndarray) else str(case),
         sw_at_dc_choice, sw.value, sw_at_dc_choice - sw.value,
         ratio if isinstance(ratio, np.ndarray) else float(ratio),
         sw_at_dc_choice - dc.value, sw.value - dc_objective.at(sw.delta),

@@ -241,7 +241,10 @@ def _solve_ed_cold(
     sols = lp_core.solve_rhs(lp, rhs)
     _checked(s, deltas.tolist(), sols.status)
     degenerate = ~_clear_of_bounds(lp, sols.basis, sols.primal, _DEGENERACY_TOL)
-    lme = _prices(s, sols.basis)[1]
+    # The shifts share a handful of bases: price each distinct one once.
+    key = sols.basis @ len(VARIABLE_NAMES) ** np.arange(sols.basis.shape[1])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    lme = _prices(s, sols.basis[first])[1][inverse]
     return lp, rhs, sols, _columns(lp, deltas, sols.primal, sols.duals + 0.0, lme, degenerate)
 
 

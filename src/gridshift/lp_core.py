@@ -11,12 +11,16 @@ performance: dense numpy algebra, Dantzig pricing with a switch to Bland's
 rule after a run of degenerate pivots, and absolute tolerances suited to
 well-scaled inputs of at most a few hundred variables.
 
-Many LPs of one shape are solved in lock-step: each runs its own simplex on
-its row of one stacked state, updated in place, and the LPs share only the
-numpy calls, one stacked call per pivot round for all of them.  Every
-stacked product and solve does the arithmetic a lone solve does, so a batch
-changes no bit of any solution.  The lock-step core takes the LP data as
-stacked arrays and returns the solutions as columns (:class:`LpSolutions`).
+Many LPs of one shape are solved in lock-step, each running its own simplex.
+The state is kept once per group of LPs whose data and pivots so far are
+the same: a group prices and solves for its pivot column once per round,
+while each LP keeps its own basic values and takes its own ratio test, and
+a group whose LPs step differently splits.  One LP at many right-hand sides
+starts as a few groups (one per sign pattern of its artificial columns);
+different LPs start alone.  Every stacked product and solve does the
+arithmetic a lone solve does, so a batch changes no bit of any solution.
+The lock-step core takes the LP data as stacked arrays and returns the
+solutions as columns (:class:`LpSolutions`).
 :func:`solve_rhs` solves one LP at a stack of right-hand sides with no LP
 object per row, and :func:`solve` is row 0 of a one-row stack.
 :func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
@@ -26,6 +30,7 @@ is its one-LP face.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import NamedTuple
 
@@ -188,58 +193,123 @@ def _solution(sols: LpSolutions, i: int) -> LpSolution:
     )
 
 
-#: Batches up to this many LPs take their pivot steps one LP at a time in
-#: Python scalars; larger ones take them in array operations, which cost
-#: more per call but next to nothing per LP.
+#: Rounds in which at most this many runs step take the steps one run at a
+#: time in Python scalars; more take them in array operations, which cost
+#: more per call but next to nothing per run.
 _SCAN_BATCH = 8
 
+#: The fields of :class:`_Groups` held once per group.
+_GROUP_FIELDS = (
+    "Aaug", "AaugT", "lo", "hi", "span", "free_var", "fixed", "cost",
+    "xn", "sense", "basis", "iterations", "use_bland", "degenerate_run",
+)
 
-class _Runs:
-    """Simplex state of a stack of LPs of one shape, one row per LP, updated
-    in place from the first pivot of phase 1 to the last of phase 2.
 
-    ``offsets`` holds the flat index of each run's first variable in the
-    ``(runs, variables)`` arrays; flat indices read faster than pairs of
-    indices.  ``Aaug`` is the constraint matrix with the phase-1 artificial
-    columns and ``AaugT`` its transpose; ``lo``, ``hi`` and ``span = hi - lo``
-    are the bounds, ``free_var`` and ``fixed`` flag variables with no bound
-    and with no range, and ``cost`` is the objective of the phase being run.
-    The pivoting state is the point ``x``, the ``basis`` (one column per row
-    of the constraint matrix), the pivot count, Bland's switch and the run of
-    degenerate pivots; ``sense`` is +1 for a nonbasic variable at its upper
-    bound, -1 at its lower bound, and 0 for a variable that may not enter the
-    basis (basic, or fixed), so that ``d * sense`` prices every variable.
+class _Groups:
+    """Simplex state of a stack of LPs of one shape, held once per *group*:
+    the runs (LPs of the stack) whose LP data and pivots so far are the
+    same.  A group prices and solves for its pivot column once; each of its
+    runs takes its own ratio test on its own basic values.
+
+    Per group: ``Aaug``, the constraint matrix with the phase-1 artificial
+    columns, and its transpose ``AaugT``; the bounds ``lo``, ``hi`` and
+    ``span = hi - lo``; ``free_var`` and ``fixed``, which flag variables
+    with no bound and with no range; the ``cost`` of the phase being run;
+    ``xn``, the values of the nonbasic variables (zero for the basic ones);
+    the ``basis`` (one column per row of the constraint matrix), the pivot
+    count, Bland's switch and the run of degenerate pivots.  ``sense`` is
+    +1 for a nonbasic variable at its upper bound, -1 at its lower bound,
+    and 0 for a variable that may not enter the basis (basic, or fixed), so
+    that ``d * sense`` prices every variable.  ``index`` numbers the
+    groups, and ``offsets`` holds the flat index of each group's first
+    variable in the ``(groups, variables)`` arrays, where ``AT`` reads the
+    rows of ``AaugT``; flat indices read faster than pairs of indices.
+
+    Per run: ``xb``, the values of its basic variables in basis order, and
+    its group, ``member``.  ``alone`` says that run ``i`` is group ``i``
+    and has it to itself, as in a lone solve or a stack of different LPs.
     """
 
-    def __init__(self, **arrays: np.ndarray) -> None:
+    def __init__(self, **arrays) -> None:
         self.__dict__.update(arrays)
+        self._index()
+
+    def _index(self) -> None:
+        G, N = self.sense.shape
+        # Run i is group i when each run is alone.
+        self.index = self.member if self.alone else np.arange(G)
+        self.offsets = np.arange(0, G * N, N)
+        self.AT = self.AaugT.reshape(G * N, -1)
 
     def flat_basis(self) -> np.ndarray:
         return self.basis + self.offsets[:, None]
 
+    def split(self, key: np.ndarray) -> np.ndarray:
+        """Split every group whose runs differ in ``key``, one nonnegative
+        integer per run; returns each new group's old index."""
+        self.member, parent = _renumber(self.member, key)
+        for name in _GROUP_FIELDS:
+            setattr(self, name, getattr(self, name)[parent])
+        self._index()
+        return parent
 
-def _pivot_run(
-    runs: _Runs, i: int, t: int, sw: np.ndarray, step_sign: float, max_iterations: int
-) -> bool:
-    """Ratio test and pivot of run ``i`` alone, in Python scalars: the
-    entering variable ``t`` moves by ``step_sign`` and the basic variables by
-    ``-sw`` per unit of step.  Returns False, with the run untouched, if the
-    step is unbounded.
+    def one_run_each(self) -> np.ndarray:
+        """A run of each group (any one: they share the group's LP data)."""
+        if self.alone:
+            return self.member
+        runs = np.empty(len(self.basis), dtype=np.intp)
+        runs[self.member] = np.arange(self.member.size)
+        return runs
+
+    def per_run(self, a: np.ndarray) -> np.ndarray:
+        """``a``, one row per group, as one row per run."""
+        return a if self.alone else a[self.member]
+
+    def per_group(self, a: np.ndarray) -> np.ndarray:
+        """``a``, one row per run, as one row per group."""
+        return a if self.alone else a[self.one_run_each()]
+
+    def run_basis(self) -> np.ndarray:
+        """The flat indices of each run's basic variables in an array of one
+        row per run."""
+        if self.alone:
+            return self.flat_basis()
+        k, N = self.member.size, self.sense.shape[1]
+        return self.basis[self.member] + np.arange(0, k * N, N)[:, None]
+
+
+def _renumber(member: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct pairs ``(member, key)`` of the runs in order;
+    returns each run's new number and each new number's ``member``."""
+    width = int(key.max()) + 1
+    pair = member * width + key
+    present = np.bincount(pair) > 0
+    return (np.cumsum(present) - 1)[pair], np.flatnonzero(present) // width
+
+
+def _same_rows(*arrays: np.ndarray) -> bool:
+    """Whether every row of each stacked array holds the bits of its first."""
+    return all((a.view(np.uint64) == a[:1].view(np.uint64)).all() for a in arrays)
+
+
+def _ratio_test(
+    xb: list, lo: list, hi: list, sw: list, basis: list, theta: float, bland: bool
+) -> tuple[int, bool, float]:
+    """Ratio test of one run, in Python scalars: the basic variables
+    ``basis``, at ``xb`` within ``[lo, hi]``, move by ``-sw`` per unit of
+    step, and the entering variable has the range ``theta``.  Returns the
+    blocking row (-1 if the entering variable reaches its other bound first,
+    -2 on an unbounded ray), whether the blocking variable leaves at its
+    upper bound, and the step.
 
     The basic rows are scanned in order for the first step limit below the
     entering variable's own range by more than 1e-12; a limit within 1e-12
     of the current one replaces it under Bland's rule if its variable index
     is lower, and otherwise if its pivot is larger.
     """
-    x, lo, hi, basis, sense = runs.x[i], runs.lo[i], runs.hi[i], runs.basis[i], runs.sense[i]
-    theta = runs.span[i, t]  # own-range limit: reaching it flips the bound
     block = -1
     block_to_upper = False
-    bland = runs.use_bland[i]
-    sws, vs = sw.tolist(), basis.tolist()
-    for row, (swi, xv, lov, hiv) in enumerate(
-        zip(sws, x[basis].tolist(), lo[basis].tolist(), hi[basis].tolist())
-    ):
+    for row, (swi, xv, lov, hiv) in enumerate(zip(sw, xb, lo, hi)):
         if swi > _PIVOT_FLOOR:
             if lov == -math.inf:
                 continue
@@ -260,195 +330,261 @@ def _pivot_run(
             block_to_upper = hits_upper
         elif block >= 0 and limit <= theta + 1e-12:
             if bland:
-                better = vs[row] < vs[block]
+                better = basis[row] < basis[block]
             else:
-                better = abs(swi) > abs(sws[block]) + 1e-12
+                better = abs(swi) > abs(sw[block]) + 1e-12
             if better:
                 block = row
                 block_to_upper = hits_upper
     if not math.isfinite(theta):
-        return False
-
-    runs.iterations[i] += 1
-    if runs.iterations[i] > max_iterations:
-        _exhausted(runs, i, max_iterations)
-    x[basis] -= theta * sw
-    if block < 0:
-        sense[t] = -sense[t]
-        x[t] = hi[t] if sense[t] > 0.0 else lo[t]
-        runs.degenerate_run[i] = 0
-        return True
-    x[t] += step_sign * theta
-    leaving = vs[block]
-    x[leaving] = hi[leaving] if block_to_upper else lo[leaving]
-    sense[leaving] = 0.0 if runs.fixed[i, leaving] else (1.0 if block_to_upper else -1.0)
-    sense[t] = 0.0
-    basis[block] = t
-    if theta <= TOLERANCE:
-        runs.degenerate_run[i] += 1
-        if runs.degenerate_run[i] >= BLAND_TRIGGER:
-            runs.use_bland[i] = True
-    else:
-        runs.degenerate_run[i] = 0
-    return True
+        return -2, False, theta
+    return block, block_to_upper, theta
 
 
-def _exhausted(runs: _Runs, i: int, max_iterations: int) -> None:
-    m, N = runs.Aaug.shape[1:]
+def _exhausted(st: _Groups, groups, max_iterations: int) -> None:
+    """Raise for the first run of ``groups`` (one group or an array)."""
+    m, N = st.Aaug.shape[1:]
+    i = int(np.flatnonzero(np.isin(st.member, groups))[0])
     raise SolverFailure(
         f"LP {i}: iteration budget {max_iterations} exhausted ({N - m} variables, {m} rows)"
     )
 
 
-def _pivot_stack(
-    runs: _Runs,
-    rows: np.ndarray,
-    fb: np.ndarray,
-    t: np.ndarray,
-    sw: np.ndarray,
-    step_sign: np.ndarray,
+def _pivot_few(
+    st: _Groups, pivoting: np.ndarray, live: np.ndarray, rows: np.ndarray, gi: np.ndarray,
+    t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray, max_iterations: int,
+) -> tuple[np.ndarray, list[int]]:
+    """One step of the runs ``rows`` of a small batch, one run at a time in
+    Python scalars.  Run ``rows[j]`` belongs to the live group
+    ``live[gi[j]]`` (``live[j]`` when ``gi`` is None), which enters
+    ``t[gi[j]]`` in the direction ``step_sign[gi[j]]``, and whose basic
+    variables move by ``-sw[gi[j]]`` per unit of step.  Returns the groups
+    still pivoting and the runs that found an unbounded ray.
+
+    Every run takes its own ratio test and moves its own basic values; then
+    each group, split first by its runs' outcomes, updates its basis once.
+    """
+    live, t, step_sign = live.tolist(), t.tolist(), step_sign.tolist()
+    steps = []
+    for j, i in enumerate(rows.tolist()) if gi is None else zip(gi.tolist(), rows.tolist()):
+        g, tj = live[j], t[j]
+        basis, xb, sws = st.basis[g], st.xb[i].tolist(), sw[j].tolist()
+        block, up, theta = _ratio_test(
+            xb, st.lo[g][basis].tolist(), st.hi[g][basis].tolist(), sws, basis.tolist(),
+            float(st.span[g, tj]), st.use_bland[g],
+        )
+        if block >= -1:
+            xb = [x - theta * s for x, s in zip(xb, sws)]
+            if block >= 0:
+                xb[block] = st.xn[g, tj] + step_sign[j] * theta
+            st.xb[i] = xb
+        steps.append((i, g, tj, block, up, theta <= TOLERANCE))
+
+    if not st.alone:
+        keys = [2 * block + 4 + degenerate for _, _, _, block, _, degenerate in steps]
+        outcome = {}
+        if any(outcome.setdefault(g, key) != key for (_, g, *_), key in zip(steps, keys)):
+            key = np.zeros(st.member.size, dtype=np.intp)
+            key[rows] = keys
+            pivoting = pivoting[st.split(key)]
+            member = st.member.tolist()
+            steps = [(i, member[i], *rest) for i, _, *rest in steps]
+
+    rays = []
+    stepped = set()
+    for i, g, tj, block, up, degenerate in steps:
+        if block == -2:
+            pivoting[g] = False
+            rays.append(i)
+        elif g not in stepped:
+            stepped.add(g)
+            _step_group(st, g, tj, block, up, degenerate, max_iterations)
+    return pivoting, rays
+
+
+def _step_group(
+    st: _Groups, g: int, t: int, block: int, up: bool, degenerate: bool, max_iterations: int
+) -> None:
+    """Group ``g``'s side of a step in which ``t`` entered: the bound flip
+    (``block`` -1) or the pivot on row ``block``, in Python scalars."""
+    st.iterations[g] += 1
+    if st.iterations[g] > max_iterations:
+        _exhausted(st, g, max_iterations)
+    sense, xn = st.sense[g], st.xn[g]
+    if block < 0:
+        sense[t] = -sense[t]
+        xn[t] = st.hi[g, t] if sense[t] > 0.0 else st.lo[g, t]
+        st.degenerate_run[g] = 0
+        return
+    basis = st.basis[g]
+    leaving = basis[block]
+    xn[leaving] = st.hi[g, leaving] if up else st.lo[g, leaving]
+    sense[leaving] = 0.0 if st.fixed[g, leaving] else (1.0 if up else -1.0)
+    xn[t] = 0.0
+    sense[t] = 0.0
+    basis[block] = t
+    if degenerate:
+        st.degenerate_run[g] += 1
+        if st.degenerate_run[g] >= BLAND_TRIGGER:
+            st.use_bland[g] = True
+    else:
+        st.degenerate_run[g] = 0
+
+
+def _pivot_many(
+    st: _Groups, pivoting: np.ndarray, live: np.ndarray, rows: np.ndarray, gi: np.ndarray,
+    fb: np.ndarray, tf: np.ndarray, t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray,
     max_iterations: int,
-) -> np.ndarray:
-    """:func:`_pivot_run` for the runs ``rows`` of a large batch, whose basic
-    variables sit at the flat indices ``fb``; returns which of them took a
-    step (the rest found an unbounded ray).
+) -> tuple[np.ndarray, list[int]]:
+    """:func:`_pivot_few` for a large batch, in array operations; ``fb``
+    and ``tf`` are the flat indices of the live groups' basic and entering
+    variables.
 
     The step limits of all runs come from one set of array operations.  A
     run whose smallest limit is clear, by more than the tie window, of the
     others and of the entering variable's own range has only one possible
-    outcome of the scan, the plain minimum, and pivots with the other such
-    runs in array operations; every other run is scanned on its own.
+    outcome of the scan, the plain minimum; every other run is scanned on
+    its own (:func:`_ratio_test`).
     """
-    r = np.arange(t.size)
-    xb = runs.x.take(fb)
+    lane = np.arange(rows.size)
+    gi = lane if gi is None else gi
+    own, enter, step_sign = (a.take(gi) for a in (st.span.take(tf), st.xn.take(tf), step_sign))
+    lo, hi, sw = (a.take(gi, axis=0) for a in (st.lo.take(fb), st.hi.take(fb), sw))
+    xb = st.xb.take(rows, axis=0)
     rises = sw > _PIVOT_FLOOR
     size = np.abs(sw)
     # A variable with no bound in the direction it moves has an infinite
     # limit; |sw| is sw where it rises and -sw where it falls, to the bit.
     limit = np.divide(
-        np.where(rises, xb - runs.lo.take(fb), runs.hi.take(fb) - xb),
+        np.where(rises, xb - lo, hi - xb),
         size,
         out=np.full(sw.shape, np.inf),
         where=size > _PIVOT_FLOOR,
     )
     limit[limit < 0.0] = 0.0
-    own = runs.span[rows, t]
     first = limit.argmin(axis=1)
-    low = limit[r, first]
-    limit[r, first] = np.inf
-    runner = limit.min(axis=1)
+    low = limit[lane, first]
+    limit[lane, first] = np.inf
+    runner = functools.reduce(np.minimum, limit.T)  # column by column: fast for few rows
     flip = own < low
     clear = flip | ((low < np.minimum(own, runner) - 1e-12) & (runner > low + 1e-12))
-
-    stepped = clear.copy()
-    for j in np.flatnonzero(~clear).tolist():
-        stepped[j] = _pivot_run(
-            runs, int(rows[j]), int(t[j]), sw[j], float(step_sign[j]), max_iterations
+    block = np.where(flip, -1, first)
+    up = sw[lane, first] < -_PIVOT_FLOOR
+    theta = np.where(flip, own, low)
+    rays = []
+    for j in [] if clear.all() else np.flatnonzero(~clear).tolist():
+        g = live[gi[j]]
+        block[j], up[j], theta[j] = _ratio_test(
+            xb[j].tolist(), lo[j].tolist(), hi[j].tolist(), sw[j].tolist(),
+            st.basis[g].tolist(), float(own[j]), st.use_bland[g],
         )
+        if block[j] == -2:
+            theta[j] = 0.0  # on a ray, the run stays put
+            rays.append(int(rows[j]))
 
-    # ``r`` indexes this round's arrays, ``ri`` the stack.
-    r, t, fb, flip, sw = r[clear], t[clear], fb[clear], flip[clear], sw[clear]
-    ri = rows[r]
-    theta = np.where(flip, own[clear], low[clear])
-    runs.iterations[ri] += 1
-    if ri.size and runs.iterations[ri].max() > max_iterations:
-        _exhausted(runs, int(ri[runs.iterations[ri].argmax()]), max_iterations)
-    x, sense = runs.x.reshape(-1), runs.sense.reshape(-1)
-    tf = runs.offsets[ri] + t
-    x[fb] -= theta[:, None] * sw
-    ft = tf[flip]
-    sense[ft] = -sense[ft]
-    x[ft] = np.where(sense[ft] > 0.0, runs.hi.take(ft), runs.lo.take(ft))
-    runs.degenerate_run[ri[flip]] = 0
+    # Every run moves its own basic values.
+    xb -= theta[:, None] * sw
+    p = np.flatnonzero(block >= 0)
+    xb[p, block[p]] = enter[p] + step_sign[p] * theta[p]
+    st.xb[rows] = xb
 
-    pivot = ~flip
-    r, ri, t, tf, theta = r[pivot], ri[pivot], t[pivot], tf[pivot], theta[pivot]
-    block = first[r]
-    lane = np.arange(r.size)
-    leaving = fb[pivot][lane, block]
-    to_upper = sw[pivot][lane, block] < -_PIVOT_FLOOR
-    x[tf] += step_sign[r] * theta
-    x[leaving] = np.where(to_upper, runs.hi.take(leaving), runs.lo.take(leaving))
-    sense[leaving] = np.where(runs.fixed.take(leaving), 0.0, np.where(to_upper, 1.0, -1.0))
-    sense[tf] = 0.0
-    runs.basis[ri, block] = t
-    run = np.where(theta <= TOLERANCE, runs.degenerate_run[ri] + 1, 0)
-    runs.degenerate_run[ri] = run
-    runs.use_bland[ri] |= run >= BLAND_TRIGGER
-    return stepped
+    # Each group, split first by its runs' outcomes, updates its basis once.
+    key = 2 * block + 4 + (theta <= TOLERANCE)
+    one = np.empty(live.size, dtype=np.intp)
+    one[gi] = lane  # a run of each live group
+    groups = live
+    if not st.alone and (key.take(one).take(gi) != key).any():
+        full = np.zeros(st.member.size, dtype=np.intp)
+        full[rows] = key
+        pivoting = pivoting[st.split(full)]
+        groups = np.flatnonzero(pivoting)
+        one = np.empty(len(st.basis), dtype=np.intp)
+        one[st.member.take(rows)] = lane  # now its runs share their outcome
+        one = one.take(groups)
+    for g, j in zip(groups.tolist(), one.tolist()):
+        if block[j] == -2:
+            pivoting[g] = False
+        else:
+            outcome = int(block[j]), bool(up[j]), key[j] % 2 == 1
+            _step_group(st, g, int(t[gi[j]]), *outcome, max_iterations)
+    return pivoting, rays
 
 
-def _run_phase(runs: _Runs, pivoting: np.ndarray, max_iterations: int, free: bool) -> list[int]:
-    """Pivot the runs flagged in ``pivoting`` to the end of one phase, all in
-    lock-step and in place in ``runs``.  Returns the indices of the runs
-    that found an unbounded ray.
+def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: bool) -> list[int]:
+    """Pivot the groups flagged in ``pivoting`` to the end of one phase, all
+    in lock-step and in place in ``st``.  Returns the runs that found an
+    unbounded ray.
 
-    Each round prices every run of the stack in stacked calls: a stopped run
-    keeps its basis, so pricing it again is finite and changes nothing.  A
-    run stops when it is priced out (optimal) or finds an unbounded ray, and
-    only once some run has stopped are the basis matrices and entering
-    variables of the rest picked out of the round's arrays.  The runs still
-    pivoting then solve for their pivot columns in one stacked call and take
-    their steps one by one in a small batch, together in a large one
-    (:func:`_pivot_stack`).  ``free`` says whether any run has a free
-    variable, which prices and steps by the sign of its reduced cost.
+    Each round prices every group in stacked calls: a stopped group keeps
+    its basis, so pricing it again is finite and changes nothing.  A group
+    stops when it is priced out (optimal) or finds an unbounded ray, and
+    only once some group has stopped are the basis matrices and entering
+    variables of the rest picked out of the round's arrays.  The groups
+    still pivoting then solve for their pivot columns in one stacked call,
+    and their runs take their steps one by one in a small batch
+    (:func:`_pivot_few`), together in a large one (:func:`_pivot_many`).
+    ``free`` says whether any group has a free variable, which prices and
+    steps by the sign of its reduced cost.
     """
-    k, N = runs.x.shape
-    AT = runs.AaugT.reshape(k * N, -1)
-    stack = np.arange(k)
     unbounded = []
+    every_run = None if st.alone else np.arange(st.member.size)
     while True:
-        fb = runs.flat_basis()
-        BT = AT[fb]
-        y = _lapack_solve(BT, runs.cost.take(fb)[..., None])
-        d = runs.cost - (y.transpose(0, 2, 1) @ runs.Aaug)[:, 0]
-        score = d * runs.sense
+        fb = st.flat_basis()
+        BT = st.AT[fb]
+        y = _lapack_solve(BT, st.cost.take(fb)[..., None])
+        d = st.cost - (y.transpose(0, 2, 1) @ st.Aaug)[:, 0]
+        score = d * st.sense
         if free:
-            score = np.where(runs.free_var & (runs.sense != 0.0), np.abs(d), score)
+            score = np.where(st.free_var & (st.sense != 0.0), np.abs(d), score)
         t = score.argmax(axis=1)
-        if any(runs.use_bland.tolist()):
-            t = np.where(runs.use_bland, (score > TOLERANCE).argmax(axis=1), t)
-        tf = t + runs.offsets
+        if any(st.use_bland.tolist()):
+            t = np.where(st.use_bland, (score > TOLERANCE).argmax(axis=1), t)
+        tf = t + st.offsets
         pivoting = pivoting & (score.take(tf) > TOLERANCE)
-        rows = stack
+        live = st.index
         if not all(pivoting.tolist()):
-            rows = np.flatnonzero(pivoting)
-            if not rows.size:
+            live = np.flatnonzero(pivoting)
+            if not live.size:
                 return unbounded
-            fb, BT, t, tf = fb[rows], BT[rows], t[rows], tf[rows]
+            fb, BT, t, tf = fb[live], BT[live], t[live], tf[live]
 
-        step_sign = -runs.sense.take(tf)
+        step_sign = -st.sense.take(tf)
         if free:
             step_sign = np.where(
-                runs.free_var.take(tf), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
+                st.free_var.take(tf), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
             )
-        w = _lapack_solve(BT.transpose(0, 2, 1), AT[tf][..., None])
+        w = _lapack_solve(BT.transpose(0, 2, 1), st.AT[tf][..., None])
         sw = step_sign[:, None] * w[..., 0]
-        if rows.size > _SCAN_BATCH:
-            stepped = _pivot_stack(runs, rows, fb, t, sw, step_sign, max_iterations).tolist()
+        if st.alone:  # run i is group i
+            rows, gi = live, None
+        elif live.size == len(st.basis):
+            rows, gi = every_run, st.member
         else:
-            stepped = [
-                _pivot_run(runs, i, ti, swi, si, max_iterations)
-                for i, ti, swi, si in zip(rows.tolist(), t.tolist(), sw, step_sign.tolist())
-            ]
-        if not all(stepped):
-            ray = rows[~np.array(stepped)]
-            unbounded += ray.tolist()
-            pivoting[ray] = False
+            rows = np.flatnonzero(pivoting[st.member])
+            gi = (np.cumsum(pivoting) - 1)[st.member[rows]]
+        if rows.size <= _SCAN_BATCH:
+            pivoting, rays = _pivot_few(
+                st, pivoting, live, rows, gi, t, sw, step_sign, max_iterations
+            )
+        else:
+            pivoting, rays = _pivot_many(
+                st, pivoting, live, rows, gi, fb, tf, t, sw, step_sign, max_iterations
+            )
+        unbounded += rays
 
 
-def _refresh_basics(runs: _Runs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re-solve for the basic values from the exactly-held nonbasic bounds,
-    clearing the drift accumulated by incremental updates.  Returns the flat
-    basic indices and the transposed basis matrices, for reuse."""
-    k, N = runs.x.shape
-    fb = runs.flat_basis()
-    x_nonbasic = runs.x.copy()
-    x_nonbasic.reshape(-1)[fb] = 0.0
-    rhs = b - (runs.Aaug @ x_nonbasic[..., None])[..., 0]
-    BT = runs.AaugT.reshape(k * N, -1)[fb]
-    runs.x.reshape(-1)[fb] = _lapack_solve(BT.transpose(0, 2, 1), rhs[..., None])[..., 0]
-    return fb, BT
+def _refresh_basics(st: _Groups, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-solve for each run's basic values from the exactly-held nonbasic
+    values, clearing the drift accumulated by incremental updates.  Returns
+    the groups' flat basic indices and transposed basis matrices, for
+    reuse, and each run's whole point, one row per run."""
+    fb = st.flat_basis()
+    BT = st.AT[fb]
+    rhs = b - st.per_run((st.Aaug @ st.xn[..., None])[..., 0])
+    st.xb = _lapack_solve(st.per_run(BT).transpose(0, 2, 1), rhs[..., None])[..., 0]
+    x = st.xn.copy() if st.alone else st.xn[st.member]
+    x.reshape(-1)[fb if st.alone else st.run_basis()] = st.xb
+    return fb, BT, x
 
 
 def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
@@ -460,9 +596,10 @@ def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     deterministic start (every variable at its lower bound when finite,
     otherwise its upper bound, otherwise zero), and phase 2 reoptimizes the
     true objective with the artificials pinned to zero.  Each row has its
-    own pricing, Bland switch and pivot count, and the rows share only the
-    numpy calls, so row ``i`` is, to the bit, what the LP with right-hand
-    side ``rhs[i]`` gets alone.
+    own pricing, Bland switch and pivot count; rows whose pivots have been
+    the same so far share one pricing and one pivot column per round, so
+    row ``i`` is, to the bit, what the LP with right-hand side ``rhs[i]``
+    gets alone.
 
     Raises :class:`LpInputError` if ``rhs`` is not such a stack, with at
     least one row, of finite numbers, and :class:`SolverFailure`, naming the
@@ -516,20 +653,33 @@ def _solve_stack(
     hi_finite = np.isfinite(hi)
     x = np.where(lo_finite, lo, np.where(hi_finite, hi, 0.0))
     residual = b - (A @ x[:, :n, None])[..., 0]
-    Aaug = np.zeros((k, m, N))
-    Aaug[:, :, :n] = A
-    Aaug.reshape(k, m * N)[:, n :: N + 1] = np.where(residual >= 0.0, 1.0, -1.0)
-    x[:, n:] = np.abs(residual)
+    xb = np.abs(residual)
+    # The runs of one LP at many right-hand sides start in one group per
+    # pattern of artificial signs; the runs of different LPs start alone.
+    alone = k == 1 or not _same_rows(c, A, lo_n, hi_n)
+    member = np.arange(k)
+    if not alone:
+        member[:] = 0
+        for signs in np.packbits(residual < 0.0, axis=1).T:
+            member = _renumber(member, signs)[0]
+        runs = np.empty(member.max() + 1, dtype=np.intp)
+        runs[member] = np.arange(k)
+        lo, hi, lo_finite, hi_finite, x, residual = (
+            a[runs] for a in (lo, hi, lo_finite, hi_finite, x, residual)
+        )
+    G = len(lo)
+    Aaug = np.zeros((G, m, N))
+    Aaug[:, :, :n] = A if alone else A[runs]
+    Aaug.reshape(G, m * N)[:, n :: N + 1] = np.where(residual >= 0.0, 1.0, -1.0)
     span = hi - lo
     fixed = span <= TOLERANCE
     free_var = ~(lo_finite | hi_finite)
     sense = np.where(~lo_finite & hi_finite, 1.0, -1.0)
     sense[:, n:] = 0.0
     sense[fixed] = 0.0
-    phase1_cost = np.zeros((k, N))
+    phase1_cost = np.zeros((G, N))
     phase1_cost[:, n:] = 1.0
-    runs = _Runs(
-        offsets=np.arange(0, k * N, N),
+    st = _Groups(
         Aaug=Aaug,
         AaugT=Aaug.transpose(0, 2, 1).copy(),
         lo=lo,
@@ -538,20 +688,23 @@ def _solve_stack(
         free_var=free_var,
         fixed=fixed,
         cost=phase1_cost,
-        x=x,
+        xn=x,
         sense=sense,
-        basis=np.arange(n, N) + np.zeros((k, 1), dtype=np.intp),
-        iterations=np.zeros(k, dtype=int),
-        use_bland=np.zeros(k, dtype=bool),
-        degenerate_run=np.zeros(k, dtype=int),
+        basis=np.arange(n, N) + np.zeros((G, 1), dtype=np.intp),
+        iterations=np.zeros(G, dtype=int),
+        use_bland=np.zeros(G, dtype=bool),
+        degenerate_run=np.zeros(G, dtype=int),
+        xb=xb,
+        member=member,
+        alone=alone,
     )
     max_iterations = max(200, 10 * (n + m))
     free = bool(np.count_nonzero(free_var))
 
-    diverged = _run_phase(runs, np.ones(k, dtype=bool), max_iterations, free)
+    diverged = _run_phase(st, np.ones(G, dtype=bool), max_iterations, free)
     if diverged:
-        raise SolverFailure(f"LP {diverged[0]}: phase-1 objective diverged; numerical breakdown")
-    _refresh_basics(runs, b)
+        raise SolverFailure(f"LP {min(diverged)}: phase-1 objective diverged; numerical breakdown")
+    x = _refresh_basics(st, b)[2]
     infeasibility = np.abs(x[:, n:]).sum(axis=1)
     feasible = ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
     status = [OPTIMAL if f else INFEASIBLE for f in feasible.tolist()]
@@ -563,48 +716,69 @@ def _solve_stack(
             primal=nan[:, :n],
             duals=nan[:, n : n + m],
             reduced_costs=nan[:, n + m : -1],
-            basis=runs.basis,
+            basis=st.per_run(st.basis),
             objective_value=nan[:, -1],
-            iterations=runs.iterations,
+            iterations=st.per_run(st.iterations),
         )
+    if not (st.alone or feasible.all()):
+        st.split(feasible)
+    pivoting = st.per_group(feasible)
+    structural = st.per_group(A)
     # Drive leftover artificials out of the basis; a row whose artificial
     # cannot be exchanged for any structural column is linearly dependent
     # and keeps its (zero-valued, now fixed) artificial as a placeholder.
-    for i in np.flatnonzero(feasible & (runs.basis.max(axis=1) >= n)).tolist():
-        basis, sense_i = runs.basis[i], sense[i]
+    swapped = False
+    for g in np.flatnonzero(pivoting & (st.basis.max(axis=1) >= n)).tolist():
+        basis, sense_g = st.basis[g], st.sense[g]
         for p in range(m):
             if basis[p] < n:
                 continue
             unit = np.zeros(m)
             unit[p] = 1.0
-            multipliers = np.linalg.solve(runs.AaugT[i][basis], unit)
-            row = multipliers @ A[i]
+            multipliers = np.linalg.solve(st.AaugT[g][basis], unit)
+            row = multipliers @ structural[g]
             row[basis[basis < n]] = 0.0
             entering = int(np.argmax(np.abs(row)))
             if abs(row[entering]) > TOLERANCE:
                 basis[p] = entering
-                sense_i[entering] = 0.0
+                sense_g[entering] = 0.0
+                swapped = True
+    if swapped:
+        # Every variable keeps its value, so an artificial that left keeps
+        # each run's own: the runs of a group whose values differ there go
+        # on alone.
+        fx = st.run_basis()
+        st.xb = x.take(fx)
+        x.reshape(-1)[fx] = 0.0
+        if not st.alone:
+            ref = x[st.one_run_each()[st.member]]
+            differs = (x.view(np.uint64) != ref.view(np.uint64)).any(axis=1)
+            if differs.any():
+                mixed = np.zeros(len(st.basis), dtype=bool)
+                mixed[st.member[differs]] = True
+                pivoting = pivoting[st.split(np.where(mixed[st.member], np.arange(k), 0))]
+        st.xn = st.per_group(x)
 
     # Phase 2 pins the artificials to zero: none may enter again.
-    hi[:, n:] = 0.0
-    runs.span = hi - lo
-    runs.fixed = runs.span <= TOLERANCE
-    sense[:, n:] = 0.0
-    runs.use_bland[:] = False
-    runs.degenerate_run[:] = 0
-    runs.cost = np.zeros((k, N))
-    runs.cost[:, :n] = c
-    for i in _run_phase(runs, feasible, max_iterations, free):
+    st.hi[:, n:] = 0.0
+    st.span = st.hi - st.lo
+    st.fixed = st.span <= TOLERANCE
+    st.sense[:, n:] = 0.0
+    st.use_bland[:] = False
+    st.degenerate_run[:] = 0
+    st.cost = np.zeros(st.sense.shape)
+    st.cost[:, :n] = st.per_group(c)
+    for i in _run_phase(st, pivoting, max_iterations, free):
         status[i] = UNBOUNDED
-    fb, BT = _refresh_basics(runs, b)
-    y = _lapack_solve(BT, runs.cost.take(fb)[..., None])
-    duals = y[..., 0]
-    reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
-    basic = np.zeros((k, N), dtype=bool)
+    fb, BT, x = _refresh_basics(st, b)
+    y = _lapack_solve(BT, st.cost.take(fb)[..., None])
+    reduced = st.per_group(c) - (y.transpose(0, 2, 1) @ st.per_group(A))[:, 0]
+    basic = np.zeros(st.sense.shape, dtype=bool)
     basic.reshape(-1)[fb] = True
     reduced[basic[:, :n]] = 0.0
     primal = x[:, :n].copy()
     objective = (c[:, None, :] @ primal[..., None])[:, 0, 0]
+    duals, reduced = st.per_run(y[..., 0]), st.per_run(reduced)
     failed = [s != OPTIMAL for s in status]
     if any(failed):
         for values in (primal, duals, reduced, objective):
@@ -614,9 +788,9 @@ def _solve_stack(
         primal=primal,
         duals=duals,
         reduced_costs=reduced,
-        basis=np.sort(runs.basis, axis=1),
+        basis=st.per_run(np.sort(st.basis, axis=1)),
         objective_value=objective,
-        iterations=runs.iterations,
+        iterations=st.per_run(st.iterations),
     )
 
 

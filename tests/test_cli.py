@@ -261,6 +261,20 @@ class TestErrorPaths:
         assert rc == 2
         assert "cannot write output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["", ".", "/"])
+    def test_heatmap_out_without_file_name_exits_2(
+        self, canonical_path, tmp_path, monkeypatch, out, capsys
+    ):
+        # The boundary file's name is derived from --out's, so an --out that
+        # names no file is a usage error, refused before anything is written.
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        rc = cli.main(["heatmap", "--scenario", canonical_path, "--resolution", "3", "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out"), err
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("mode", ["sweep", "verify", "heatmap"])
     def test_grid_too_large_to_allocate_exits_2(self, canonical_path, tmp_path, mode, capsys):
         # 10**17 grid points cannot be allocated at all, and from 2**62 on

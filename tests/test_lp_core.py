@@ -390,6 +390,11 @@ class TestSolveMany:
         batch = [_klee_minty(8, 0.0)] * 3 + cubes + [_klee_minty(8, 0.0)]
         with pytest.raises(SolverFailure, match=r"LP 3: iteration budget 240 exhausted"):
             lp_stack.solve_stack(batch)
+        # Rows of one LP that share their pivots exhaust it together, in one
+        # step of their group; the first of them is named.
+        cube = _klee_minty(8)
+        with pytest.raises(SolverFailure, match=r"LP 1: iteration budget 240 exhausted"):
+            solve_rhs(cube, [np.zeros(8), cube.eq_rhs, cube.eq_rhs])
 
     def test_singular_basis_is_a_solver_failure(self, monkeypatch):
         real = lp_core._lapack_solve
@@ -405,6 +410,53 @@ class TestSolveMany:
         )
         with pytest.raises(SolverFailure, match="singular basis"):
             solve(toy_lp())
+
+    @pytest.mark.parametrize(
+        "lp, rhs",
+        [
+            # 32, 31, 32, 52 and 42 pivots; the last row is infeasible.
+            pytest.param(
+                _bland_lp(),
+                [np.zeros(21), np.full(21, 0.5), 0.5 * np.eye(21)[-1], np.full(21, 2.5), np.full(21, 3.5)],
+                id="bland",
+            ),
+            # Consistent rows keep a placeholder for the redundant one.
+            pytest.param(
+                LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [3.0, 3.0], [0.0, 0.0], [INF, 5.0]),
+                [[3.0, 3.0], [3.0, 4.0], [1.0, 1.0], [-1.0, -1.0], [2.0, 2.5], [7.0, 7.0]],
+                id="redundant-row",
+            ),
+            # A ray wherever x2 + x3 = b1 can be met; infeasible elsewhere.
+            pytest.param(
+                LinearProgram(
+                    [-1.0, 0.0, 0.0, 0.0], [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+                    [0.0, 0.0], [0.0] * 4, [INF] * 4,
+                ),
+                [[0.0, 1.0], [2.0, 1.0], [-2.0, 3.0], [1.0, -1.0], [3.0, 0.0], [-2.0, -2.0]],
+                id="open-box",
+            ),
+            # x0 = b0 is met only to within the feasibility cutoff, so phase 1
+            # ends with row 0's artificial basic at each row's own small value,
+            # and swapping x0 in for it leaves that value behind.
+            pytest.param(
+                LinearProgram([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]),
+                [[1.0, 1.0], [1.0 + 1e-9, 1.5], [1.0 + 2e-9, 1.5], [1.0 + 1e-9, 2.0], [1.5, 1.5]],
+                id="within-cutoff",
+            ),
+        ],
+    )
+    def test_rhs_stack_whose_rows_part_ways_equals_lone_solves(self, lp, rhs):
+        # The rows share one LP, so they start together in the lock-step core
+        # and part ways as their pivots differ; each still gets, to the bit,
+        # what it gets alone.
+        stacked = solve_rhs(lp, rhs)
+        alone = [
+            solve(LinearProgram(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds))
+            for b in rhs
+        ]
+        assert len(set(zip(stacked.status, stacked.iterations.tolist()))) > 1
+        for row, sol in zip(lp_stack.rows(stacked), alone):
+            assert trace_digest([row]) == trace_digest([sol])
 
     def test_rhs_stack_checks_and_solves_each_row(self):
         # One LP at a stack of right-hand sides: each row solves as that LP
