@@ -65,13 +65,24 @@ def _parse_resolution(text: str) -> int:
     return resolution
 
 
-def _write_lines(destination: str, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+def _write_outputs(*outputs: tuple[str, list[str]]) -> None:
+    """Write each ``(destination, lines)`` pair in turn, ``-`` to stdout.  If
+    one cannot be written, the files this call opened are removed, so a
+    failed call leaves no partial output behind."""
+    opened = []
+    try:
+        for destination, lines in outputs:
+            text = "\n".join(lines) + "\n"
+            if destination == "-":
+                sys.stdout.write(text)
+                continue
+            with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+                opened.append(destination)
+                handle.write(text)
+    except OSError:
+        for path in opened:
+            pathlib.Path(path).unlink(missing_ok=True)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep(scenario, args) -> int:
     lines = sweep_mod.sweep_csv_lines(scenario, args.resolution or 200)
-    _write_lines(args.out, lines)
+    _write_outputs((args.out, lines))
     return EXIT_OK
 
 
@@ -172,8 +183,7 @@ def _run_heatmap(scenario, args) -> int:
     cell_lines, boundary_lines = sweep_mod.heatmap_csv_lines(
         scenario, f01_range, f12_range, args.resolution or 50
     )
-    _write_lines(args.out, cell_lines)
-    _write_lines(boundary_out, boundary_lines)
+    _write_outputs((args.out, cell_lines), (boundary_out, boundary_lines))
     return EXIT_OK
 
 
@@ -186,13 +196,13 @@ def _run_classify(scenario, args) -> int:
         + report.to_text()
     )
     if args.out != "-":
-        _write_lines(args.out, [report.CSV_HEADER, report.to_csv_row()])
+        _write_outputs((args.out, [report.CSV_HEADER, report.to_csv_row()]))
     return EXIT_OK
 
 
 def _run_verify(scenario, args) -> int:
     report = sweep_mod.verify_scenario(scenario, args.resolution or 200)
-    _write_lines(args.out, report.to_text().splitlines())
+    _write_outputs((args.out, report.to_text().splitlines()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -11,18 +11,16 @@ performance: dense numpy algebra, Dantzig pricing with a switch to Bland's
 rule after a run of degenerate pivots, and absolute tolerances suited to
 well-scaled inputs of at most a few hundred variables.
 
-Many LPs of one shape are solved in lock-step, each running its own simplex.
-The state is kept once per group of LPs whose data and pivots so far are
-the same: a group prices and solves for its pivot column once per round,
-while each LP keeps its own basic values and takes its own ratio test, and
-a group whose LPs step differently splits.  One LP at many right-hand sides
-starts as a few groups (one per sign pattern of its artificial columns);
-different LPs start alone.  Every stacked product and solve does the
-arithmetic a lone solve does, so a batch changes no bit of any solution.
-The lock-step core takes the LP data as stacked arrays and returns the
-solutions as columns (:class:`LpSolutions`).
-:func:`solve_rhs` solves one LP at a stack of right-hand sides with no LP
-object per row, and :func:`solve` is row 0 of a one-row stack.
+:func:`solve_rhs` solves one LP at a stack of right-hand sides in
+lock-step, each right-hand side running its own simplex, and returns the
+solutions as columns (:class:`LpSolutions`); :func:`solve` is row 0 of a
+one-row stack.  The LP data is held once.  The state is kept once per group
+of rows whose pivots so far are the same, starting with one group per sign
+pattern of the artificial columns: a group prices and solves for its pivot
+column once per round, while each row keeps its own basic values and takes
+its own ratio test, and a group whose rows step differently splits.  Every
+stacked product and solve does the arithmetic a lone solve does, so a stack
+changes no bit of any solution.
 :func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
 is its one-LP face.
 """
@@ -200,21 +198,22 @@ _SCAN_BATCH = 8
 
 #: The fields of :class:`_Groups` held once per group.
 _GROUP_FIELDS = (
-    "Aaug", "AaugT", "lo", "hi", "span", "free_var", "fixed", "cost",
-    "xn", "sense", "basis", "iterations", "use_bland", "degenerate_run",
+    "Aaug", "AaugT", "xn", "sense", "basis", "iterations", "use_bland", "degenerate_run",
 )
 
 
 class _Groups:
-    """Simplex state of a stack of LPs of one shape, held once per *group*:
-    the runs (LPs of the stack) whose LP data and pivots so far are the
-    same.  A group prices and solves for its pivot column once; each of its
-    runs takes its own ratio test on its own basic values.
+    """Simplex state of one LP at a stack of right-hand sides, held once per
+    *group*: the runs (rows of the stack) whose pivots so far are the same.
+    A group prices and solves for its pivot column once; each of its runs
+    takes its own ratio test on its own basic values.
+
+    Shared by every group, one entry per variable: the bounds ``lo``, ``hi``
+    and ``span = hi - lo``; ``free_var`` and ``fixed``, which flag variables
+    with no bound and with no range; and the ``cost`` of the phase being run.
 
     Per group: ``Aaug``, the constraint matrix with the phase-1 artificial
-    columns, and its transpose ``AaugT``; the bounds ``lo``, ``hi`` and
-    ``span = hi - lo``; ``free_var`` and ``fixed``, which flag variables
-    with no bound and with no range; the ``cost`` of the phase being run;
+    columns (signed by the group's residuals), and its transpose ``AaugT``;
     ``xn``, the values of the nonbasic variables (zero for the basic ones);
     the ``basis`` (one column per row of the constraint matrix), the pivot
     count, Bland's switch and the run of degenerate pivots.  ``sense`` is
@@ -226,8 +225,8 @@ class _Groups:
     rows of ``AaugT``; flat indices read faster than pairs of indices.
 
     Per run: ``xb``, the values of its basic variables in basis order, and
-    its group, ``member``.  ``alone`` says that run ``i`` is group ``i``
-    and has it to itself, as in a lone solve or a stack of different LPs.
+    its group, ``member``.  ``alone`` says that the stack has one run,
+    which has group 0 to itself.
     """
 
     def __init__(self, **arrays) -> None:
@@ -254,7 +253,7 @@ class _Groups:
         return parent
 
     def one_run_each(self) -> np.ndarray:
-        """A run of each group (any one: they share the group's LP data)."""
+        """A run of each group (any one: they share the group's state)."""
         if self.alone:
             return self.member
         runs = np.empty(len(self.basis), dtype=np.intp)
@@ -285,11 +284,6 @@ def _renumber(member: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarr
     pair = member * width + key
     present = np.bincount(pair) > 0
     return (np.cumsum(present) - 1)[pair], np.flatnonzero(present) // width
-
-
-def _same_rows(*arrays: np.ndarray) -> bool:
-    """Whether every row of each stacked array holds the bits of its first."""
-    return all((a.view(np.uint64) == a[:1].view(np.uint64)).all() for a in arrays)
 
 
 def _ratio_test(
@@ -370,8 +364,8 @@ def _pivot_few(
         g, tj = live[j], t[j]
         basis, xb, sws = st.basis[g], st.xb[i].tolist(), sw[j].tolist()
         block, up, theta = _ratio_test(
-            xb, st.lo[g][basis].tolist(), st.hi[g][basis].tolist(), sws, basis.tolist(),
-            float(st.span[g, tj]), st.use_bland[g],
+            xb, st.lo[basis].tolist(), st.hi[basis].tolist(), sws, basis.tolist(),
+            float(st.span[tj]), st.use_bland[g],
         )
         if block >= -1:
             xb = [x - theta * s for x, s in zip(xb, sws)]
@@ -413,13 +407,13 @@ def _step_group(
     sense, xn = st.sense[g], st.xn[g]
     if block < 0:
         sense[t] = -sense[t]
-        xn[t] = st.hi[g, t] if sense[t] > 0.0 else st.lo[g, t]
+        xn[t] = st.hi[t] if sense[t] > 0.0 else st.lo[t]
         st.degenerate_run[g] = 0
         return
     basis = st.basis[g]
     leaving = basis[block]
-    xn[leaving] = st.hi[g, leaving] if up else st.lo[g, leaving]
-    sense[leaving] = 0.0 if st.fixed[g, leaving] else (1.0 if up else -1.0)
+    xn[leaving] = st.hi[leaving] if up else st.lo[leaving]
+    sense[leaving] = 0.0 if st.fixed[leaving] else (1.0 if up else -1.0)
     xn[t] = 0.0
     sense[t] = 0.0
     basis[block] = t
@@ -433,12 +427,10 @@ def _step_group(
 
 def _pivot_many(
     st: _Groups, pivoting: np.ndarray, live: np.ndarray, rows: np.ndarray, gi: np.ndarray,
-    fb: np.ndarray, tf: np.ndarray, t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray,
-    max_iterations: int,
+    tf: np.ndarray, t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray, max_iterations: int,
 ) -> tuple[np.ndarray, list[int]]:
-    """:func:`_pivot_few` for a large batch, in array operations; ``fb``
-    and ``tf`` are the flat indices of the live groups' basic and entering
-    variables.
+    """:func:`_pivot_few` for a large batch, in array operations; ``tf``
+    holds the flat indices of the live groups' entering variables.
 
     The step limits of all runs come from one set of array operations.  A
     run whose smallest limit is clear, by more than the tie window, of the
@@ -448,8 +440,9 @@ def _pivot_many(
     """
     lane = np.arange(rows.size)
     gi = lane if gi is None else gi
-    own, enter, step_sign = (a.take(gi) for a in (st.span.take(tf), st.xn.take(tf), step_sign))
-    lo, hi, sw = (a.take(gi, axis=0) for a in (st.lo.take(fb), st.hi.take(fb), sw))
+    own, enter, step_sign = (a.take(gi) for a in (st.span.take(t), st.xn.take(tf), step_sign))
+    basis = st.basis.take(live.take(gi), axis=0)
+    lo, hi, sw = st.lo.take(basis), st.hi.take(basis), sw.take(gi, axis=0)
     xb = st.xb.take(rows, axis=0)
     rises = sw > _PIVOT_FLOOR
     size = np.abs(sw)
@@ -473,10 +466,9 @@ def _pivot_many(
     theta = np.where(flip, own, low)
     rays = []
     for j in [] if clear.all() else np.flatnonzero(~clear).tolist():
-        g = live[gi[j]]
         block[j], up[j], theta[j] = _ratio_test(
             xb[j].tolist(), lo[j].tolist(), hi[j].tolist(), sw[j].tolist(),
-            st.basis[g].tolist(), float(own[j]), st.use_bland[g],
+            basis[j].tolist(), float(own[j]), st.use_bland[live[gi[j]]],
         )
         if block[j] == -2:
             theta[j] = 0.0  # on a ray, the run stays put
@@ -531,7 +523,7 @@ def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: boo
     while True:
         fb = st.flat_basis()
         BT = st.AT[fb]
-        y = _lapack_solve(BT, st.cost.take(fb)[..., None])
+        y = _lapack_solve(BT, st.cost.take(st.basis)[..., None])
         d = st.cost - (y.transpose(0, 2, 1) @ st.Aaug)[:, 0]
         score = d * st.sense
         if free:
@@ -546,12 +538,12 @@ def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: boo
             live = np.flatnonzero(pivoting)
             if not live.size:
                 return unbounded
-            fb, BT, t, tf = fb[live], BT[live], t[live], tf[live]
+            BT, t, tf = BT[live], t[live], tf[live]
 
         step_sign = -st.sense.take(tf)
         if free:
             step_sign = np.where(
-                st.free_var.take(tf), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
+                st.free_var.take(t), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
             )
         w = _lapack_solve(BT.transpose(0, 2, 1), st.AT[tf][..., None])
         sw = step_sign[:, None] * w[..., 0]
@@ -568,7 +560,7 @@ def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: boo
             )
         else:
             pivoting, rays = _pivot_many(
-                st, pivoting, live, rows, gi, fb, tf, t, sw, step_sign, max_iterations
+                st, pivoting, live, rows, gi, tf, t, sw, step_sign, max_iterations
             )
         unbounded += rays
 
@@ -590,7 +582,7 @@ def _refresh_basics(st: _Groups, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     """Run the two-phase bounded-variable simplex method on ``lp`` at every
     row of ``rhs``, a ``(k, rows)`` stack of equality right-hand sides, in
-    one lock-step batch with no LP object per row.
+    one lock-step batch that holds the LP's data once.
 
     Phase 1 minimizes the total artificial infeasibility from a
     deterministic start (every variable at its lower bound when finite,
@@ -612,26 +604,11 @@ def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
         raise LpInputError(f"rhs stack has shape {b.shape}, expected (k, {m}) with k >= 1")
     if not np.isfinite(b).all():
         raise LpInputError("objective, matrix, and rhs must be finite")
-    k = b.shape[0]
-    return _solve_arrays(
-        lp.objective[None].repeat(k, axis=0),
-        lp.eq_matrix[None].repeat(k, axis=0),
-        b,
-        lp.lower_bounds[None].repeat(k, axis=0),
-        lp.upper_bounds[None].repeat(k, axis=0),
-    )
-
-
-def _solve_arrays(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> LpSolutions:
-    """The lock-step simplex on stacked LP data: ``c``, ``lo`` and ``hi`` of
-    shape ``(k, n)``, ``A`` of ``(k, m, n)`` and ``b`` of ``(k, m)``."""
     try:
         # A singular basis surfaces as an invalid-value signal from the
         # LAPACK gufunc, and as LinAlgError from np.linalg.solve.
         with np.errstate(invalid="raise"):
-            return _solve_stack(c, A, b, lo, hi)
+            return _solve_stack(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise SolverFailure("singular basis; numerical breakdown") from exc
 
@@ -639,12 +616,13 @@ def _solve_arrays(
 def _solve_stack(
     c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray
 ) -> LpSolutions:
-    k, m, n = A.shape
+    k, m = b.shape
+    n = c.size
     N = n + m
-    lo = np.zeros((k, N))
-    hi = np.full((k, N), np.inf)
-    lo[:, :n] = lo_n
-    hi[:, :n] = hi_n
+    lo = np.zeros(N)
+    hi = np.full(N, np.inf)
+    lo[:n] = lo_n
+    hi[:n] = hi_n
 
     # Every variable starts at its lower bound when finite, otherwise at its
     # upper bound, otherwise at zero; one artificial per row, signed to take
@@ -652,33 +630,29 @@ def _solve_stack(
     lo_finite = np.isfinite(lo)
     hi_finite = np.isfinite(hi)
     x = np.where(lo_finite, lo, np.where(hi_finite, hi, 0.0))
-    residual = b - (A @ x[:, :n, None])[..., 0]
+    residual = b - (A @ x[:n, None])[:, 0]
     xb = np.abs(residual)
-    # The runs of one LP at many right-hand sides start in one group per
-    # pattern of artificial signs; the runs of different LPs start alone.
-    alone = k == 1 or not _same_rows(c, A, lo_n, hi_n)
-    member = np.arange(k)
+    # The runs start in one group per pattern of artificial signs.
+    alone = k == 1
+    member = np.zeros(k, dtype=np.intp)
     if not alone:
-        member[:] = 0
         for signs in np.packbits(residual < 0.0, axis=1).T:
             member = _renumber(member, signs)[0]
         runs = np.empty(member.max() + 1, dtype=np.intp)
         runs[member] = np.arange(k)
-        lo, hi, lo_finite, hi_finite, x, residual = (
-            a[runs] for a in (lo, hi, lo_finite, hi_finite, x, residual)
-        )
-    G = len(lo)
+        residual = residual[runs]
+    G = len(residual)
     Aaug = np.zeros((G, m, N))
-    Aaug[:, :, :n] = A if alone else A[runs]
+    Aaug[:, :, :n] = A
     Aaug.reshape(G, m * N)[:, n :: N + 1] = np.where(residual >= 0.0, 1.0, -1.0)
     span = hi - lo
     fixed = span <= TOLERANCE
     free_var = ~(lo_finite | hi_finite)
     sense = np.where(~lo_finite & hi_finite, 1.0, -1.0)
-    sense[:, n:] = 0.0
+    sense[n:] = 0.0
     sense[fixed] = 0.0
-    phase1_cost = np.zeros((G, N))
-    phase1_cost[:, n:] = 1.0
+    phase1_cost = np.zeros(N)
+    phase1_cost[n:] = 1.0
     st = _Groups(
         Aaug=Aaug,
         AaugT=Aaug.transpose(0, 2, 1).copy(),
@@ -688,8 +662,8 @@ def _solve_stack(
         free_var=free_var,
         fixed=fixed,
         cost=phase1_cost,
-        xn=x,
-        sense=sense,
+        xn=np.tile(x, (G, 1)),
+        sense=np.tile(sense, (G, 1)),
         basis=np.arange(n, N) + np.zeros((G, 1), dtype=np.intp),
         iterations=np.zeros(G, dtype=int),
         use_bland=np.zeros(G, dtype=bool),
@@ -723,7 +697,6 @@ def _solve_stack(
     if not (st.alone or feasible.all()):
         st.split(feasible)
     pivoting = st.per_group(feasible)
-    structural = st.per_group(A)
     # Drive leftover artificials out of the basis; a row whose artificial
     # cannot be exchanged for any structural column is linearly dependent
     # and keeps its (zero-valued, now fixed) artificial as a placeholder.
@@ -736,7 +709,7 @@ def _solve_stack(
             unit = np.zeros(m)
             unit[p] = 1.0
             multipliers = np.linalg.solve(st.AaugT[g][basis], unit)
-            row = multipliers @ structural[g]
+            row = multipliers @ A
             row[basis[basis < n]] = 0.0
             entering = int(np.argmax(np.abs(row)))
             if abs(row[entering]) > TOLERANCE:
@@ -760,24 +733,24 @@ def _solve_stack(
         st.xn = st.per_group(x)
 
     # Phase 2 pins the artificials to zero: none may enter again.
-    st.hi[:, n:] = 0.0
+    st.hi[n:] = 0.0
     st.span = st.hi - st.lo
     st.fixed = st.span <= TOLERANCE
     st.sense[:, n:] = 0.0
     st.use_bland[:] = False
     st.degenerate_run[:] = 0
-    st.cost = np.zeros(st.sense.shape)
-    st.cost[:, :n] = st.per_group(c)
+    st.cost = np.zeros(N)
+    st.cost[:n] = c
     for i in _run_phase(st, pivoting, max_iterations, free):
         status[i] = UNBOUNDED
     fb, BT, x = _refresh_basics(st, b)
-    y = _lapack_solve(BT, st.cost.take(fb)[..., None])
-    reduced = st.per_group(c) - (y.transpose(0, 2, 1) @ st.per_group(A))[:, 0]
+    y = _lapack_solve(BT, st.cost.take(st.basis)[..., None])
+    reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
     basic = np.zeros(st.sense.shape, dtype=bool)
     basic.reshape(-1)[fb] = True
     reduced[basic[:, :n]] = 0.0
     primal = x[:, :n].copy()
-    objective = (c[:, None, :] @ primal[..., None])[:, 0, 0]
+    objective = (c @ primal[..., None])[:, 0]
     duals, reduced = st.per_run(y[..., 0]), st.per_run(reduced)
     failed = [s != OPTIMAL for s in status]
     if any(failed):

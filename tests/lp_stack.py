@@ -1,9 +1,9 @@
-"""LPs of one shape that differ in any array, solved in one lock-step batch.
+"""Stacks of LPs and of solutions, for the tests that compare them row by row.
 
-The program hands the lock-step core one LP at a stack of right-hand sides
-(``lp_core.solve_rhs``).  Tests that pin the core on LPs that differ in
-every array, not only in their right-hand sides, stack them here and call
-the core directly.
+The lock-step core solves one LP at a stack of right-hand sides
+(``lp_core.solve_rhs``); LPs that differ in any other array are solved one
+at a time.  ``lp_core.kkt_residuals`` still checks a stack of different LPs
+in one call, so the tests stack their arrays here.
 """
 
 from __future__ import annotations
@@ -24,8 +24,3 @@ def stack(lps) -> tuple[np.ndarray, ...]:
 def rows(sols: lp_core.LpSolutions) -> list[lp_core.LpSolution]:
     """One ``LpSolution`` per row of ``sols``, in stack order."""
     return [lp_core._solution(sols, i) for i in range(len(sols.status))]
-
-
-def solve_stack(lps) -> list[lp_core.LpSolution]:
-    """``lps`` solved in one lock-step batch; solution ``i`` is LP ``i``'s."""
-    return rows(lp_core._solve_arrays(*stack(lps)))

@@ -32,7 +32,7 @@ from gridshift.grid_model import (
     tau,
     write_scenario_file,
 )
-from gridshift.lp_core import OPTIMAL, kkt_residuals
+from gridshift.lp_core import OPTIMAL, kkt_residuals, solve
 from gridshift.sweep import (
     alignment_cutoffs,
     default_f01_range,
@@ -228,10 +228,10 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
     # 10,000 random bounded LPs against the brute-force vertex enumerator:
     # statuses must agree, optima must match to 1e-8, and every optimal
     # solution must pass an independent optimality check at 1e-8.  The LPs
-    # are solved and checked in one batch per shape (each solution, and each
-    # check, is the one its LP gets alone; tests/test_lp_core.py pins that to
-    # the bit).  Then the dispatch at the degenerate threshold vertex must
-    # still terminate.
+    # differ in every array, so each is solved alone; the optima are checked
+    # in one batch per shape (each check is the one its LP gets alone;
+    # tests/test_lp_core.py pins that to the bit).  Then the dispatch at the
+    # degenerate threshold vertex must still terminate.
     started = time.perf_counter()
     rng = np.random.default_rng(106)
     lps = [lp_oracle.random_bounded_lp(rng) for _ in range(10000)]
@@ -242,7 +242,8 @@ def test_criterion_6_solver_matches_enumeration_and_survives_degeneracy(capsys):
     optimal_count = 0
     for group in by_shape.values():
         solved = []
-        for lp, sol in zip(group, lp_stack.solve_stack(group)):
+        for lp in group:
+            sol = solve(lp)
             expected = lp_oracle.reference_solve(lp)
             if sol.status != expected.status:
                 status_bad += 1

@@ -275,6 +275,22 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error: --out"), err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("boundary", ["", "missing/b.csv", "."])
+    def test_heatmap_unwritable_boundary_leaves_no_output(
+        self, canonical_path, tmp_path, monkeypatch, boundary, capsys
+    ):
+        # The cells file is written first; when the boundary file then
+        # cannot be written, the call fails and takes the cells file back.
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        rc = cli.main(
+            ["heatmap", "--scenario", canonical_path, "--resolution", "3",
+             "--out", "h.csv", "--boundary-out", boundary]
+        )
+        assert rc == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("mode", ["sweep", "verify", "heatmap"])
     def test_grid_too_large_to_allocate_exits_2(self, canonical_path, tmp_path, mode, capsys):
         # 10**17 grid points cannot be allocated at all, and from 2**62 on

@@ -284,13 +284,13 @@ class TestGridDispatch:
         assert [_signals(o) for o in grid] == [_signals(left)] * 2 + [_signals(right)]
         assert grid[0].degenerate
         solves = []
-        real_solve_arrays = lp_core._solve_arrays
+        real_solve_rhs = lp_core.solve_rhs
 
-        def solve_arrays(c, *arrays):
-            solves.extend(c)
-            return real_solve_arrays(c, *arrays)
+        def solve_rhs(lp, rhs):
+            solves.extend(rhs)
+            return real_solve_rhs(lp, rhs)
 
-        monkeypatch.setattr(lp_core, "_solve_arrays", solve_arrays)
+        monkeypatch.setattr(lp_core, "solve_rhs", solve_rhs)
         assert solve_ed(s, node) == grid[0]
         assert len(solves) == 1
 

@@ -271,21 +271,6 @@ class TestPinnedTrace:
     def test_one_at_a_time_matches_the_pinned_digest(self):
         assert trace_digest(solve(lp) for lp in trace_lps()) == TRACE_SHA256
 
-    def test_batched_by_shape_matches_the_pinned_digest(self):
-        # Batches of one to a few hundred LPs, so both the one-at-a-time and
-        # the array pivot steps are covered.
-        lps = trace_lps()
-        by_shape = {}
-        for i, lp in enumerate(lps):
-            by_shape.setdefault(lp.eq_matrix.shape, []).append(i)
-        assert min(map(len, by_shape.values())) == 1
-        assert max(map(len, by_shape.values())) > 100
-        solutions = [None] * len(lps)
-        for rows in by_shape.values():
-            for i, sol in zip(rows, lp_stack.solve_stack([lps[i] for i in rows])):
-                solutions[i] = sol
-        assert trace_digest(solutions) == TRACE_SHA256
-
     def test_rhs_stacks_match_the_pinned_digest(self):
         # The bundled dispatch LPs (from index 550 on) differ only in their
         # right-hand sides, so each scenario's LPs stack into one LP at many
@@ -315,6 +300,24 @@ def _bland_lp() -> LinearProgram:
     m = 21
     A = np.hstack([np.eye(m), 2.0 * np.eye(m)])
     return LinearProgram(np.tile([1.0, -1.0], m), A, np.zeros(m), np.zeros(2 * m), np.ones(2 * m))
+
+
+def _bland_tie_lp() -> LinearProgram:
+    """:func:`_bland_lp` with column j of its second block ``2 e_j + e_{j+1}``
+    (cyclically).  At a zero right-hand side phase 2 turns to Bland's rule
+    too, and then ratio tests tie; Bland's rule leaves the row of the lower
+    variable index, not the one of the larger pivot."""
+    m = 21
+    A = np.hstack([np.eye(m), 2.0 * np.eye(m) + np.roll(np.eye(m), 1, axis=0)])
+    return LinearProgram(np.tile([1.0, -1.0], m), A, np.zeros(m), np.zeros(2 * m), np.ones(2 * m))
+
+
+#: An open box: a ray wherever x2 + x3 = b1 can be met; infeasible elsewhere.
+_OPEN_BOX = LinearProgram(
+    [-1.0, 0.0, 0.0, 0.0], [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+    [0.0, 0.0], [0.0] * 4, [INF] * 4,
+)
+_OPEN_BOX_RHS = [[0.0, 1.0], [2.0, 1.0], [-2.0, 3.0], [1.0, -1.0], [3.0, 0.0], [-2.0, -2.0]]
 
 
 def _mixed_batch() -> list[LinearProgram]:
@@ -350,25 +353,12 @@ def _klee_minty(n: int, objective_scale: float = 1.0) -> LinearProgram:
 
 
 class TestSolveMany:
-    """LPs solved many at a time by the lock-step core."""
-
-    def test_batch_member_equals_batch_of_one(self):
-        lps = _mixed_batch()
-        batch = lp_stack.solve_stack(lps)
-        assert {sol.status for sol in batch} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-        for lp, sol in zip(lps, batch):
-            alone = solve(lp)
-            assert trace_digest([sol]) == trace_digest([alone])
-            assert sol.objective_value == alone.objective_value
+    """One LP solved at many right-hand sides by the lock-step core."""
 
     def test_bland_member_really_switches(self, monkeypatch):
         switched = solve(_bland_lp())
         monkeypatch.setattr(lp_core, "BLAND_TRIGGER", 10**9)
         assert solve(_bland_lp()).iterations != switched.iterations
-
-    def test_small_batch_equals_one_at_a_time(self):
-        lps = _mixed_batch()[:5]
-        assert trace_digest(lp_stack.solve_stack(lps)) == trace_digest(solve(lp) for lp in lps)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(LpInputError, match="rhs stack has shape"):
@@ -380,21 +370,20 @@ class TestSolveMany:
             solve_rhs(toy_lp(), [[1.0, 2.0]])
 
     def test_exhausted_budget_names_the_lp(self):
-        # 255 pivots on the 8-dimensional cube exceed the budget of 240.
-        batch = [_klee_minty(8, 0.0), _klee_minty(8, 0.0), _klee_minty(8), _klee_minty(8, 0.0)]
-        with pytest.raises(SolverFailure, match=r"LP 2: iteration budget 240 exhausted"):
-            lp_stack.solve_stack(batch)
-        # More cubes than lone scans: the budget runs out in the array step,
-        # after the zero-objective cubes before and after them have stopped.
-        cubes = [_klee_minty(8)] * (lp_core._SCAN_BATCH + 1)
-        batch = [_klee_minty(8, 0.0)] * 3 + cubes + [_klee_minty(8, 0.0)]
-        with pytest.raises(SolverFailure, match=r"LP 3: iteration budget 240 exhausted"):
-            lp_stack.solve_stack(batch)
-        # Rows of one LP that share their pivots exhaust it together, in one
-        # step of their group; the first of them is named.
+        # 255 pivots on the 8-dimensional cube exceed the budget of 240; at a
+        # zero right-hand side the cube is a point, and its row stops at once.
         cube = _klee_minty(8)
+        zero, b = np.zeros(8), cube.eq_rhs
+        with pytest.raises(SolverFailure, match=r"LP 2: iteration budget 240 exhausted"):
+            solve_rhs(cube, [zero, zero, b, zero])
+        # More full cubes than lone scans: the budget runs out in the array
+        # step, after the zero rows before and after them have stopped.
+        with pytest.raises(SolverFailure, match=r"LP 3: iteration budget 240 exhausted"):
+            solve_rhs(cube, [zero] * 3 + [b] * (lp_core._SCAN_BATCH + 1) + [zero])
+        # Rows that share their pivots exhaust it together, in one step of
+        # their group; the first of them is named.
         with pytest.raises(SolverFailure, match=r"LP 1: iteration budget 240 exhausted"):
-            solve_rhs(cube, [np.zeros(8), cube.eq_rhs, cube.eq_rhs])
+            solve_rhs(cube, [zero, b, b])
 
     def test_singular_basis_is_a_solver_failure(self, monkeypatch):
         real = lp_core._lapack_solve
@@ -426,14 +415,15 @@ class TestSolveMany:
                 [[3.0, 3.0], [3.0, 4.0], [1.0, 1.0], [-1.0, -1.0], [2.0, 2.5], [7.0, 7.0]],
                 id="redundant-row",
             ),
-            # A ray wherever x2 + x3 = b1 can be met; infeasible elsewhere.
+            pytest.param(_OPEN_BOX, _OPEN_BOX_RHS, id="open-box"),
+            # More rows than lone scans: the rays are found in the array step.
+            pytest.param(_OPEN_BOX, _OPEN_BOX_RHS * 3, id="open-box-array-step"),
+            # More than _SCAN_BATCH rows break Bland's ties together, in the
+            # array step.
             pytest.param(
-                LinearProgram(
-                    [-1.0, 0.0, 0.0, 0.0], [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
-                    [0.0, 0.0], [0.0] * 4, [INF] * 4,
-                ),
-                [[0.0, 1.0], [2.0, 1.0], [-2.0, 3.0], [1.0, -1.0], [3.0, 0.0], [-2.0, -2.0]],
-                id="open-box",
+                _bland_tie_lp(),
+                [np.zeros(21)] * (lp_core._SCAN_BATCH + 1) + [np.full(21, 0.5)],
+                id="bland-tie-array-step",
             ),
             # x0 = b0 is met only to within the feasibility cutoff, so phase 1
             # ends with row 0's artificial basic at each row's own small value,
@@ -485,7 +475,7 @@ class TestKktMany:
         # kkt_residuals on a stack of LPs that differ in every array gives
         # each pair the residuals verify_kkt gives it alone, to the bit.
         lps = _mixed_batch()
-        pairs = [(lp, sol) for lp, sol in zip(lps, lp_stack.solve_stack(lps)) if sol.status == OPTIMAL]
+        pairs = [(lp, sol) for lp, sol in ((lp, solve(lp)) for lp in lps) if sol.status == OPTIMAL]
         tampered = dataclasses.replace(pairs[0][1], primal=pairs[0][1].primal + 1e-3)
         pairs.append((pairs[0][0], tampered))
         residuals = lp_core.kkt_residuals(
