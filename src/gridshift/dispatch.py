@@ -8,7 +8,8 @@ shift 0 and one dual-simplex pivot per change of basis, and
 :func:`solve_ed_columns` reads every shift of a grid off its pieces.  The
 cold route (the verification gate, and :func:`solve_ed_detailed`) solves
 each shift's own LP from scratch: one dispatch LP at a stack of balance
-right-hand sides, all in one lock-step batch, as the check from outside.
+right-hand sides, in one :func:`~gridshift.lp_core.solve_rhs` call, as the
+check from outside.
 Also provides the data-center bill and the system-wide cost, which
 cross-check the closed-form objectives numerically.
 
@@ -229,8 +230,8 @@ def _in_block(s: ThreeBusScenario, deltas: Iterable[float]) -> np.ndarray:
 def _solve_ed_cold(
     s: ThreeBusScenario, deltas: Iterable[float]
 ) -> tuple[lp_core.LinearProgram, np.ndarray, lp_core.LpSolutions, DispatchColumns]:
-    """Cold solves at every shift of ``deltas``, all in one lock-step batch
-    of the dispatch LP at a stack of balance right-hand sides: the LP (at
+    """Cold solves at every shift of ``deltas``, all in one ``solve_rhs``
+    call on the dispatch LP at a stack of balance right-hand sides: the LP (at
     shift 0), the stack, the solutions and the dispatch columns, so that
     callers checking the solutions need not build anything again.  Each
     shift is solved from scratch, exactly as it would be on its own, and

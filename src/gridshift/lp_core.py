@@ -11,16 +11,19 @@ performance: dense numpy algebra, Dantzig pricing with a switch to Bland's
 rule after a run of degenerate pivots, and absolute tolerances suited to
 well-scaled inputs of at most a few hundred variables.
 
-:func:`solve_rhs` solves one LP at a stack of right-hand sides in
-lock-step, each right-hand side running its own simplex, and returns the
-solutions as columns (:class:`LpSolutions`); :func:`solve` is row 0 of a
-one-row stack.  The LP data is held once.  The state is kept once per group
-of rows whose pivots so far are the same, starting with one group per sign
-pattern of the artificial columns: a group prices and solves for its pivot
-column once per round, while each row keeps its own basic values and takes
-its own ratio test, and a group whose rows step differently splits.  Every
-stacked product and solve does the arithmetic a lone solve does, so a stack
-changes no bit of any solution.
+:func:`solve_rhs` solves one LP at a stack of right-hand sides, each
+right-hand side running its own simplex, and returns the solutions as
+columns (:class:`LpSolutions`); :func:`solve` is row 0 of a one-row stack.
+The stack's height alone picks the route.  One row runs alone
+(:class:`_Run`), its control state in Python scalars.  Two or more run in
+lock-step (:class:`_Groups`), with the LP data held once and the state kept
+once per group of rows whose pivots so far are the same, starting with one
+group per sign pattern of the artificial columns: a group prices and solves
+for its pivot column once per round, while each row keeps its own basic
+values and takes its own ratio test, and a group whose rows step
+differently splits.  Both routes share the start, the ratio test, the step
+rule and the wrap-up, and make the same products and solves on arrays of
+the same shapes, so a stack changes no bit of any solution.
 :func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
 is its one-LP face.
 """
@@ -81,11 +84,14 @@ class LinearProgram:
     upper_bounds: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.atleast_2d(np.array(self.eq_matrix, dtype=float))
-        c = np.array(self.objective, dtype=float)
-        b = np.array(self.eq_rhs, dtype=float)
-        lo = np.array(self.lower_bounds, dtype=float)
-        hi = np.array(self.upper_bounds, dtype=float)
+        try:
+            A = np.atleast_2d(np.array(self.eq_matrix, dtype=float))
+            c = np.array(self.objective, dtype=float)
+            b = np.array(self.eq_rhs, dtype=float)
+            lo = np.array(self.lower_bounds, dtype=float)
+            hi = np.array(self.upper_bounds, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise LpInputError(f"problem data is not an array of numbers: {exc}") from exc
         if A.ndim != 2:
             raise LpInputError("constraint matrix must be two-dimensional")
         m, n = A.shape
@@ -191,103 +197,168 @@ def _solution(sols: LpSolutions, i: int) -> LpSolution:
     )
 
 
-#: Rounds in which at most this many runs step take the steps one run at a
-#: time in Python scalars; more take them in array operations, which cost
-#: more per call but next to nothing per run.
-_SCAN_BATCH = 8
+def _start(
+    A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """What every right-hand side of the stack ``b`` starts from: the bounds
+    ``lo`` and ``hi`` of the variables (the structural ones, then one
+    artificial per row), ``span = hi - lo``, the flags ``fixed`` and
+    ``free_var`` of variables with no range and with no bound, each
+    variable's value ``x`` and ``sense`` (as in :class:`_Groups`), and each
+    right-hand side's ``residual`` at ``x``, in that order.
 
-#: The fields of :class:`_Groups` held once per group.
-_GROUP_FIELDS = (
-    "Aaug", "AaugT", "xn", "sense", "basis", "iterations", "use_bland", "degenerate_run",
-)
-
-
-class _Groups:
-    """Simplex state of one LP at a stack of right-hand sides, held once per
-    *group*: the runs (rows of the stack) whose pivots so far are the same.
-    A group prices and solves for its pivot column once; each of its runs
-    takes its own ratio test on its own basic values.
-
-    Shared by every group, one entry per variable: the bounds ``lo``, ``hi``
-    and ``span = hi - lo``; ``free_var`` and ``fixed``, which flag variables
-    with no bound and with no range; and the ``cost`` of the phase being run.
-
-    Per group: ``Aaug``, the constraint matrix with the phase-1 artificial
-    columns (signed by the group's residuals), and its transpose ``AaugT``;
-    ``xn``, the values of the nonbasic variables (zero for the basic ones);
-    the ``basis`` (one column per row of the constraint matrix), the pivot
-    count, Bland's switch and the run of degenerate pivots.  ``sense`` is
-    +1 for a nonbasic variable at its upper bound, -1 at its lower bound,
-    and 0 for a variable that may not enter the basis (basic, or fixed), so
-    that ``d * sense`` prices every variable.  ``index`` numbers the
-    groups, and ``offsets`` holds the flat index of each group's first
-    variable in the ``(groups, variables)`` arrays, where ``AT`` reads the
-    rows of ``AaugT``; flat indices read faster than pairs of indices.
-
-    Per run: ``xb``, the values of its basic variables in basis order, and
-    its group, ``member``.  ``alone`` says that the stack has one run,
-    which has group 0 to itself.
-    """
-
-    def __init__(self, **arrays) -> None:
-        self.__dict__.update(arrays)
-        self._index()
-
-    def _index(self) -> None:
-        G, N = self.sense.shape
-        # Run i is group i when each run is alone.
-        self.index = self.member if self.alone else np.arange(G)
-        self.offsets = np.arange(0, G * N, N)
-        self.AT = self.AaugT.reshape(G * N, -1)
-
-    def flat_basis(self) -> np.ndarray:
-        return self.basis + self.offsets[:, None]
-
-    def split(self, key: np.ndarray) -> np.ndarray:
-        """Split every group whose runs differ in ``key``, one nonnegative
-        integer per run; returns each new group's old index."""
-        self.member, parent = _renumber(self.member, key)
-        for name in _GROUP_FIELDS:
-            setattr(self, name, getattr(self, name)[parent])
-        self._index()
-        return parent
-
-    def one_run_each(self) -> np.ndarray:
-        """A run of each group (any one: they share the group's state)."""
-        if self.alone:
-            return self.member
-        runs = np.empty(len(self.basis), dtype=np.intp)
-        runs[self.member] = np.arange(self.member.size)
-        return runs
-
-    def per_run(self, a: np.ndarray) -> np.ndarray:
-        """``a``, one row per group, as one row per run."""
-        return a if self.alone else a[self.member]
-
-    def per_group(self, a: np.ndarray) -> np.ndarray:
-        """``a``, one row per run, as one row per group."""
-        return a if self.alone else a[self.one_run_each()]
-
-    def run_basis(self) -> np.ndarray:
-        """The flat indices of each run's basic variables in an array of one
-        row per run."""
-        if self.alone:
-            return self.flat_basis()
-        k, N = self.member.size, self.sense.shape[1]
-        return self.basis[self.member] + np.arange(0, k * N, N)[:, None]
+    Every variable starts at its lower bound when finite, otherwise at its
+    upper bound, otherwise at zero; one artificial per row, signed to take
+    up the residual, starts basic."""
+    m, n = A.shape
+    N = n + m
+    lo = np.zeros(N)
+    hi = np.full(N, np.inf)
+    lo[:n] = lo_n
+    hi[:n] = hi_n
+    lo_finite = np.isfinite(lo)
+    hi_finite = np.isfinite(hi)
+    free_var = ~(lo_finite | hi_finite)
+    x = np.where(lo_finite, lo, hi)
+    x[free_var] = 0.0
+    span = hi - lo
+    fixed = span <= TOLERANCE
+    sense = (~lo_finite & hi_finite) * 2.0 - 1.0
+    sense[n:] = 0.0
+    sense[fixed] = 0.0
+    residual = b - (A @ x[:n, None])[:, 0]
+    return lo, hi, span, fixed, free_var, x, sense, residual
 
 
-def _renumber(member: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct pairs ``(member, key)`` of the runs in order;
-    returns each run's new number and each new number's ``member``."""
-    width = int(key.max()) + 1
-    pair = member * width + key
-    present = np.bincount(pair) > 0
-    return (np.cumsum(present) - 1)[pair], np.flatnonzero(present) // width
+def _augmented(A: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """The constraint matrix with the phase-1 artificial columns, one copy
+    per row of ``residual``, each signed to take up that row."""
+    G, m = residual.shape
+    n = A.shape[1]
+    N = n + m
+    Aaug = np.zeros((G, m, N))
+    Aaug[:, :, :n] = A
+    Aaug.reshape(G, m * N)[:, n :: N + 1] = np.where(residual >= 0.0, 1.0, -1.0)
+    return Aaug
+
+
+def _feasible(x: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Whether each row of ``x``, a phase-1 point, leaves its artificials
+    within the infeasibility cutoff of the matching row of ``b``."""
+    infeasibility = np.abs(x[:, n:]).sum(axis=1)
+    return ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
+
+
+def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
+    """Drive the artificials left in ``basis`` out of it, in place, after
+    phase 1; ``AT`` holds the columns of the augmented matrix as rows.
+    Returns whether any left.
+
+    A row whose artificial cannot be exchanged for any structural column is
+    linearly dependent and keeps its (zero-valued, now fixed) artificial as
+    a placeholder."""
+    m, n = A.shape
+    swapped = False
+    for p in range(m):
+        if basis[p] < n:
+            continue
+        unit = np.zeros(m)
+        unit[p] = 1.0
+        multipliers = np.linalg.solve(AT[basis], unit)
+        row = multipliers @ A
+        row[[j for j in basis if j < n]] = 0.0
+        entering = int(np.argmax(np.abs(row)))
+        if abs(row[entering]) > TOLERANCE:
+            basis[p] = entering
+            sense[entering] = 0.0
+            swapped = True
+    return swapped
+
+
+def _phase_two(
+    c: np.ndarray, lo: np.ndarray, hi: np.ndarray, sense: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 2 pins the artificials to zero, in place in ``hi`` and in
+    ``sense`` (one row per basis, or one basis's): none may enter again.
+    Returns the new ``span`` and ``fixed``, and the cost, ``c`` padded with
+    zeros."""
+    n = c.size
+    hi[n:] = 0.0
+    sense[..., n:] = 0.0
+    span = hi - lo
+    cost = np.zeros(hi.size)
+    cost[:n] = c
+    return span, span <= TOLERANCE, cost
+
+
+def _priced(
+    c: np.ndarray, A: np.ndarray, cost: np.ndarray, BT: np.ndarray, basis: np.ndarray,
+    flat: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The duals and reduced costs of each basis of ``basis`` (one row
+    each) under ``cost``, the objective ``c`` padded with zeros: ``BT``
+    holds the bases' transposed matrices, and ``flat`` their flat indices
+    in an array of one row of all variables per basis.  Basic variables
+    have a reduced cost of zero."""
+    G, N = len(basis), cost.size
+    y = _lapack_solve(BT, cost.take(basis)[..., None])
+    reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
+    basic = np.zeros((G, N), dtype=bool)
+    basic.reshape(-1)[flat] = True
+    reduced[basic[:, : c.size]] = 0.0
+    return y[..., 0], reduced
+
+
+def _solutions(
+    c: np.ndarray, status: list[str], x: np.ndarray, duals: np.ndarray, reduced: np.ndarray,
+    basis: np.ndarray, iterations: np.ndarray,
+) -> LpSolutions:
+    """The solutions of a stack from each row's point ``x`` (all variables),
+    duals, reduced costs, basis and pivot count, with NaN in the numeric
+    columns of the rows that are not optimal."""
+    primal = x[:, : c.size].copy()
+    objective = (c @ primal[..., None])[:, 0]
+    failed = [s != OPTIMAL for s in status]
+    if any(failed):
+        for values in (primal, duals, reduced, objective):
+            values[failed] = np.nan
+    return LpSolutions(
+        status=tuple(status),
+        primal=primal,
+        duals=duals,
+        reduced_costs=reduced,
+        basis=np.sort(basis, axis=1),
+        objective_value=objective,
+        iterations=iterations,
+    )
+
+
+def _none_optimal(
+    status: list[str], basis: np.ndarray, iterations: np.ndarray, n: int
+) -> LpSolutions:
+    """The solutions of a stack in which no row is optimal: one NaN block,
+    cut into the numeric columns, and each row's phase-1 basis."""
+    m = basis.shape[1]
+    nan = np.full((len(status), 2 * n + m + 1), np.nan)
+    return LpSolutions(
+        status=tuple(status),
+        primal=nan[:, :n],
+        duals=nan[:, n : n + m],
+        reduced_costs=nan[:, n + m : -1],
+        basis=basis,
+        objective_value=nan[:, -1],
+        iterations=iterations,
+    )
+
+
+def _exhausted(i: int, m: int, n: int, max_iterations: int) -> SolverFailure:
+    return SolverFailure(
+        f"LP {i}: iteration budget {max_iterations} exhausted ({n} variables, {m} rows)"
+    )
 
 
 def _ratio_test(
-    xb: list, lo: list, hi: list, sw: list, basis: list, theta: float, bland: bool
+    xb: list, lo: list, hi: list, sw: list, basis, theta: float, bland: bool
 ) -> tuple[int, bool, float]:
     """Ratio test of one run, in Python scalars: the basic variables
     ``basis``, at ``xb`` within ``[lo, hi]``, move by ``-sw`` per unit of
@@ -335,111 +406,224 @@ def _ratio_test(
     return block, block_to_upper, theta
 
 
-def _exhausted(st: _Groups, groups, max_iterations: int) -> None:
-    """Raise for the first run of ``groups`` (one group or an array)."""
-    m, N = st.Aaug.shape[1:]
-    i = int(np.flatnonzero(np.isin(st.member, groups))[0])
-    raise SolverFailure(
-        f"LP {i}: iteration budget {max_iterations} exhausted ({N - m} variables, {m} rows)"
-    )
-
-
-def _pivot_few(
-    st: _Groups, pivoting: np.ndarray, live: np.ndarray, rows: np.ndarray, gi: np.ndarray,
-    t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray, max_iterations: int,
-) -> tuple[np.ndarray, list[int]]:
-    """One step of the runs ``rows`` of a small batch, one run at a time in
-    Python scalars.  Run ``rows[j]`` belongs to the live group
-    ``live[gi[j]]`` (``live[j]`` when ``gi`` is None), which enters
-    ``t[gi[j]]`` in the direction ``step_sign[gi[j]]``, and whose basic
-    variables move by ``-sw[gi[j]]`` per unit of step.  Returns the groups
-    still pivoting and the runs that found an unbounded ray.
-
-    Every run takes its own ratio test and moves its own basic values; then
-    each group, split first by its runs' outcomes, updates its basis once.
-    """
-    live, t, step_sign = live.tolist(), t.tolist(), step_sign.tolist()
-    steps = []
-    for j, i in enumerate(rows.tolist()) if gi is None else zip(gi.tolist(), rows.tolist()):
-        g, tj = live[j], t[j]
-        basis, xb, sws = st.basis[g], st.xb[i].tolist(), sw[j].tolist()
-        block, up, theta = _ratio_test(
-            xb, st.lo[basis].tolist(), st.hi[basis].tolist(), sws, basis.tolist(),
-            float(st.span[tj]), st.use_bland[g],
-        )
-        if block >= -1:
-            xb = [x - theta * s for x, s in zip(xb, sws)]
-            if block >= 0:
-                xb[block] = st.xn[g, tj] + step_sign[j] * theta
-            st.xb[i] = xb
-        steps.append((i, g, tj, block, up, theta <= TOLERANCE))
-
-    if not st.alone:
-        keys = [2 * block + 4 + degenerate for _, _, _, block, _, degenerate in steps]
-        outcome = {}
-        if any(outcome.setdefault(g, key) != key for (_, g, *_), key in zip(steps, keys)):
-            key = np.zeros(st.member.size, dtype=np.intp)
-            key[rows] = keys
-            pivoting = pivoting[st.split(key)]
-            member = st.member.tolist()
-            steps = [(i, member[i], *rest) for i, _, *rest in steps]
-
-    rays = []
-    stepped = set()
-    for i, g, tj, block, up, degenerate in steps:
-        if block == -2:
-            pivoting[g] = False
-            rays.append(i)
-        elif g not in stepped:
-            stepped.add(g)
-            _step_group(st, g, tj, block, up, degenerate, max_iterations)
-    return pivoting, rays
-
-
-def _step_group(
-    st: _Groups, g: int, t: int, block: int, up: bool, degenerate: bool, max_iterations: int
-) -> None:
-    """Group ``g``'s side of a step in which ``t`` entered: the bound flip
-    (``block`` -1) or the pivot on row ``block``, in Python scalars."""
-    st.iterations[g] += 1
-    if st.iterations[g] > max_iterations:
-        _exhausted(st, g, max_iterations)
-    sense, xn = st.sense[g], st.xn[g]
+def _step(
+    st, sense: np.ndarray, xn: np.ndarray, basis, t: int, block: int, up: bool,
+    degenerate: bool, run: int, bland: bool,
+) -> tuple[int, bool]:
+    """One basis's side of a step in which ``t`` entered, in place in its
+    ``sense``, nonbasic values ``xn`` and ``basis``: the bound flip
+    (``block`` -1) or the pivot on row ``block``, whose variable leaves at
+    its upper bound if ``up``; ``st`` holds the bounds.  Returns the run of
+    degenerate steps and Bland's switch after the step, from those before
+    it."""
     if block < 0:
         sense[t] = -sense[t]
         xn[t] = st.hi[t] if sense[t] > 0.0 else st.lo[t]
-        st.degenerate_run[g] = 0
-        return
-    basis = st.basis[g]
+        return 0, bland
     leaving = basis[block]
     xn[leaving] = st.hi[leaving] if up else st.lo[leaving]
     sense[leaving] = 0.0 if st.fixed[leaving] else (1.0 if up else -1.0)
     xn[t] = 0.0
     sense[t] = 0.0
     basis[block] = t
-    if degenerate:
-        st.degenerate_run[g] += 1
-        if st.degenerate_run[g] >= BLAND_TRIGGER:
-            st.use_bland[g] = True
-    else:
-        st.degenerate_run[g] = 0
+    if not degenerate:
+        return 0, bland
+    return run + 1, bland or run + 1 >= BLAND_TRIGGER
+
+
+class _Run:
+    """Simplex state of one LP at one right-hand side ``b`` (a one-row
+    stack), with its control state in Python scalars: the ``basis`` as a
+    list, the values ``xb`` of the basic variables as a list in basis
+    order, and the pivot count.  The rest are the arrays of
+    :class:`_Groups` for one group, of the shapes the lock-step core gives
+    them, so that every product and solve is the core's, to the bit."""
+
+    def __init__(
+        self, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray, max_iterations: int
+    ) -> None:
+        m, n = A.shape
+        self.lo, self.hi, self.span, self.fixed, free_var, self.xn, self.sense, residual = (
+            _start(A, b, lo_n, hi_n)
+        )
+        self.free_var = free_var if free_var.any() else None
+        self.Aaug = _augmented(A, residual)
+        self.AT = self.Aaug[0].T.copy()
+        self.basis = list(range(n, n + m))
+        self.xb = np.abs(residual[0]).tolist()
+        self.iterations = 0
+        self.max_iterations = max_iterations
+
+    def pivot(self, cost: np.ndarray) -> bool:
+        """Pivot to the end of the phase that prices by ``cost``; False on
+        an unbounded ray.  Each round is the lock-step core's for one run,
+        with the bounds of the basic variables as lists in basis order."""
+        Aaug, AT, sense, xn, basis, xb = self.Aaug, self.AT, self.sense, self.xn, self.basis, self.xb
+        lo, hi, span, free_var = self.lo.tolist(), self.hi.tolist(), self.span.tolist(), self.free_var
+        lo_b, hi_b = [lo[j] for j in basis], [hi[j] for j in basis]
+        run, bland = 0, False
+        while True:
+            BT = AT.take(basis, axis=0)[None]
+            y = _lapack_solve(BT, cost.take([basis])[..., None])
+            d = cost - (y.transpose(0, 2, 1) @ Aaug)[0, 0]
+            score = d * sense
+            if free_var is not None:
+                score = np.where(free_var & (sense != 0.0), np.abs(d), score)
+            t = int((score > TOLERANCE).argmax() if bland else score.argmax())
+            if not score[t] > TOLERANCE:
+                return True
+            step_sign = -float(sense[t])
+            if free_var is not None and free_var[t]:
+                step_sign = 1.0 if d[t] < 0.0 else -1.0
+            w = _lapack_solve(BT.transpose(0, 2, 1), AT[None, t, :, None])
+            sw = (step_sign * w[0, :, 0]).tolist()
+            block, up, theta = _ratio_test(xb, lo_b, hi_b, sw, basis, span[t], bland)
+            if block == -2:
+                return False
+            xb[:] = [x - theta * s for x, s in zip(xb, sw)]
+            if block >= 0:
+                xb[block] = float(xn[t]) + step_sign * theta
+                lo_b[block], hi_b[block] = lo[t], hi[t]
+            self.iterations += 1
+            if self.iterations > self.max_iterations:
+                raise _exhausted(0, len(basis), len(lo) - len(basis), self.max_iterations)
+            run, bland = _step(self, sense, xn, basis, t, block, up, theta <= TOLERANCE, run, bland)
+
+    def refresh(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_refresh_basics` for the one run: re-solve for the basic
+        values; returns the transposed basis matrix and the whole point."""
+        BT = self.AT.take(self.basis, axis=0)[None]
+        rhs = b - (self.Aaug @ self.xn[None, :, None])[..., 0]
+        xb = _lapack_solve(BT.transpose(0, 2, 1), rhs[..., None])[0, :, 0]
+        self.xb = xb.tolist()
+        x = self.xn[None].copy()
+        x[0].put(self.basis, xb)
+        return BT, x
+
+
+def _solve_alone(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray,
+    max_iterations: int,
+) -> LpSolutions:
+    """:func:`solve_rhs` at a one-row stack ``b``: one run of the two-phase
+    simplex (:class:`_Run`)."""
+    m, n = A.shape
+    st = _Run(A, b, lo_n, hi_n, max_iterations)
+    cost = np.zeros(n + m)
+    cost[n:] = 1.0
+    if not st.pivot(cost):
+        raise SolverFailure("LP 0: phase-1 objective diverged; numerical breakdown")
+    x = st.refresh(b)[1]
+    if not _feasible(x, b, n)[0]:
+        return _none_optimal([INFEASIBLE], np.array([st.basis]), np.array([st.iterations]), n)
+    if max(st.basis) >= n and _drive_out(st.AT, A, st.basis, st.sense):
+        # Every variable keeps its value.
+        st.xb = x[0, st.basis].tolist()
+        x[0, st.basis] = 0.0
+        st.xn = x[0]
+
+    st.span, st.fixed, cost = _phase_two(c, st.lo, st.hi, st.sense)
+    status = [OPTIMAL if st.pivot(cost) else UNBOUNDED]
+    BT, x = st.refresh(b)
+    basis = np.array([st.basis])
+    duals, reduced = _priced(c, A, cost, BT, basis, basis)
+    return _solutions(c, status, x, duals, reduced, basis, np.array([st.iterations]))
+
+
+#: The fields of :class:`_Groups` held once per group.
+_GROUP_FIELDS = (
+    "Aaug", "AaugT", "xn", "sense", "basis", "iterations", "use_bland", "degenerate_run",
+)
+
+
+class _Groups:
+    """Simplex state of one LP at a stack of two or more right-hand sides,
+    held once per *group*: the runs (rows of the stack) whose pivots so far
+    are the same.  A group prices and solves for its pivot column once;
+    each of its runs takes its own ratio test on its own basic values.
+
+    Shared by every group, one entry per variable: the bounds ``lo``, ``hi``
+    and ``span = hi - lo``; ``free_var`` and ``fixed``, which flag variables
+    with no bound and with no range; and the ``cost`` of the phase being run.
+
+    Per group: ``Aaug``, the constraint matrix with the phase-1 artificial
+    columns (signed by the group's residuals), and its transpose ``AaugT``;
+    ``xn``, the values of the nonbasic variables (zero for the basic ones);
+    the ``basis`` (one column per row of the constraint matrix), the pivot
+    count, Bland's switch and the run of degenerate pivots.  ``sense`` is
+    +1 for a nonbasic variable at its upper bound, -1 at its lower bound,
+    and 0 for a variable that may not enter the basis (basic, or fixed), so
+    that ``d * sense`` prices every variable.  ``offsets`` holds the flat
+    index of each group's first variable in the ``(groups, variables)``
+    arrays, where ``AT`` reads the rows of ``AaugT``; flat indices read
+    faster than pairs of indices.
+
+    Per run: ``xb``, the values of its basic variables in basis order, and
+    its group, ``member``.
+    """
+
+    def __init__(self, **arrays) -> None:
+        self.__dict__.update(arrays)
+        self._index()
+
+    def _index(self) -> None:
+        G, N = self.sense.shape
+        self.offsets = np.arange(0, G * N, N)
+        self.AT = self.AaugT.reshape(G * N, -1)
+
+    def flat_basis(self) -> np.ndarray:
+        return self.basis + self.offsets[:, None]
+
+    def split(self, key: np.ndarray) -> np.ndarray:
+        """Split every group whose runs differ in ``key``, one nonnegative
+        integer per run; returns each new group's old index."""
+        self.member, parent = _renumber(self.member, key)
+        for name in _GROUP_FIELDS:
+            setattr(self, name, getattr(self, name)[parent])
+        self._index()
+        return parent
+
+    def one_run_each(self) -> np.ndarray:
+        """A run of each group (any one: they share the group's state)."""
+        runs = np.empty(len(self.basis), dtype=np.intp)
+        runs[self.member] = np.arange(self.member.size)
+        return runs
+
+    def run_basis(self) -> np.ndarray:
+        """The flat indices of each run's basic variables in an array of one
+        row per run."""
+        k, N = self.member.size, self.sense.shape[1]
+        return self.basis[self.member] + np.arange(0, k * N, N)[:, None]
+
+
+def _renumber(member: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct pairs ``(member, key)`` of the runs in order;
+    returns each run's new number and each new number's ``member``."""
+    width = int(key.max()) + 1
+    pair = member * width + key
+    present = np.bincount(pair) > 0
+    return (np.cumsum(present) - 1)[pair], np.flatnonzero(present) // width
 
 
 def _pivot_many(
     st: _Groups, pivoting: np.ndarray, live: np.ndarray, rows: np.ndarray, gi: np.ndarray,
     tf: np.ndarray, t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray, max_iterations: int,
 ) -> tuple[np.ndarray, list[int]]:
-    """:func:`_pivot_few` for a large batch, in array operations; ``tf``
-    holds the flat indices of the live groups' entering variables.
+    """One step of the runs ``rows``, in array operations.  Run ``rows[j]``
+    belongs to the live group ``live[gi[j]]``, which enters ``t[gi[j]]``
+    (flat index ``tf[gi[j]]``) in the direction ``step_sign[gi[j]]``, and
+    whose basic variables move by ``-sw[gi[j]]`` per unit of step.  Returns
+    the groups still pivoting and the runs that found an unbounded ray.
 
     The step limits of all runs come from one set of array operations.  A
     run whose smallest limit is clear, by more than the tie window, of the
     others and of the entering variable's own range has only one possible
     outcome of the scan, the plain minimum; every other run is scanned on
-    its own (:func:`_ratio_test`).
+    its own (:func:`_ratio_test`).  Every run moves its own basic values;
+    then each group, split first by its runs' outcomes, updates its basis
+    once (:func:`_step`).
     """
     lane = np.arange(rows.size)
-    gi = lane if gi is None else gi
     own, enter, step_sign = (a.take(gi) for a in (st.span.take(t), st.xn.take(tf), step_sign))
     basis = st.basis.take(live.take(gi), axis=0)
     lo, hi, sw = st.lo.take(basis), st.hi.take(basis), sw.take(gi, axis=0)
@@ -485,7 +669,7 @@ def _pivot_many(
     one = np.empty(live.size, dtype=np.intp)
     one[gi] = lane  # a run of each live group
     groups = live
-    if not st.alone and (key.take(one).take(gi) != key).any():
+    if (key.take(one).take(gi) != key).any():
         full = np.zeros(st.member.size, dtype=np.intp)
         full[rows] = key
         pivoting = pivoting[st.split(full)]
@@ -496,9 +680,15 @@ def _pivot_many(
     for g, j in zip(groups.tolist(), one.tolist()):
         if block[j] == -2:
             pivoting[g] = False
-        else:
-            outcome = int(block[j]), bool(up[j]), key[j] % 2 == 1
-            _step_group(st, g, int(t[gi[j]]), *outcome, max_iterations)
+            continue
+        st.iterations[g] += 1
+        if st.iterations[g] > max_iterations:
+            m, N = st.Aaug.shape[1:]
+            raise _exhausted(int(np.flatnonzero(st.member == g)[0]), m, N - m, max_iterations)
+        st.degenerate_run[g], st.use_bland[g] = _step(
+            st, st.sense[g], st.xn[g], st.basis[g], int(t[gi[j]]), int(block[j]), bool(up[j]),
+            key[j] % 2 == 1, st.degenerate_run[g], st.use_bland[g],
+        )
     return pivoting, rays
 
 
@@ -513,13 +703,12 @@ def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: boo
     only once some group has stopped are the basis matrices and entering
     variables of the rest picked out of the round's arrays.  The groups
     still pivoting then solve for their pivot columns in one stacked call,
-    and their runs take their steps one by one in a small batch
-    (:func:`_pivot_few`), together in a large one (:func:`_pivot_many`).
+    and their runs take their steps together (:func:`_pivot_many`).
     ``free`` says whether any group has a free variable, which prices and
     steps by the sign of its reduced cost.
     """
     unbounded = []
-    every_run = None if st.alone else np.arange(st.member.size)
+    every_run = np.arange(st.member.size)
     while True:
         fb = st.flat_basis()
         BT = st.AT[fb]
@@ -533,7 +722,7 @@ def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: boo
             t = np.where(st.use_bland, (score > TOLERANCE).argmax(axis=1), t)
         tf = t + st.offsets
         pivoting = pivoting & (score.take(tf) > TOLERANCE)
-        live = st.index
+        live = np.arange(len(st.basis))
         if not all(pivoting.tolist()):
             live = np.flatnonzero(pivoting)
             if not live.size:
@@ -547,21 +736,14 @@ def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: boo
             )
         w = _lapack_solve(BT.transpose(0, 2, 1), st.AT[tf][..., None])
         sw = step_sign[:, None] * w[..., 0]
-        if st.alone:  # run i is group i
-            rows, gi = live, None
-        elif live.size == len(st.basis):
+        if live.size == len(st.basis):
             rows, gi = every_run, st.member
         else:
             rows = np.flatnonzero(pivoting[st.member])
             gi = (np.cumsum(pivoting) - 1)[st.member[rows]]
-        if rows.size <= _SCAN_BATCH:
-            pivoting, rays = _pivot_few(
-                st, pivoting, live, rows, gi, t, sw, step_sign, max_iterations
-            )
-        else:
-            pivoting, rays = _pivot_many(
-                st, pivoting, live, rows, gi, tf, t, sw, step_sign, max_iterations
-            )
+        pivoting, rays = _pivot_many(
+            st, pivoting, live, rows, gi, tf, t, sw, step_sign, max_iterations
+        )
         unbounded += rays
 
 
@@ -572,85 +754,74 @@ def _refresh_basics(st: _Groups, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     reuse, and each run's whole point, one row per run."""
     fb = st.flat_basis()
     BT = st.AT[fb]
-    rhs = b - st.per_run((st.Aaug @ st.xn[..., None])[..., 0])
-    st.xb = _lapack_solve(st.per_run(BT).transpose(0, 2, 1), rhs[..., None])[..., 0]
-    x = st.xn.copy() if st.alone else st.xn[st.member]
-    x.reshape(-1)[fb if st.alone else st.run_basis()] = st.xb
+    rhs = b - (st.Aaug @ st.xn[..., None])[..., 0][st.member]
+    st.xb = _lapack_solve(BT[st.member].transpose(0, 2, 1), rhs[..., None])[..., 0]
+    x = st.xn[st.member]
+    x.reshape(-1)[st.run_basis()] = st.xb
     return fb, BT, x
 
 
 def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     """Run the two-phase bounded-variable simplex method on ``lp`` at every
-    row of ``rhs``, a ``(k, rows)`` stack of equality right-hand sides, in
-    one lock-step batch that holds the LP's data once.
+    row of ``rhs``, a ``(k, rows)`` stack of equality right-hand sides.
 
     Phase 1 minimizes the total artificial infeasibility from a
     deterministic start (every variable at its lower bound when finite,
     otherwise its upper bound, otherwise zero), and phase 2 reoptimizes the
-    true objective with the artificials pinned to zero.  Each row has its
-    own pricing, Bland switch and pivot count; rows whose pivots have been
-    the same so far share one pricing and one pivot column per round, so
-    row ``i`` is, to the bit, what the LP with right-hand side ``rhs[i]``
-    gets alone.
+    true objective with the artificials pinned to zero.  One row runs alone,
+    with its control state in Python scalars (:class:`_Run`); two or more
+    run in one lock-step batch that holds the LP's data once
+    (:class:`_Groups`), each with its own pricing, Bland switch and pivot
+    count, where rows whose pivots have been the same so far share one
+    pricing and one pivot column per round.  Both do the same arithmetic on
+    arrays of the same shapes, so row ``i`` is, to the bit, what the LP
+    with right-hand side ``rhs[i]`` gets alone.
 
     Raises :class:`LpInputError` if ``rhs`` is not such a stack, with at
     least one row, of finite numbers, and :class:`SolverFailure`, naming the
     row, if one exhausts the iteration budget
     ``max(200, 10 * (variables + rows))`` or meets a singular basis.
     """
-    b = np.array(rhs, dtype=float)
+    try:
+        b = np.array(rhs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise LpInputError(f"rhs stack is not an array of numbers: {exc}") from exc
     m, n = lp.eq_matrix.shape
     if b.ndim != 2 or b.shape[1:] != (m,) or not b.shape[0]:
         raise LpInputError(f"rhs stack has shape {b.shape}, expected (k, {m}) with k >= 1")
     if not np.isfinite(b).all():
         raise LpInputError("objective, matrix, and rhs must be finite")
+    route = _solve_alone if len(b) == 1 else _solve_stack
+    max_iterations = max(200, 10 * (n + m))
     try:
         # A singular basis surfaces as an invalid-value signal from the
         # LAPACK gufunc, and as LinAlgError from np.linalg.solve.
         with np.errstate(invalid="raise"):
-            return _solve_stack(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds)
+            return route(
+                lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds, max_iterations
+            )
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise SolverFailure("singular basis; numerical breakdown") from exc
 
 
 def _solve_stack(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray,
+    max_iterations: int,
 ) -> LpSolutions:
+    """:func:`solve_rhs` at a stack ``b`` of two or more rows, in lock-step
+    (:class:`_Groups`)."""
     k, m = b.shape
     n = c.size
     N = n + m
-    lo = np.zeros(N)
-    hi = np.full(N, np.inf)
-    lo[:n] = lo_n
-    hi[:n] = hi_n
-
-    # Every variable starts at its lower bound when finite, otherwise at its
-    # upper bound, otherwise at zero; one artificial per row, signed to take
-    # up the residual, starts basic.
-    lo_finite = np.isfinite(lo)
-    hi_finite = np.isfinite(hi)
-    x = np.where(lo_finite, lo, np.where(hi_finite, hi, 0.0))
-    residual = b - (A @ x[:n, None])[:, 0]
-    xb = np.abs(residual)
+    lo, hi, span, fixed, free_var, x, sense, residual = _start(A, b, lo_n, hi_n)
     # The runs start in one group per pattern of artificial signs.
-    alone = k == 1
     member = np.zeros(k, dtype=np.intp)
-    if not alone:
-        for signs in np.packbits(residual < 0.0, axis=1).T:
-            member = _renumber(member, signs)[0]
-        runs = np.empty(member.max() + 1, dtype=np.intp)
-        runs[member] = np.arange(k)
-        residual = residual[runs]
-    G = len(residual)
-    Aaug = np.zeros((G, m, N))
-    Aaug[:, :, :n] = A
-    Aaug.reshape(G, m * N)[:, n :: N + 1] = np.where(residual >= 0.0, 1.0, -1.0)
-    span = hi - lo
-    fixed = span <= TOLERANCE
-    free_var = ~(lo_finite | hi_finite)
-    sense = np.where(~lo_finite & hi_finite, 1.0, -1.0)
-    sense[n:] = 0.0
-    sense[fixed] = 0.0
+    for signs in np.packbits(residual < 0.0, axis=1).T:
+        member = _renumber(member, signs)[0]
+    runs = np.empty(member.max() + 1, dtype=np.intp)
+    runs[member] = np.arange(k)
+    Aaug = _augmented(A, residual[runs])
+    G = len(Aaug)
     phase1_cost = np.zeros(N)
     phase1_cost[n:] = 1.0
     st = _Groups(
@@ -668,108 +839,57 @@ def _solve_stack(
         iterations=np.zeros(G, dtype=int),
         use_bland=np.zeros(G, dtype=bool),
         degenerate_run=np.zeros(G, dtype=int),
-        xb=xb,
+        xb=np.abs(residual),
         member=member,
-        alone=alone,
     )
-    max_iterations = max(200, 10 * (n + m))
     free = bool(np.count_nonzero(free_var))
 
     diverged = _run_phase(st, np.ones(G, dtype=bool), max_iterations, free)
     if diverged:
         raise SolverFailure(f"LP {min(diverged)}: phase-1 objective diverged; numerical breakdown")
     x = _refresh_basics(st, b)[2]
-    infeasibility = np.abs(x[:, n:]).sum(axis=1)
-    feasible = ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
+    feasible = _feasible(x, b, n)
     status = [OPTIMAL if f else INFEASIBLE for f in feasible.tolist()]
     if OPTIMAL not in status:
-        # One NaN block, cut into the numeric columns.
-        nan = np.full((k, 2 * n + m + 1), np.nan)
-        return LpSolutions(
-            status=tuple(status),
-            primal=nan[:, :n],
-            duals=nan[:, n : n + m],
-            reduced_costs=nan[:, n + m : -1],
-            basis=st.per_run(st.basis),
-            objective_value=nan[:, -1],
-            iterations=st.per_run(st.iterations),
-        )
-    if not (st.alone or feasible.all()):
+        return _none_optimal(status, st.basis[st.member], st.iterations[st.member], n)
+    if not feasible.all():
         st.split(feasible)
-    pivoting = st.per_group(feasible)
-    # Drive leftover artificials out of the basis; a row whose artificial
-    # cannot be exchanged for any structural column is linearly dependent
-    # and keeps its (zero-valued, now fixed) artificial as a placeholder.
+    pivoting = feasible[st.one_run_each()]
     swapped = False
     for g in np.flatnonzero(pivoting & (st.basis.max(axis=1) >= n)).tolist():
-        basis, sense_g = st.basis[g], st.sense[g]
-        for p in range(m):
-            if basis[p] < n:
-                continue
-            unit = np.zeros(m)
-            unit[p] = 1.0
-            multipliers = np.linalg.solve(st.AaugT[g][basis], unit)
-            row = multipliers @ A
-            row[basis[basis < n]] = 0.0
-            entering = int(np.argmax(np.abs(row)))
-            if abs(row[entering]) > TOLERANCE:
-                basis[p] = entering
-                sense_g[entering] = 0.0
-                swapped = True
+        swapped |= _drive_out(st.AaugT[g], A, st.basis[g], st.sense[g])
     if swapped:
         # Every variable keeps its value, so an artificial that left keeps
         # each run's own: the runs of a group whose values differ there go
-        # on alone.
+        # on in groups of their own.
         fx = st.run_basis()
         st.xb = x.take(fx)
         x.reshape(-1)[fx] = 0.0
-        if not st.alone:
-            ref = x[st.one_run_each()[st.member]]
-            differs = (x.view(np.uint64) != ref.view(np.uint64)).any(axis=1)
-            if differs.any():
-                mixed = np.zeros(len(st.basis), dtype=bool)
-                mixed[st.member[differs]] = True
-                pivoting = pivoting[st.split(np.where(mixed[st.member], np.arange(k), 0))]
-        st.xn = st.per_group(x)
+        ref = x[st.one_run_each()[st.member]]
+        differs = (x.view(np.uint64) != ref.view(np.uint64)).any(axis=1)
+        if differs.any():
+            mixed = np.zeros(len(st.basis), dtype=bool)
+            mixed[st.member[differs]] = True
+            pivoting = pivoting[st.split(np.where(mixed[st.member], np.arange(k), 0))]
+        st.xn = x[st.one_run_each()]
 
-    # Phase 2 pins the artificials to zero: none may enter again.
-    st.hi[n:] = 0.0
-    st.span = st.hi - st.lo
-    st.fixed = st.span <= TOLERANCE
-    st.sense[:, n:] = 0.0
+    st.span, st.fixed, st.cost = _phase_two(c, st.lo, st.hi, st.sense)
     st.use_bland[:] = False
     st.degenerate_run[:] = 0
-    st.cost = np.zeros(N)
-    st.cost[:n] = c
     for i in _run_phase(st, pivoting, max_iterations, free):
         status[i] = UNBOUNDED
     fb, BT, x = _refresh_basics(st, b)
-    y = _lapack_solve(BT, st.cost.take(st.basis)[..., None])
-    reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
-    basic = np.zeros(st.sense.shape, dtype=bool)
-    basic.reshape(-1)[fb] = True
-    reduced[basic[:, :n]] = 0.0
-    primal = x[:, :n].copy()
-    objective = (c @ primal[..., None])[:, 0]
-    duals, reduced = st.per_run(y[..., 0]), st.per_run(reduced)
-    failed = [s != OPTIMAL for s in status]
-    if any(failed):
-        for values in (primal, duals, reduced, objective):
-            values[failed] = np.nan
-    return LpSolutions(
-        status=tuple(status),
-        primal=primal,
-        duals=duals,
-        reduced_costs=reduced,
-        basis=st.per_run(np.sort(st.basis, axis=1)),
-        objective_value=objective,
-        iterations=st.per_run(st.iterations),
+    duals, reduced = _priced(c, A, st.cost, BT, st.basis, fb)
+    member = st.member
+    return _solutions(
+        c, status, x, duals[member], reduced[member], st.basis[member], st.iterations[member]
     )
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Run the two-phase bounded-variable simplex method on ``lp``: row 0 of
-    :func:`solve_rhs` at the one right-hand side of ``lp``."""
+    :func:`solve_rhs` at the one right-hand side of ``lp``, which runs alone
+    (:class:`_Run`)."""
     return _solution(solve_rhs(lp, lp.eq_rhs[None]), 0)
 
 

@@ -11,7 +11,6 @@ import dataclasses
 import time
 
 import numpy as np
-import pytest
 
 import lp_oracle
 import lp_stack
@@ -24,7 +23,7 @@ from gridshift.closed_form import (
     optimal_shift_dc,
     optimal_shift_sw,
 )
-from gridshift.dispatch import build_ed, solve_ed
+from gridshift.dispatch import solve_ed
 from gridshift.grid_model import (
     bundled_scenario_path,
     eta,

@@ -84,6 +84,9 @@ class TestInputValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(LpInputError):
             LinearProgram([1.0, 2.0], [[1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
+        # A ragged matrix has no shape at all.
+        with pytest.raises(LpInputError, match="not an array of numbers"):
+            LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0]], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
 
     def test_crossed_bounds_rejected(self):
         with pytest.raises(LpInputError):
@@ -92,6 +95,8 @@ class TestInputValidation:
     def test_nan_rejected(self):
         with pytest.raises(LpInputError):
             LinearProgram([np.nan], [[1.0]], [1.0], [0.0], [1.0])
+        with pytest.raises(LpInputError, match="not an array of numbers"):
+            LinearProgram([1.0, "x"], [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
 
     def test_box_without_real_point_rejected(self):
         # A lower bound of +inf or an upper bound of -inf leaves no real
@@ -268,15 +273,29 @@ class TestPinnedTrace:
         statuses = {solve(lp).status for lp in trace_lps()}
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
-    def test_one_at_a_time_matches_the_pinned_digest(self):
-        assert trace_digest(solve(lp) for lp in trace_lps()) == TRACE_SHA256
+    def test_one_at_a_time_matches_the_pinned_digest(self, monkeypatch):
+        # A lone solve runs alone: it never builds the lock-step core's state.
+        lps = trace_lps()
 
-    def test_rhs_stacks_match_the_pinned_digest(self):
+        def no_groups(**arrays):
+            raise AssertionError("a lone solve reached the lock-step core")
+
+        monkeypatch.setattr(lp_core, "_Groups", no_groups)
+        assert trace_digest(solve(lp) for lp in lps) == TRACE_SHA256
+
+    def test_rhs_stacks_match_the_pinned_digest(self, monkeypatch):
         # The bundled dispatch LPs (from index 550 on) differ only in their
         # right-hand sides, so each scenario's LPs stack into one LP at many
         # right-hand sides.  The random LPs are grouped the same way, and a
-        # few small ones share all but the right-hand side too.
+        # few small ones share all but the right-hand side too; an LP with
+        # no partner is stacked twice, so that every stack has two or more
+        # rows and runs in the lock-step core, never alone.
         lps = trace_lps()
+
+        def no_lone_run(*args):
+            raise AssertionError("a stack of two or more rows ran alone")
+
+        monkeypatch.setattr(lp_core, "_solve_alone", no_lone_run)
         groups = {}
         for i, lp in enumerate(lps):
             shared = (lp.objective, lp.eq_matrix, lp.lower_bounds, lp.upper_bounds)
@@ -287,17 +306,17 @@ class TestPinnedTrace:
         assert min(map(len, dispatch)) > 10
         solutions = [None] * len(lps)
         for rows in groups.values():
-            stacked = solve_rhs(lps[rows[0]], [lps[i].eq_rhs for i in rows])
+            rhs = [lps[i].eq_rhs for i in rows]
+            stacked = solve_rhs(lps[rows[0]], rhs if len(rhs) > 1 else rhs * 2)
             for i, sol in zip(rows, lp_stack.rows(stacked)):
                 solutions[i] = sol
         assert trace_digest(solutions) == TRACE_SHA256
 
 
-def _bland_lp() -> LinearProgram:
-    """21 rows with a zero right-hand side: phase 1 makes a zero step per
+def _bland_lp(m: int = 21) -> LinearProgram:
+    """``m`` rows with a zero right-hand side: phase 1 makes a zero step per
     row, and from the 20th on Bland's rule picks other columns than Dantzig
     pricing would."""
-    m = 21
     A = np.hstack([np.eye(m), 2.0 * np.eye(m)])
     return LinearProgram(np.tile([1.0, -1.0], m), A, np.zeros(m), np.zeros(2 * m), np.ones(2 * m))
 
@@ -357,8 +376,17 @@ class TestSolveMany:
 
     def test_bland_member_really_switches(self, monkeypatch):
         switched = solve(_bland_lp())
+        # 22 rows, the 11th with a step that moves: 21 zero steps in all,
+        # but no run of 20, so Bland's rule never takes over, alone or in
+        # a stack.
+        lp = _bland_lp(22)
+        broken = LinearProgram(
+            lp.objective, lp.eq_matrix, 0.5 * np.eye(22)[10], lp.lower_bounds, lp.upper_bounds
+        )
+        runs = [solve(broken), *lp_stack.rows(solve_rhs(broken, [broken.eq_rhs] * 2))]
         monkeypatch.setattr(lp_core, "BLAND_TRIGGER", 10**9)
         assert solve(_bland_lp()).iterations != switched.iterations
+        assert trace_digest(runs) == trace_digest([solve(broken)] * 3)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(LpInputError, match="rhs stack has shape"):
@@ -376,14 +404,17 @@ class TestSolveMany:
         zero, b = np.zeros(8), cube.eq_rhs
         with pytest.raises(SolverFailure, match=r"LP 2: iteration budget 240 exhausted"):
             solve_rhs(cube, [zero, zero, b, zero])
-        # More full cubes than lone scans: the budget runs out in the array
-        # step, after the zero rows before and after them have stopped.
+        # Nine full cubes: the budget runs out after the zero rows before
+        # and after them have stopped.
         with pytest.raises(SolverFailure, match=r"LP 3: iteration budget 240 exhausted"):
-            solve_rhs(cube, [zero] * 3 + [b] * (lp_core._SCAN_BATCH + 1) + [zero])
+            solve_rhs(cube, [zero] * 3 + [b] * 9 + [zero])
         # Rows that share their pivots exhaust it together, in one step of
         # their group; the first of them is named.
         with pytest.raises(SolverFailure, match=r"LP 1: iteration budget 240 exhausted"):
             solve_rhs(cube, [zero, b, b])
+        # A lone cube runs out too.
+        with pytest.raises(SolverFailure, match=r"LP 0: iteration budget 240 exhausted"):
+            solve_rhs(cube, [b])
 
     def test_singular_basis_is_a_solver_failure(self, monkeypatch):
         real = lp_core._lapack_solve
@@ -416,13 +447,12 @@ class TestSolveMany:
                 id="redundant-row",
             ),
             pytest.param(_OPEN_BOX, _OPEN_BOX_RHS, id="open-box"),
-            # More rows than lone scans: the rays are found in the array step.
+            # Rows with the same outcome find their rays together.
             pytest.param(_OPEN_BOX, _OPEN_BOX_RHS * 3, id="open-box-array-step"),
-            # More than _SCAN_BATCH rows break Bland's ties together, in the
-            # array step.
+            # Nine rows break Bland's ties together.
             pytest.param(
                 _bland_tie_lp(),
-                [np.zeros(21)] * (lp_core._SCAN_BATCH + 1) + [np.full(21, 0.5)],
+                [np.zeros(21)] * 9 + [np.full(21, 0.5)],
                 id="bland-tie-array-step",
             ),
             # x0 = b0 is met only to within the feasibility cutoff, so phase 1
@@ -438,7 +468,7 @@ class TestSolveMany:
     def test_rhs_stack_whose_rows_part_ways_equals_lone_solves(self, lp, rhs):
         # The rows share one LP, so they start together in the lock-step core
         # and part ways as their pivots differ; each still gets, to the bit,
-        # what it gets alone.
+        # what the one-run route gives it alone.
         stacked = solve_rhs(lp, rhs)
         alone = [
             solve(LinearProgram(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds))
@@ -468,6 +498,9 @@ class TestSolveMany:
         for not_finite in ([[7.0], [np.nan]], [[-np.inf]]):
             with pytest.raises(LpInputError, match="must be finite"):
                 solve_rhs(lp, not_finite)
+        for not_numbers in ([[7.0], [7.0, 8.0]], [["a"]]):
+            with pytest.raises(LpInputError, match="not an array of numbers"):
+                solve_rhs(lp, not_numbers)
 
 
 class TestKktMany:
