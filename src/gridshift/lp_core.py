@@ -8,28 +8,28 @@ pivots and the duals come straight out of the final basis factorization.
 
 The implementation favours determinism and transparency over large-scale
 performance: dense numpy algebra, Dantzig pricing with a switch to Bland's
-rule after a run of degenerate pivots, and absolute tolerances suited to
+rule after a stretch of degenerate pivots, and absolute tolerances suited to
 well-scaled inputs of at most a few hundred variables.
 
 :func:`solve_rhs` solves one LP at a stack of right-hand sides, each
 right-hand side running its own simplex, and returns the solutions as
 columns (:class:`LpSolutions`); :func:`solve` is row 0 of a one-row stack.
-The stack's height alone picks the route.  One row runs alone
-(:class:`_Run`), its control state in Python scalars.  Two or more run in
-lock-step (:class:`_Groups`), with the LP data held once and the state kept
-once per group of rows whose pivots so far are the same, starting with one
-group per sign pattern of the artificial columns: a group prices and solves
-for its pivot column once per round, while each row keeps its own basic
-values and takes its own ratio test, and a group whose rows step
-differently splits.  Both routes share the start, the ratio test, the step
-rule and the wrap-up, and make the same products and solves on arrays of
-the same shapes, so a stack changes no bit of any solution.
+There is one simplex loop for every stack height: a *run* (:class:`_Run`)
+holds the rows whose pivots so far are the same, with one basis, one
+pricing and one pivot column per round, while each row keeps its own basic
+values and ratio test.  The rows start in one run per sign pattern of
+their artificial columns, a run splits where its rows step differently,
+and the runs are taken depth-first; a lone right-hand side is a run of one
+row, whose ratio test and basic values stay in Python scalars.  A run of
+any size makes the same products and solves on arrays of the same shapes,
+so a stack changes no bit of any solution.
 :func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
 is its one-LP face.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -202,10 +202,10 @@ def _start(
 ) -> tuple[np.ndarray, ...]:
     """What every right-hand side of the stack ``b`` starts from: the bounds
     ``lo`` and ``hi`` of the variables (the structural ones, then one
-    artificial per row), ``span = hi - lo``, the flags ``fixed`` and
-    ``free_var`` of variables with no range and with no bound, each
-    variable's value ``x`` and ``sense`` (as in :class:`_Groups`), and each
-    right-hand side's ``residual`` at ``x``, in that order.
+    artificial per row), ``span = hi - lo``, the flags ``free_var`` of
+    variables with no bound (None if there are none), each variable's value
+    ``x`` and ``sense`` (as in :class:`_Run`), and each right-hand side's
+    ``residual`` at ``x``, in that order.
 
     Every variable starts at its lower bound when finite, otherwise at its
     upper bound, otherwise at zero; one artificial per row, signed to take
@@ -213,40 +213,24 @@ def _start(
     m, n = A.shape
     N = n + m
     lo = np.zeros(N)
-    hi = np.full(N, np.inf)
+    hi = np.empty(N)
     lo[:n] = lo_n
     hi[:n] = hi_n
+    hi[n:] = np.inf
     lo_finite = np.isfinite(lo)
     hi_finite = np.isfinite(hi)
     free_var = ~(lo_finite | hi_finite)
     x = np.where(lo_finite, lo, hi)
-    x[free_var] = 0.0
+    if free_var.any():
+        x[free_var] = 0.0
+    else:
+        free_var = None
     span = hi - lo
-    fixed = span <= TOLERANCE
-    sense = (~lo_finite & hi_finite) * 2.0 - 1.0
+    sense = np.where(hi_finite & ~lo_finite, 1.0, -1.0)
     sense[n:] = 0.0
-    sense[fixed] = 0.0
+    sense[span <= TOLERANCE] = 0.0
     residual = b - (A @ x[:n, None])[:, 0]
-    return lo, hi, span, fixed, free_var, x, sense, residual
-
-
-def _augmented(A: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """The constraint matrix with the phase-1 artificial columns, one copy
-    per row of ``residual``, each signed to take up that row."""
-    G, m = residual.shape
-    n = A.shape[1]
-    N = n + m
-    Aaug = np.zeros((G, m, N))
-    Aaug[:, :, :n] = A
-    Aaug.reshape(G, m * N)[:, n :: N + 1] = np.where(residual >= 0.0, 1.0, -1.0)
-    return Aaug
-
-
-def _feasible(x: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Whether each row of ``x``, a phase-1 point, leaves its artificials
-    within the infeasibility cutoff of the matching row of ``b``."""
-    infeasibility = np.abs(x[:, n:]).sum(axis=1)
-    return ~(infeasibility > _INFEASIBILITY_CUTOFF * (1.0 + np.abs(b).max(axis=1)))
+    return lo, hi, span, free_var, x, sense, residual
 
 
 def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
@@ -275,37 +259,18 @@ def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
     return swapped
 
 
-def _phase_two(
-    c: np.ndarray, lo: np.ndarray, hi: np.ndarray, sense: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phase 2 pins the artificials to zero, in place in ``hi`` and in
-    ``sense`` (one row per basis, or one basis's): none may enter again.
-    Returns the new ``span`` and ``fixed``, and the cost, ``c`` padded with
-    zeros."""
-    n = c.size
-    hi[n:] = 0.0
-    sense[..., n:] = 0.0
-    span = hi - lo
-    cost = np.zeros(hi.size)
-    cost[:n] = c
-    return span, span <= TOLERANCE, cost
-
-
 def _priced(
     c: np.ndarray, A: np.ndarray, cost: np.ndarray, BT: np.ndarray, basis: np.ndarray,
-    flat: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The duals and reduced costs of each basis of ``basis`` (one row
     each) under ``cost``, the objective ``c`` padded with zeros: ``BT``
-    holds the bases' transposed matrices, and ``flat`` their flat indices
-    in an array of one row of all variables per basis.  Basic variables
-    have a reduced cost of zero."""
-    G, N = len(basis), cost.size
+    holds the bases' transposed matrices.  Basic variables have a reduced
+    cost of zero."""
+    G, n = len(basis), c.size
     y = _lapack_solve(BT, cost.take(basis)[..., None])
     reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
-    basic = np.zeros((G, N), dtype=bool)
-    basic.reshape(-1)[flat] = True
-    reduced[basic[:, : c.size]] = 0.0
+    flat = basis if G == 1 else basis + np.arange(0, G * n, n)[:, None]
+    reduced.reshape(-1)[flat[basis < n]] = 0.0
     return y[..., 0], reduced
 
 
@@ -318,16 +283,17 @@ def _solutions(
     columns of the rows that are not optimal."""
     primal = x[:, : c.size].copy()
     objective = (c @ primal[..., None])[:, 0]
-    failed = [s != OPTIMAL for s in status]
-    if any(failed):
+    if status.count(OPTIMAL) < len(status):
+        failed = [s != OPTIMAL for s in status]
         for values in (primal, duals, reduced, objective):
             values[failed] = np.nan
+    basis.sort(axis=1)
     return LpSolutions(
         status=tuple(status),
         primal=primal,
         duals=duals,
         reduced_costs=reduced,
-        basis=np.sort(basis, axis=1),
+        basis=basis,
         objective_value=objective,
         iterations=iterations,
     )
@@ -339,7 +305,8 @@ def _none_optimal(
     """The solutions of a stack in which no row is optimal: one NaN block,
     cut into the numeric columns, and each row's phase-1 basis."""
     m = basis.shape[1]
-    nan = np.full((len(status), 2 * n + m + 1), np.nan)
+    nan = np.empty((len(status), 2 * n + m + 1))
+    nan.fill(np.nan)
     return LpSolutions(
         status=tuple(status),
         primal=nan[:, :n],
@@ -351,21 +318,15 @@ def _none_optimal(
     )
 
 
-def _exhausted(i: int, m: int, n: int, max_iterations: int) -> SolverFailure:
-    return SolverFailure(
-        f"LP {i}: iteration budget {max_iterations} exhausted ({n} variables, {m} rows)"
-    )
-
-
 def _ratio_test(
     xb: list, lo: list, hi: list, sw: list, basis, theta: float, bland: bool
 ) -> tuple[int, bool, float]:
-    """Ratio test of one run, in Python scalars: the basic variables
-    ``basis``, at ``xb`` within ``[lo, hi]``, move by ``-sw`` per unit of
-    step, and the entering variable has the range ``theta``.  Returns the
-    blocking row (-1 if the entering variable reaches its other bound first,
-    -2 on an unbounded ray), whether the blocking variable leaves at its
-    upper bound, and the step.
+    """Ratio test of one row of a run, in Python scalars: the basic
+    variables ``basis``, at ``xb`` within ``[lo, hi]``, move by ``-sw`` per
+    unit of step, and the entering variable has the range ``theta``.
+    Returns the blocking row (-1 if the entering variable reaches its other
+    bound first, -2 on an unbounded ray), whether the blocking variable
+    leaves at its upper bound, and the step.
 
     The basic rows are scanned in order for the first step limit below the
     entering variable's own range by more than 1e-12; a limit within 1e-12
@@ -406,236 +367,25 @@ def _ratio_test(
     return block, block_to_upper, theta
 
 
-def _step(
-    st, sense: np.ndarray, xn: np.ndarray, basis, t: int, block: int, up: bool,
-    degenerate: bool, run: int, bland: bool,
-) -> tuple[int, bool]:
-    """One basis's side of a step in which ``t`` entered, in place in its
-    ``sense``, nonbasic values ``xn`` and ``basis``: the bound flip
-    (``block`` -1) or the pivot on row ``block``, whose variable leaves at
-    its upper bound if ``up``; ``st`` holds the bounds.  Returns the run of
-    degenerate steps and Bland's switch after the step, from those before
-    it."""
-    if block < 0:
-        sense[t] = -sense[t]
-        xn[t] = st.hi[t] if sense[t] > 0.0 else st.lo[t]
-        return 0, bland
-    leaving = basis[block]
-    xn[leaving] = st.hi[leaving] if up else st.lo[leaving]
-    sense[leaving] = 0.0 if st.fixed[leaving] else (1.0 if up else -1.0)
-    xn[t] = 0.0
-    sense[t] = 0.0
-    basis[block] = t
-    if not degenerate:
-        return 0, bland
-    return run + 1, bland or run + 1 >= BLAND_TRIGGER
+def _ratio_tests(
+    xb: np.ndarray, lo: list, hi: list, sw: np.ndarray, basis, own: float, bland: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_ratio_test` for each row of ``xb`` (one row of basic values
+    per row of a run), in array operations; a ray leaves its row's step 0.
 
-
-class _Run:
-    """Simplex state of one LP at one right-hand side ``b`` (a one-row
-    stack), with its control state in Python scalars: the ``basis`` as a
-    list, the values ``xb`` of the basic variables as a list in basis
-    order, and the pivot count.  The rest are the arrays of
-    :class:`_Groups` for one group, of the shapes the lock-step core gives
-    them, so that every product and solve is the core's, to the bit."""
-
-    def __init__(
-        self, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray, max_iterations: int
-    ) -> None:
-        m, n = A.shape
-        self.lo, self.hi, self.span, self.fixed, free_var, self.xn, self.sense, residual = (
-            _start(A, b, lo_n, hi_n)
-        )
-        self.free_var = free_var if free_var.any() else None
-        self.Aaug = _augmented(A, residual)
-        self.AT = self.Aaug[0].T.copy()
-        self.basis = list(range(n, n + m))
-        self.xb = np.abs(residual[0]).tolist()
-        self.iterations = 0
-        self.max_iterations = max_iterations
-
-    def pivot(self, cost: np.ndarray) -> bool:
-        """Pivot to the end of the phase that prices by ``cost``; False on
-        an unbounded ray.  Each round is the lock-step core's for one run,
-        with the bounds of the basic variables as lists in basis order."""
-        Aaug, AT, sense, xn, basis, xb = self.Aaug, self.AT, self.sense, self.xn, self.basis, self.xb
-        lo, hi, span, free_var = self.lo.tolist(), self.hi.tolist(), self.span.tolist(), self.free_var
-        lo_b, hi_b = [lo[j] for j in basis], [hi[j] for j in basis]
-        run, bland = 0, False
-        while True:
-            BT = AT.take(basis, axis=0)[None]
-            y = _lapack_solve(BT, cost.take([basis])[..., None])
-            d = cost - (y.transpose(0, 2, 1) @ Aaug)[0, 0]
-            score = d * sense
-            if free_var is not None:
-                score = np.where(free_var & (sense != 0.0), np.abs(d), score)
-            t = int((score > TOLERANCE).argmax() if bland else score.argmax())
-            if not score[t] > TOLERANCE:
-                return True
-            step_sign = -float(sense[t])
-            if free_var is not None and free_var[t]:
-                step_sign = 1.0 if d[t] < 0.0 else -1.0
-            w = _lapack_solve(BT.transpose(0, 2, 1), AT[None, t, :, None])
-            sw = (step_sign * w[0, :, 0]).tolist()
-            block, up, theta = _ratio_test(xb, lo_b, hi_b, sw, basis, span[t], bland)
-            if block == -2:
-                return False
-            xb[:] = [x - theta * s for x, s in zip(xb, sw)]
-            if block >= 0:
-                xb[block] = float(xn[t]) + step_sign * theta
-                lo_b[block], hi_b[block] = lo[t], hi[t]
-            self.iterations += 1
-            if self.iterations > self.max_iterations:
-                raise _exhausted(0, len(basis), len(lo) - len(basis), self.max_iterations)
-            run, bland = _step(self, sense, xn, basis, t, block, up, theta <= TOLERANCE, run, bland)
-
-    def refresh(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_refresh_basics` for the one run: re-solve for the basic
-        values; returns the transposed basis matrix and the whole point."""
-        BT = self.AT.take(self.basis, axis=0)[None]
-        rhs = b - (self.Aaug @ self.xn[None, :, None])[..., 0]
-        xb = _lapack_solve(BT.transpose(0, 2, 1), rhs[..., None])[0, :, 0]
-        self.xb = xb.tolist()
-        x = self.xn[None].copy()
-        x[0].put(self.basis, xb)
-        return BT, x
-
-
-def _solve_alone(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray,
-    max_iterations: int,
-) -> LpSolutions:
-    """:func:`solve_rhs` at a one-row stack ``b``: one run of the two-phase
-    simplex (:class:`_Run`)."""
-    m, n = A.shape
-    st = _Run(A, b, lo_n, hi_n, max_iterations)
-    cost = np.zeros(n + m)
-    cost[n:] = 1.0
-    if not st.pivot(cost):
-        raise SolverFailure("LP 0: phase-1 objective diverged; numerical breakdown")
-    x = st.refresh(b)[1]
-    if not _feasible(x, b, n)[0]:
-        return _none_optimal([INFEASIBLE], np.array([st.basis]), np.array([st.iterations]), n)
-    if max(st.basis) >= n and _drive_out(st.AT, A, st.basis, st.sense):
-        # Every variable keeps its value.
-        st.xb = x[0, st.basis].tolist()
-        x[0, st.basis] = 0.0
-        st.xn = x[0]
-
-    st.span, st.fixed, cost = _phase_two(c, st.lo, st.hi, st.sense)
-    status = [OPTIMAL if st.pivot(cost) else UNBOUNDED]
-    BT, x = st.refresh(b)
-    basis = np.array([st.basis])
-    duals, reduced = _priced(c, A, cost, BT, basis, basis)
-    return _solutions(c, status, x, duals, reduced, basis, np.array([st.iterations]))
-
-
-#: The fields of :class:`_Groups` held once per group.
-_GROUP_FIELDS = (
-    "Aaug", "AaugT", "xn", "sense", "basis", "iterations", "use_bland", "degenerate_run",
-)
-
-
-class _Groups:
-    """Simplex state of one LP at a stack of two or more right-hand sides,
-    held once per *group*: the runs (rows of the stack) whose pivots so far
-    are the same.  A group prices and solves for its pivot column once;
-    each of its runs takes its own ratio test on its own basic values.
-
-    Shared by every group, one entry per variable: the bounds ``lo``, ``hi``
-    and ``span = hi - lo``; ``free_var`` and ``fixed``, which flag variables
-    with no bound and with no range; and the ``cost`` of the phase being run.
-
-    Per group: ``Aaug``, the constraint matrix with the phase-1 artificial
-    columns (signed by the group's residuals), and its transpose ``AaugT``;
-    ``xn``, the values of the nonbasic variables (zero for the basic ones);
-    the ``basis`` (one column per row of the constraint matrix), the pivot
-    count, Bland's switch and the run of degenerate pivots.  ``sense`` is
-    +1 for a nonbasic variable at its upper bound, -1 at its lower bound,
-    and 0 for a variable that may not enter the basis (basic, or fixed), so
-    that ``d * sense`` prices every variable.  ``offsets`` holds the flat
-    index of each group's first variable in the ``(groups, variables)``
-    arrays, where ``AT`` reads the rows of ``AaugT``; flat indices read
-    faster than pairs of indices.
-
-    Per run: ``xb``, the values of its basic variables in basis order, and
-    its group, ``member``.
-    """
-
-    def __init__(self, **arrays) -> None:
-        self.__dict__.update(arrays)
-        self._index()
-
-    def _index(self) -> None:
-        G, N = self.sense.shape
-        self.offsets = np.arange(0, G * N, N)
-        self.AT = self.AaugT.reshape(G * N, -1)
-
-    def flat_basis(self) -> np.ndarray:
-        return self.basis + self.offsets[:, None]
-
-    def split(self, key: np.ndarray) -> np.ndarray:
-        """Split every group whose runs differ in ``key``, one nonnegative
-        integer per run; returns each new group's old index."""
-        self.member, parent = _renumber(self.member, key)
-        for name in _GROUP_FIELDS:
-            setattr(self, name, getattr(self, name)[parent])
-        self._index()
-        return parent
-
-    def one_run_each(self) -> np.ndarray:
-        """A run of each group (any one: they share the group's state)."""
-        runs = np.empty(len(self.basis), dtype=np.intp)
-        runs[self.member] = np.arange(self.member.size)
-        return runs
-
-    def run_basis(self) -> np.ndarray:
-        """The flat indices of each run's basic variables in an array of one
-        row per run."""
-        k, N = self.member.size, self.sense.shape[1]
-        return self.basis[self.member] + np.arange(0, k * N, N)[:, None]
-
-
-def _renumber(member: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct pairs ``(member, key)`` of the runs in order;
-    returns each run's new number and each new number's ``member``."""
-    width = int(key.max()) + 1
-    pair = member * width + key
-    present = np.bincount(pair) > 0
-    return (np.cumsum(present) - 1)[pair], np.flatnonzero(present) // width
-
-
-def _pivot_many(
-    st: _Groups, pivoting: np.ndarray, live: np.ndarray, rows: np.ndarray, gi: np.ndarray,
-    tf: np.ndarray, t: np.ndarray, sw: np.ndarray, step_sign: np.ndarray, max_iterations: int,
-) -> tuple[np.ndarray, list[int]]:
-    """One step of the runs ``rows``, in array operations.  Run ``rows[j]``
-    belongs to the live group ``live[gi[j]]``, which enters ``t[gi[j]]``
-    (flat index ``tf[gi[j]]``) in the direction ``step_sign[gi[j]]``, and
-    whose basic variables move by ``-sw[gi[j]]`` per unit of step.  Returns
-    the groups still pivoting and the runs that found an unbounded ray.
-
-    The step limits of all runs come from one set of array operations.  A
-    run whose smallest limit is clear, by more than the tie window, of the
-    others and of the entering variable's own range has only one possible
-    outcome of the scan, the plain minimum; every other run is scanned on
-    its own (:func:`_ratio_test`).  Every run moves its own basic values;
-    then each group, split first by its runs' outcomes, updates its basis
-    once (:func:`_step`).
-    """
-    lane = np.arange(rows.size)
-    own, enter, step_sign = (a.take(gi) for a in (st.span.take(t), st.xn.take(tf), step_sign))
-    basis = st.basis.take(live.take(gi), axis=0)
-    lo, hi, sw = st.lo.take(basis), st.hi.take(basis), sw.take(gi, axis=0)
-    xb = st.xb.take(rows, axis=0)
-    rises = sw > _PIVOT_FLOOR
+    A row whose smallest step limit is clear, by more than the tie window,
+    of the others and of the entering variable's own range ``own`` has only
+    one possible outcome of the scan, the plain minimum; every other row is
+    scanned on its own."""
+    lane = np.arange(len(xb))
+    lo_b, hi_b = np.array(lo), np.array(hi)
     size = np.abs(sw)
     # A variable with no bound in the direction it moves has an infinite
     # limit; |sw| is sw where it rises and -sw where it falls, to the bit.
     limit = np.divide(
-        np.where(rises, xb - lo, hi - xb),
+        np.where(sw > _PIVOT_FLOOR, xb - lo_b, hi_b - xb),
         size,
-        out=np.full(sw.shape, np.inf),
+        out=np.full(xb.shape, np.inf),
         where=size > _PIVOT_FLOOR,
     )
     limit[limit < 0.0] = 0.0
@@ -646,119 +396,246 @@ def _pivot_many(
     flip = own < low
     clear = flip | ((low < np.minimum(own, runner) - 1e-12) & (runner > low + 1e-12))
     block = np.where(flip, -1, first)
-    up = sw[lane, first] < -_PIVOT_FLOOR
+    up = sw[first] < -_PIVOT_FLOOR
     theta = np.where(flip, own, low)
-    rays = []
-    for j in [] if clear.all() else np.flatnonzero(~clear).tolist():
-        block[j], up[j], theta[j] = _ratio_test(
-            xb[j].tolist(), lo[j].tolist(), hi[j].tolist(), sw[j].tolist(),
-            basis[j].tolist(), float(own[j]), st.use_bland[live[gi[j]]],
-        )
-        if block[j] == -2:
-            theta[j] = 0.0  # on a ray, the run stays put
-            rays.append(int(rows[j]))
-
-    # Every run moves its own basic values.
-    xb -= theta[:, None] * sw
-    p = np.flatnonzero(block >= 0)
-    xb[p, block[p]] = enter[p] + step_sign[p] * theta[p]
-    st.xb[rows] = xb
-
-    # Each group, split first by its runs' outcomes, updates its basis once.
-    key = 2 * block + 4 + (theta <= TOLERANCE)
-    one = np.empty(live.size, dtype=np.intp)
-    one[gi] = lane  # a run of each live group
-    groups = live
-    if (key.take(one).take(gi) != key).any():
-        full = np.zeros(st.member.size, dtype=np.intp)
-        full[rows] = key
-        pivoting = pivoting[st.split(full)]
-        groups = np.flatnonzero(pivoting)
-        one = np.empty(len(st.basis), dtype=np.intp)
-        one[st.member.take(rows)] = lane  # now its runs share their outcome
-        one = one.take(groups)
-    for g, j in zip(groups.tolist(), one.tolist()):
-        if block[j] == -2:
-            pivoting[g] = False
-            continue
-        st.iterations[g] += 1
-        if st.iterations[g] > max_iterations:
-            m, N = st.Aaug.shape[1:]
-            raise _exhausted(int(np.flatnonzero(st.member == g)[0]), m, N - m, max_iterations)
-        st.degenerate_run[g], st.use_bland[g] = _step(
-            st, st.sense[g], st.xn[g], st.basis[g], int(t[gi[j]]), int(block[j]), bool(up[j]),
-            key[j] % 2 == 1, st.degenerate_run[g], st.use_bland[g],
-        )
-    return pivoting, rays
+    if not clear.all():
+        sw_list = sw.tolist()
+        for j in np.flatnonzero(~clear).tolist():
+            row = xb[j].tolist()
+            block[j], up[j], theta[j] = _ratio_test(row, lo, hi, sw_list, basis, own, bland)
+            if block[j] == -2:
+                theta[j] = 0.0  # on a ray, the row stays put
+    return block, up, theta
 
 
-def _run_phase(st: _Groups, pivoting: np.ndarray, max_iterations: int, free: bool) -> list[int]:
-    """Pivot the groups flagged in ``pivoting`` to the end of one phase, all
-    in lock-step and in place in ``st``.  Returns the runs that found an
-    unbounded ray.
+class _Run:
+    """Simplex state of a *run*: the rows of the stack (``rows``, an array
+    in order) whose pivots so far are the same.  A lone solve is a run of
+    one row.
 
-    Each round prices every group in stacked calls: a stopped group keeps
-    its basis, so pricing it again is finite and changes nothing.  A group
-    stops when it is priced out (optimal) or finds an unbounded ray, and
-    only once some group has stopped are the basis matrices and entering
-    variables of the rest picked out of the round's arrays.  The groups
-    still pivoting then solve for their pivot columns in one stacked call,
-    and their runs take their steps together (:func:`_pivot_many`).
-    ``free`` says whether any group has a free variable, which prices and
-    steps by the sign of its reduced cost.
+    Shared by the run's rows: ``Aaug``, the constraint matrix with the
+    phase-1 artificial columns (signed by the rows' residuals, which share
+    one sign pattern), and ``AT``, its columns as rows; the ``basis`` (a
+    list, one column per constraint row); ``xn``, the values of the
+    nonbasic variables (zero for the basic ones); ``sense``, +1 for a
+    nonbasic variable at its upper bound, -1 at its lower bound and 0 for a
+    variable that may not enter (basic, or fixed), so that ``d * sense``
+    prices every variable; the pivot count, Bland's switch, the stretch of
+    degenerate pivots, and whether the run found an unbounded ray.
+
+    Per row: ``xb``, the values of its basic variables in basis order, a
+    list in a run of one row and an array of one row per row otherwise.
     """
-    unbounded = []
-    every_run = np.arange(st.member.size)
-    while True:
-        fb = st.flat_basis()
-        BT = st.AT[fb]
-        y = _lapack_solve(BT, st.cost.take(st.basis)[..., None])
-        d = st.cost - (y.transpose(0, 2, 1) @ st.Aaug)[:, 0]
-        score = d * st.sense
-        if free:
-            score = np.where(st.free_var & (st.sense != 0.0), np.abs(d), score)
-        t = score.argmax(axis=1)
-        if any(st.use_bland.tolist()):
-            t = np.where(st.use_bland, (score > TOLERANCE).argmax(axis=1), t)
-        tf = t + st.offsets
-        pivoting = pivoting & (score.take(tf) > TOLERANCE)
-        live = np.arange(len(st.basis))
-        if not all(pivoting.tolist()):
-            live = np.flatnonzero(pivoting)
-            if not live.size:
-                return unbounded
-            BT, t, tf = BT[live], t[live], tf[live]
 
-        step_sign = -st.sense.take(tf)
-        if free:
-            step_sign = np.where(
-                st.free_var.take(t), np.where(d.take(tf) < 0.0, 1.0, -1.0), step_sign
-            )
-        w = _lapack_solve(BT.transpose(0, 2, 1), st.AT[tf][..., None])
-        sw = step_sign[:, None] * w[..., 0]
-        if live.size == len(st.basis):
-            rows, gi = every_run, st.member
-        else:
-            rows = np.flatnonzero(pivoting[st.member])
-            gi = (np.cumsum(pivoting) - 1)[st.member[rows]]
-        pivoting, rays = _pivot_many(
-            st, pivoting, live, rows, gi, tf, t, sw, step_sign, max_iterations
+    def __init__(
+        self, A: np.ndarray, residual: np.ndarray, rows: np.ndarray, xn: np.ndarray,
+        sense: np.ndarray,
+    ) -> None:
+        """A run at the start, from ``xn`` with the artificials basic, each
+        signed to take up its row of ``residual`` (the run's rows share the
+        signs)."""
+        m, n = A.shape
+        N = n + m
+        self.Aaug = np.zeros((1, m, N))
+        self.Aaug[0, :, :n] = A
+        self.Aaug.reshape(-1)[n :: N + 1] = np.where(residual[rows[0]] >= 0.0, 1.0, -1.0)
+        self.AT, self.rows, self.basis, self.xn, self.sense = (
+            self.Aaug[0].T.copy(), rows, list(range(n, N)), xn, sense
         )
-        unbounded += rays
+        self.xb = np.abs(residual[rows[0]]).tolist() if len(rows) == 1 else np.abs(residual[rows])
+        self.iterations, self.bland, self.degenerate, self.ray = 0, False, 0, False
+
+    def parts(self, keys: np.ndarray) -> list[tuple[_Run, int]]:
+        """The runs of this run's rows grouped by ``keys`` (one row of keys
+        per row of the run), in order of their first rows, each with the
+        lane of its first row in ``rows``: the run itself if the keys are
+        all equal, otherwise runs with copies of its state."""
+        groups = _lanes(keys)
+        if len(groups) == 1:
+            return [(self, 0)]
+        parts = []
+        for lanes in groups:
+            run = copy.copy(self)
+            run.rows, run.basis, run.xn, run.sense = (
+                self.rows[lanes], list(self.basis), self.xn.copy(), self.sense.copy()
+            )
+            run.xb = self.xb[lanes[0]].tolist() if len(lanes) == 1 else self.xb[lanes]
+            parts.append((run, lanes[0]))
+        return parts
+
+    def pivot(self, phase: tuple) -> list[_Run]:
+        """Pivot to the end of ``phase``, or until the rows step
+        differently; returns the runs the rows then go on in, or none if
+        this run ended (priced out, or on a ray).
+
+        ``phase`` holds what the phase prices and steps by: its ``cost``
+        (one entry per variable); the bounds of every variable as lists,
+        ``lo``, ``hi`` and ``span = hi - lo`` (a variable with no range is
+        fixed); the array ``free_var`` of the variables with no bound, or
+        None; and the iteration budget.
+
+        Each round prices the basis and solves for the pivot column once.
+        A run of one row takes the ratio test in Python scalars; a run of
+        several, one per row (:func:`_ratio_tests`), and each row moves its
+        own basic values."""
+        Aaug, AT, sense, xn, basis, xb = self.Aaug, self.AT, self.sense, self.xn, self.basis, self.xb
+        cost, lo, hi, span, free_var, _ = phase
+        lo_b, hi_b = [lo[j] for j in basis], [hi[j] for j in basis]
+        one = len(self.rows) == 1
+        while True:
+            BT = AT.take(basis, axis=0)[None]
+            y = _lapack_solve(BT, cost.take(basis)[None, :, None])
+            d = cost - (y.transpose(0, 2, 1) @ Aaug)[0, 0]
+            score = d * sense
+            if free_var is not None:
+                score = np.where(free_var & (sense != 0.0), np.abs(d), score)
+            t = int((score > TOLERANCE).argmax() if self.bland else score.argmax())
+            if not score[t] > TOLERANCE:
+                return []
+            step_sign = -float(sense[t])
+            if free_var is not None and free_var[t]:
+                step_sign = 1.0 if d[t] < 0.0 else -1.0
+            w = _lapack_solve(BT.transpose(0, 2, 1), AT[None, t, :, None])
+            if one:
+                sw = (step_sign * w[0, :, 0]).tolist()
+                block, up, theta = _ratio_test(xb, lo_b, hi_b, sw, basis, span[t], self.bland)
+                if block == -2:
+                    self.ray = True
+                    return []
+                xb[:] = [x - theta * s for x, s in zip(xb, sw)]
+                if block >= 0:
+                    xb[block] = float(xn[t]) + step_sign * theta
+            else:
+                sw = step_sign * w[0, :, 0]
+                blocks, ups, thetas = _ratio_tests(xb, lo_b, hi_b, sw, basis, span[t], self.bland)
+                key = 2 * blocks + (thetas <= TOLERANCE)
+                if (key != key[0]).any():
+                    # The rows part ways: each outcome goes on in a run of its
+                    # own, which takes its own step.
+                    xb -= thetas[:, None] * sw
+                    p = np.flatnonzero(blocks >= 0)
+                    xb[p, blocks[p]] = float(xn[t]) + step_sign * thetas[p]
+                    runs = []
+                    for run, j in self.parts(key[:, None]):
+                        if blocks[j] == -2:
+                            run.ray = True
+                        else:
+                            run.step(t, int(blocks[j]), bool(ups[j]), thetas[j] <= TOLERANCE, phase)
+                        runs.append(run)
+                    return runs
+                block, up, theta = int(blocks[0]), bool(ups[0]), float(thetas[0])
+                if block == -2:
+                    self.ray = True
+                    return []
+                xb -= thetas[:, None] * sw
+                if block >= 0:
+                    xb[:, block] = float(xn[t]) + step_sign * thetas
+            if block >= 0:
+                lo_b[block], hi_b[block] = lo[t], hi[t]
+            self.step(t, block, up, theta <= TOLERANCE, phase)
+
+    def step(self, t: int, block: int, up: bool, degenerate: bool, phase: tuple) -> None:
+        """The basis's side of a step in which ``t`` entered: the bound flip
+        (``block`` -1) or the pivot on row ``block``, whose variable leaves
+        at its upper bound if ``up``; then the pivot count, the stretch of
+        degenerate steps and Bland's switch."""
+        _, lo, hi, span, _, max_iterations = phase
+        self.iterations += 1
+        if self.iterations > max_iterations:
+            m = len(self.basis)
+            raise SolverFailure(
+                f"LP {self.rows[0]}: iteration budget {max_iterations} exhausted "
+                f"({self.xn.size - m} variables, {m} rows)"
+            )
+        sense, xn = self.sense, self.xn
+        if block < 0:
+            sense[t] = -sense[t]
+            xn[t] = hi[t] if sense[t] > 0.0 else lo[t]
+            self.degenerate = 0
+            return
+        leaving = self.basis[block]
+        xn[leaving] = hi[leaving] if up else lo[leaving]
+        sense[leaving] = 0.0 if span[leaving] <= TOLERANCE else (1.0 if up else -1.0)
+        xn[t] = 0.0
+        sense[t] = 0.0
+        self.basis[block] = t
+        if not degenerate:
+            self.degenerate = 0
+            return
+        self.degenerate += 1
+        self.bland = self.bland or self.degenerate >= BLAND_TRIGGER
+
+    def refresh(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Re-solve for each row's basic values from the exactly-held
+        nonbasic values, clearing the drift accumulated by incremental
+        updates.  Returns the transposed basis matrix and each row's whole
+        point."""
+        r = len(self.rows)
+        BT = self.AT.take(self.basis, axis=0)[None]
+        rhs = (b if r == len(b) else b[self.rows]) - (self.Aaug @ self.xn[None, :, None])[..., 0]
+        if r == 1:
+            xb = _lapack_solve(BT.transpose(0, 2, 1), rhs[..., None])[0, :, 0]
+            self.xb = xb.tolist()
+            x = self.xn[None].copy()
+            x[0].put(self.basis, xb)
+        else:
+            self.xb = _lapack_solve(BT.repeat(r, axis=0).transpose(0, 2, 1), rhs[..., None])[..., 0]
+            x = self.xn[None].repeat(r, axis=0)
+            x[:, self.basis] = self.xb
+        return BT, x
 
 
-def _refresh_basics(st: _Groups, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re-solve for each run's basic values from the exactly-held nonbasic
-    values, clearing the drift accumulated by incremental updates.  Returns
-    the groups' flat basic indices and transposed basis matrices, for
-    reuse, and each run's whole point, one row per run."""
-    fb = st.flat_basis()
-    BT = st.AT[fb]
-    rhs = b - (st.Aaug @ st.xn[..., None])[..., 0][st.member]
-    st.xb = _lapack_solve(BT[st.member].transpose(0, 2, 1), rhs[..., None])[..., 0]
-    x = st.xn[st.member]
-    x.reshape(-1)[st.run_basis()] = st.xb
-    return fb, BT, x
+def _lanes(keys: np.ndarray) -> list[np.ndarray]:
+    """The positions of the equal rows of ``keys``, one array for each
+    distinct row, in order of their first positions."""
+    order = np.lexsort(keys.T[::-1])  # stable
+    ordered = keys[order]
+    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    return sorted(np.split(order, cuts), key=lambda lanes: lanes[0])
+
+
+def _pivot_all(runs: list[_Run], phase: tuple, status: list[str]) -> list[_Run]:
+    """Pivot ``runs`` to the end of ``phase``, depth-first: each run, and
+    each run it splits into, in order of their first rows.  Returns the
+    runs the rows end in, and marks the rows that end on a ray in
+    ``status``."""
+    done = []
+    todo = runs[::-1]
+    while todo:
+        run = todo.pop()
+        split = None if run.ray else run.pivot(phase)
+        if split:
+            todo += split[::-1]
+            continue
+        done.append(run)
+        if run.ray:
+            for i in run.rows.tolist():
+                status[i] = UNBOUNDED
+    return done
+
+
+def _points(runs: list[_Run], b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refresh every run (:meth:`_Run.refresh`); returns their transposed
+    basis matrices, one per run, and the point of each row of ``b``."""
+    if len(runs) == 1:
+        return runs[0].refresh(b)
+    x = np.empty((len(b), runs[0].xn.size))
+    BT = []
+    for run in runs:
+        B, x[run.rows] = run.refresh(b)
+        BT.append(B)
+    return np.concatenate(BT), x
+
+
+def _per_row(runs: list[_Run], k: int, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each of ``values``, one row per run, as one row per row of a stack
+    of ``k`` rows."""
+    if k == 1:
+        return values
+    member = np.empty(k, dtype=np.intp)
+    for g, run in enumerate(runs):
+        member[run.rows] = g
+    return tuple(v[member] for v in values)
 
 
 def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
@@ -768,14 +645,15 @@ def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     Phase 1 minimizes the total artificial infeasibility from a
     deterministic start (every variable at its lower bound when finite,
     otherwise its upper bound, otherwise zero), and phase 2 reoptimizes the
-    true objective with the artificials pinned to zero.  One row runs alone,
-    with its control state in Python scalars (:class:`_Run`); two or more
-    run in one lock-step batch that holds the LP's data once
-    (:class:`_Groups`), each with its own pricing, Bland switch and pivot
-    count, where rows whose pivots have been the same so far share one
-    pricing and one pivot column per round.  Both do the same arithmetic on
-    arrays of the same shapes, so row ``i`` is, to the bit, what the LP
-    with right-hand side ``rhs[i]`` gets alone.
+    true objective with the artificials pinned to zero.  Rows whose pivots
+    so far are the same share one simplex run (:class:`_Run`): one basis,
+    one pricing and one pivot column per round, while each row keeps its
+    own basic values and ratio test.  The rows start in one run per sign
+    pattern of their artificials, a run splits where its rows step
+    differently, and the runs are taken depth-first; a lone right-hand side
+    is a run of one row.  Every product and solve is the same, to the bit,
+    in a run of any size, so row ``i`` is what the LP with right-hand side
+    ``rhs[i]`` gets alone.
 
     Raises :class:`LpInputError` if ``rhs`` is not such a stack, with at
     least one row, of finite numbers, and :class:`SolverFailure`, naming the
@@ -791,105 +669,93 @@ def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
         raise LpInputError(f"rhs stack has shape {b.shape}, expected (k, {m}) with k >= 1")
     if not np.isfinite(b).all():
         raise LpInputError("objective, matrix, and rhs must be finite")
-    route = _solve_alone if len(b) == 1 else _solve_stack
     max_iterations = max(200, 10 * (n + m))
     try:
         # A singular basis surfaces as an invalid-value signal from the
         # LAPACK gufunc, and as LinAlgError from np.linalg.solve.
         with np.errstate(invalid="raise"):
-            return route(
+            return _solve(
                 lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds, max_iterations
             )
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise SolverFailure("singular basis; numerical breakdown") from exc
 
 
-def _solve_stack(
+def _solve(
     c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray,
     max_iterations: int,
 ) -> LpSolutions:
-    """:func:`solve_rhs` at a stack ``b`` of two or more rows, in lock-step
-    (:class:`_Groups`)."""
+    """:func:`solve_rhs` at the stack ``b``."""
     k, m = b.shape
     n = c.size
-    N = n + m
-    lo, hi, span, fixed, free_var, x, sense, residual = _start(A, b, lo_n, hi_n)
-    # The runs start in one group per pattern of artificial signs.
-    member = np.zeros(k, dtype=np.intp)
-    for signs in np.packbits(residual < 0.0, axis=1).T:
-        member = _renumber(member, signs)[0]
-    runs = np.empty(member.max() + 1, dtype=np.intp)
-    runs[member] = np.arange(k)
-    Aaug = _augmented(A, residual[runs])
-    G = len(Aaug)
-    phase1_cost = np.zeros(N)
-    phase1_cost[n:] = 1.0
-    st = _Groups(
-        Aaug=Aaug,
-        AaugT=Aaug.transpose(0, 2, 1).copy(),
-        lo=lo,
-        hi=hi,
-        span=span,
-        free_var=free_var,
-        fixed=fixed,
-        cost=phase1_cost,
-        xn=np.tile(x, (G, 1)),
-        sense=np.tile(sense, (G, 1)),
-        basis=np.arange(n, N) + np.zeros((G, 1), dtype=np.intp),
-        iterations=np.zeros(G, dtype=int),
-        use_bland=np.zeros(G, dtype=bool),
-        degenerate_run=np.zeros(G, dtype=int),
-        xb=np.abs(residual),
-        member=member,
-    )
-    free = bool(np.count_nonzero(free_var))
-
-    diverged = _run_phase(st, np.ones(G, dtype=bool), max_iterations, free)
-    if diverged:
-        raise SolverFailure(f"LP {min(diverged)}: phase-1 objective diverged; numerical breakdown")
-    x = _refresh_basics(st, b)[2]
-    feasible = _feasible(x, b, n)
-    status = [OPTIMAL if f else INFEASIBLE for f in feasible.tolist()]
+    lo, hi, span, free_var, x, sense, residual = _start(A, b, lo_n, hi_n)
+    runs = []
+    for rows in _lanes(residual < 0.0) if k > 1 else [np.arange(1)]:
+        # Every run starts from the same point; the first takes the arrays.
+        xn, sn = (x.copy(), sense.copy()) if runs else (x, sense)
+        runs.append(_Run(A, residual, rows, xn, sn))
+    cost = np.zeros(n + m)
+    cost[n:] = 1.0
+    phase = (cost, lo.tolist(), hi.tolist(), span.tolist(), free_var, max_iterations)
+    status = [OPTIMAL] * k
+    runs = _pivot_all(runs, phase, status)
+    if UNBOUNDED in status:
+        i = status.index(UNBOUNDED)
+        raise SolverFailure(f"LP {i}: phase-1 objective diverged; numerical breakdown")
+    x = _points(runs, b)[1]
+    # A row is feasible if its artificials end within the cutoff of zero.
+    infeasibility = np.add.reduce(np.abs(x[:, n:]), axis=1)
+    cutoff = _INFEASIBILITY_CUTOFF * (1.0 + np.maximum.reduce(np.abs(b), axis=1))
+    infeasible = infeasibility > cutoff
+    status = [INFEASIBLE if f else OPTIMAL for f in infeasible.tolist()]
     if OPTIMAL not in status:
-        return _none_optimal(status, st.basis[st.member], st.iterations[st.member], n)
-    if not feasible.all():
-        st.split(feasible)
-    pivoting = feasible[st.one_run_each()]
-    swapped = False
-    for g in np.flatnonzero(pivoting & (st.basis.max(axis=1) >= n)).tolist():
-        swapped |= _drive_out(st.AaugT[g], A, st.basis[g], st.sense[g])
-    if swapped:
-        # Every variable keeps its value, so an artificial that left keeps
-        # each run's own: the runs of a group whose values differ there go
-        # on in groups of their own.
-        fx = st.run_basis()
-        st.xb = x.take(fx)
-        x.reshape(-1)[fx] = 0.0
-        ref = x[st.one_run_each()[st.member]]
-        differs = (x.view(np.uint64) != ref.view(np.uint64)).any(axis=1)
-        if differs.any():
-            mixed = np.zeros(len(st.basis), dtype=bool)
-            mixed[st.member[differs]] = True
-            pivoting = pivoting[st.split(np.where(mixed[st.member], np.arange(k), 0))]
-        st.xn = x[st.one_run_each()]
+        basis = np.array([run.basis for run in runs])
+        basis, iterations = _per_row(runs, k, basis, np.array([run.iterations for run in runs]))
+        return _none_optimal(status, basis, iterations, n)
 
-    st.span, st.fixed, st.cost = _phase_two(c, st.lo, st.hi, st.sense)
-    st.use_bland[:] = False
-    st.degenerate_run[:] = 0
-    for i in _run_phase(st, pivoting, max_iterations, free):
-        status[i] = UNBOUNDED
-    fb, BT, x = _refresh_basics(st, b)
-    duals, reduced = _priced(c, A, st.cost, BT, st.basis, fb)
-    member = st.member
-    return _solutions(
-        c, status, x, duals[member], reduced[member], st.basis[member], st.iterations[member]
+    # Infeasible rows stop; the feasible ones drive out the artificials left
+    # basic.  Every variable keeps its value, so an artificial that left
+    # keeps each row's own: rows whose values differ there part ways.
+    live, stopped = [], []
+    mixed = INFEASIBLE in status
+    for run in runs:
+        for part, _ in run.parts(infeasible[run.rows, None]) if mixed else [(run, 0)]:
+            if infeasible[part.rows[0]]:
+                stopped.append(part)
+            elif max(part.basis) >= n and _drive_out(part.AT, A, part.basis, part.sense):
+                xr = x[part.rows]
+                xb = xr[:, part.basis]
+                part.xb = xb[0].tolist() if len(xb) == 1 else xb
+                xr[:, part.basis] = 0.0
+                for piece, j in part.parts(xr.view(np.uint64)):
+                    piece.xn = xr[j]
+                    live.append(piece)
+            else:
+                live.append(part)
+
+    # Phase 2 pins the artificials to zero (none may enter again) and prices
+    # by the objective.
+    hi[n:] = 0.0
+    span = hi - lo
+    cost = np.zeros(n + m)
+    cost[:n] = c
+    phase = (cost, phase[1], hi.tolist(), span.tolist(), free_var, max_iterations)
+    for run in live:
+        run.sense[n:] = 0.0
+        run.bland, run.degenerate = False, 0
+    runs = stopped + _pivot_all(live, phase, status)
+    BT, x = _points(runs, b)
+    basis = np.array([run.basis for run in runs])
+    duals, reduced = _priced(c, A, cost, BT, basis)
+    duals, reduced, basis, iterations = _per_row(
+        runs, k, duals, reduced, basis, np.array([run.iterations for run in runs])
     )
+    return _solutions(c, status, x, duals, reduced, basis, iterations)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Run the two-phase bounded-variable simplex method on ``lp``: row 0 of
-    :func:`solve_rhs` at the one right-hand side of ``lp``, which runs alone
-    (:class:`_Run`)."""
+    :func:`solve_rhs` at the one right-hand side of ``lp``."""
     return _solution(solve_rhs(lp, lp.eq_rhs[None]), 0)
 
 

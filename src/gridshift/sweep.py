@@ -232,10 +232,11 @@ def alignment_cutoffs(s: ThreeBusScenario) -> tuple[float, float]:
     return or_nan("dc"), or_nan("sw")
 
 
-def boundary_rows(
+def _boundary_columns(
     s: ThreeBusScenario, f12_values: np.ndarray
-) -> list[tuple[float, float, float]]:
-    """F01 values where the threshold crosses each agent's cutoff, per F12.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F01 values where the threshold crosses each agent's cutoff, per F12,
+    as the columns ``f12, f01_dc, f01_sw``.
 
     For a fixed F12 the threshold grows with F01 until the renewable term
     caps it; a cutoff above that cap is unreachable and yields NaN.  These
@@ -246,7 +247,14 @@ def boundary_rows(
     f01_dc, f01_sw = (
         np.where(c <= plateau, c + s.l1 + f12, math.nan) for c in alignment_cutoffs(s)
     )
-    return list(zip(f12.tolist(), f01_dc.tolist(), f01_sw.tolist()))
+    return f12, f01_dc, f01_sw
+
+
+def boundary_rows(
+    s: ThreeBusScenario, f12_values: np.ndarray
+) -> list[tuple[float, float, float]]:
+    """:func:`_boundary_columns` as rows ``(f12, f01_dc, f01_sw)``."""
+    return list(zip(*(column.tolist() for column in _boundary_columns(s, f12_values))))
 
 
 def heatmap_csv_lines(
@@ -259,7 +267,7 @@ def heatmap_csv_lines(
     f01_values, f12_values = (_axis(*r, resolution) for r in (f01_range, f12_range))
     return (
         csv_lines(HEATMAP_HEADER, _heatmap_columns(s, f01_values, f12_values)),
-        csv_lines(BOUNDARY_HEADER, zip(*boundary_rows(s, f12_values))),
+        csv_lines(BOUNDARY_HEADER, _boundary_columns(s, f12_values)),
     )
 
 
@@ -322,8 +330,9 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     instances, and the closed forms reproduce what the LP route measures.
     Unlike :func:`sweep_points`, this walks no pieces, so it checks that
     route from outside.  The LPs share only the numpy calls:
-    :func:`~gridshift.lp_core.solve_rhs` runs each one's own simplex in one
-    lock-step batch of the dispatch LP at a stack of right-hand sides, and
+    :func:`~gridshift.lp_core.solve_rhs` runs each one's own simplex on the
+    dispatch LP at a stack of right-hand sides, where shifts whose pivots
+    so far are the same share one pricing per round, and
     :func:`~gridshift.lp_core.kkt_residuals` certifies them in one stacked
     check.  Every worst case is a reduction over columns that lets a NaN
     through, so a NaN deviation or residual fails the check.

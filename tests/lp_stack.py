@@ -1,6 +1,6 @@
 """Stacks of LPs and of solutions, for the tests that compare them row by row.
 
-The lock-step core solves one LP at a stack of right-hand sides
+The solver takes one LP at a stack of right-hand sides
 (``lp_core.solve_rhs``); LPs that differ in any other array are solved one
 at a time.  ``lp_core.kkt_residuals`` still checks a stack of different LPs
 in one call, so the tests stack their arrays here.

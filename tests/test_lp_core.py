@@ -274,13 +274,15 @@ class TestPinnedTrace:
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
     def test_one_at_a_time_matches_the_pinned_digest(self, monkeypatch):
-        # A lone solve runs alone: it never builds the lock-step core's state.
+        # A lone solve is a run of one row from start to end.
         lps = trace_lps()
+        real_pivot = lp_core._Run.pivot
 
-        def no_groups(**arrays):
-            raise AssertionError("a lone solve reached the lock-step core")
+        def pivot(run, *args):
+            assert len(run.rows) == 1, "a lone solve ran a run of several rows"
+            return real_pivot(run, *args)
 
-        monkeypatch.setattr(lp_core, "_Groups", no_groups)
+        monkeypatch.setattr(lp_core._Run, "pivot", pivot)
         assert trace_digest(solve(lp) for lp in lps) == TRACE_SHA256
 
     def test_rhs_stacks_match_the_pinned_digest(self, monkeypatch):
@@ -288,14 +290,24 @@ class TestPinnedTrace:
         # right-hand sides, so each scenario's LPs stack into one LP at many
         # right-hand sides.  The random LPs are grouped the same way, and a
         # few small ones share all but the right-hand side too; an LP with
-        # no partner is stacked twice, so that every stack has two or more
-        # rows and runs in the lock-step core, never alone.
+        # no partner is stacked twice.  Every dispatch stack starts in runs
+        # of several rows, which screen their ratio tests in arrays, and
+        # splits.
         lps = trace_lps()
+        real_pivot, real_parts = lp_core._Run.pivot, lp_core._Run.parts
+        sizes, splits = [], []
 
-        def no_lone_run(*args):
-            raise AssertionError("a stack of two or more rows ran alone")
+        def pivot(run, *args):
+            sizes[-1].append(len(run.rows))
+            return real_pivot(run, *args)
 
-        monkeypatch.setattr(lp_core, "_solve_alone", no_lone_run)
+        def parts(run, *args):
+            found = real_parts(run, *args)
+            splits[-1] += len(found) > 1
+            return found
+
+        monkeypatch.setattr(lp_core._Run, "pivot", pivot)
+        monkeypatch.setattr(lp_core._Run, "parts", parts)
         groups = {}
         for i, lp in enumerate(lps):
             shared = (lp.objective, lp.eq_matrix, lp.lower_bounds, lp.upper_bounds)
@@ -307,9 +319,13 @@ class TestPinnedTrace:
         solutions = [None] * len(lps)
         for rows in groups.values():
             rhs = [lps[i].eq_rhs for i in rows]
+            sizes.append([])
+            splits.append(0)
             stacked = solve_rhs(lps[rows[0]], rhs if len(rhs) > 1 else rhs * 2)
             for i, sol in zip(rows, lp_stack.rows(stacked)):
                 solutions[i] = sol
+            if rows[-1] >= 550:
+                assert sizes[-1][0] > 1 and splits[-1] > 0
         assert trace_digest(solutions) == TRACE_SHA256
 
 
@@ -372,7 +388,8 @@ def _klee_minty(n: int, objective_scale: float = 1.0) -> LinearProgram:
 
 
 class TestSolveMany:
-    """One LP solved at many right-hand sides by the lock-step core."""
+    """One LP solved at a stack of right-hand sides: rows that pivot alike
+    share a run, which splits where they part ways."""
 
     def test_bland_member_really_switches(self, monkeypatch):
         switched = solve(_bland_lp())
@@ -466,9 +483,9 @@ class TestSolveMany:
         ],
     )
     def test_rhs_stack_whose_rows_part_ways_equals_lone_solves(self, lp, rhs):
-        # The rows share one LP, so they start together in the lock-step core
-        # and part ways as their pivots differ; each still gets, to the bit,
-        # what the one-run route gives it alone.
+        # The rows share one LP, so they start together in runs of several
+        # rows and part ways as their pivots differ; each still gets, to the
+        # bit, what it gets alone.
         stacked = solve_rhs(lp, rhs)
         alone = [
             solve(LinearProgram(lp.objective, lp.eq_matrix, b, lp.lower_bounds, lp.upper_bounds))
@@ -477,6 +494,25 @@ class TestSolveMany:
         assert len(set(zip(stacked.status, stacked.iterations.tolist()))) > 1
         for row, sol in zip(lp_stack.rows(stacked), alone):
             assert trace_digest([row]) == trace_digest([sol])
+
+    def test_stacks_with_free_and_upper_bounded_variables_equal_lone_solves(self):
+        # A variable with no bound prices by |d| and steps by the sign of d;
+        # one bounded only above starts at its upper bound and leaves there.
+        # 300 seeded LPs with both kinds, each at 6 right-hand sides, give
+        # every row what it gets alone, to the bit.
+        rng = np.random.default_rng(1818)
+        statuses = set()
+        for _ in range(300):
+            lp = lp_oracle.random_bounded_lp(rng)
+            kind = rng.integers(0, 3, size=lp.n_variables)  # as drawn, free, bounded above
+            lo = np.where(kind == 0, lp.lower_bounds, -INF)
+            hi = np.where(kind == 1, INF, lp.upper_bounds)
+            rhs = rng.integers(-4, 5, size=(6, lp.n_constraints)).astype(float)
+            stacked = solve_rhs(LinearProgram(lp.objective, lp.eq_matrix, rhs[0], lo, hi), rhs)
+            alone = [solve(LinearProgram(lp.objective, lp.eq_matrix, b, lo, hi)) for b in rhs]
+            assert trace_digest(lp_stack.rows(stacked)) == trace_digest(alone)
+            statuses.update(stacked.status)
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
     def test_rhs_stack_checks_and_solves_each_row(self):
         # One LP at a stack of right-hand sides: each row solves as that LP

@@ -46,8 +46,8 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def _batch_sizes(calls) -> list[int]:
-    """The number of right-hand sides in each recorded call of the lock-step
-    core (``lp_core.solve_rhs``), through which every LP solve goes."""
+    """The number of right-hand sides in each recorded call of the solver's
+    stacked face (``lp_core.solve_rhs``), through which every LP solve goes."""
     return [len(rhs) for _, rhs in calls]
 
 
