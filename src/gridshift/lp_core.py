@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import math
 from typing import NamedTuple
 
@@ -165,9 +164,10 @@ class LpSolutions(NamedTuple):
 
     ``status`` holds each LP's label; ``primal``, ``duals``,
     ``reduced_costs`` and ``objective_value`` are NaN in the rows of LPs that
-    are not optimal.  ``basis`` holds each optimal LP's sorted basic
-    columns, where an index of ``n`` (the number of variables) or more
-    stands for the zero-valued placeholder of a linearly dependent row.
+    are not optimal.  ``basis`` holds every row's sorted basis (the last
+    one, in a row that is not optimal), where an index of ``n`` (the number
+    of variables) or more stands for the zero-valued placeholder of a
+    linearly dependent row.
     """
 
     status: tuple[str, ...]
@@ -303,8 +303,9 @@ def _none_optimal(
     status: list[str], basis: np.ndarray, iterations: np.ndarray, n: int
 ) -> LpSolutions:
     """The solutions of a stack in which no row is optimal: one NaN block,
-    cut into the numeric columns, and each row's phase-1 basis."""
+    cut into the numeric columns, and each row's sorted phase-1 basis."""
     m = basis.shape[1]
+    basis.sort(axis=1)
     nan = np.empty((len(status), 2 * n + m + 1))
     nan.fill(np.nan)
     return LpSolutions(
@@ -331,21 +332,15 @@ def _ratio_test(
     The basic rows are scanned in order for the first step limit below the
     entering variable's own range by more than 1e-12; a limit within 1e-12
     of the current one replaces it under Bland's rule if its variable index
-    is lower, and otherwise if its pivot is larger.
+    is lower, and otherwise if its pivot is larger by more than 1e-12.
     """
     block = -1
     block_to_upper = False
     for row, (swi, xv, lov, hiv) in enumerate(zip(sw, xb, lo, hi)):
-        if swi > _PIVOT_FLOOR:
-            if lov == -math.inf:
-                continue
+        if swi > _PIVOT_FLOOR and lov > -math.inf:
             limit = (xv - lov) / swi
-            hits_upper = False
-        elif swi < -_PIVOT_FLOOR:
-            if hiv == math.inf:
-                continue
+        elif swi < -_PIVOT_FLOOR and hiv < math.inf:
             limit = (hiv - xv) / -swi
-            hits_upper = True
         else:
             continue
         if limit < 0.0:
@@ -353,7 +348,7 @@ def _ratio_test(
         if limit < theta - 1e-12:
             theta = limit
             block = row
-            block_to_upper = hits_upper
+            block_to_upper = swi < 0.0
         elif block >= 0 and limit <= theta + 1e-12:
             if bland:
                 better = basis[row] < basis[block]
@@ -361,7 +356,7 @@ def _ratio_test(
                 better = abs(swi) > abs(sw[block]) + 1e-12
             if better:
                 block = row
-                block_to_upper = hits_upper
+                block_to_upper = swi < 0.0
     if not math.isfinite(theta):
         return -2, False, theta
     return block, block_to_upper, theta
@@ -371,40 +366,30 @@ def _ratio_tests(
     xb: np.ndarray, lo: list, hi: list, sw: np.ndarray, basis, own: float, bland: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_ratio_test` for each row of ``xb`` (one row of basic values
-    per row of a run), in array operations; a ray leaves its row's step 0.
-
-    A row whose smallest step limit is clear, by more than the tie window,
-    of the others and of the entering variable's own range ``own`` has only
-    one possible outcome of the scan, the plain minimum; every other row is
-    scanned on its own."""
-    lane = np.arange(len(xb))
-    lo_b, hi_b = np.array(lo), np.array(hi)
-    size = np.abs(sw)
-    # A variable with no bound in the direction it moves has an infinite
-    # limit; |sw| is sw where it rises and -sw where it falls, to the bit.
-    limit = np.divide(
-        np.where(sw > _PIVOT_FLOOR, xb - lo_b, hi_b - xb),
-        size,
-        out=np.full(xb.shape, np.inf),
-        where=size > _PIVOT_FLOOR,
-    )
-    limit[limit < 0.0] = 0.0
-    first = limit.argmin(axis=1)
-    low = limit[lane, first]
-    limit[lane, first] = np.inf
-    runner = functools.reduce(np.minimum, limit.T)  # column by column: fast for few rows
-    flip = own < low
-    clear = flip | ((low < np.minimum(own, runner) - 1e-12) & (runner > low + 1e-12))
-    block = np.where(flip, -1, first)
-    up = sw[first] < -_PIVOT_FLOOR
-    theta = np.where(flip, own, low)
-    if not clear.all():
-        sw_list = sw.tolist()
-        for j in np.flatnonzero(~clear).tolist():
-            row = xb[j].tolist()
-            block[j], up[j], theta[j] = _ratio_test(row, lo, hi, sw_list, basis, own, bland)
-            if block[j] == -2:
-                theta[j] = 0.0  # on a ray, the row stays put
+    per row of a run), with each step of the scan taken by all the rows at
+    once; a ray leaves its row's step 0.  The rows share ``sw`` and the
+    bounds, so only the limits and each row's step, blocking row and
+    leaving side are arrays."""
+    k = len(xb)
+    theta, block, up = np.full(k, own), np.full(k, -1), np.zeros(k, dtype=bool)
+    keys = np.array(basis) if bland else np.abs(sw)  # the tie-break operands
+    for row, (swi, lov, hiv) in enumerate(zip(sw.tolist(), lo, hi)):
+        if swi > _PIVOT_FLOOR and lov > -math.inf:
+            limit = (xb[:, row] - lov) / swi
+        elif swi < -_PIVOT_FLOOR and hiv < math.inf:
+            limit = (hiv - xb[:, row]) / -swi
+        else:
+            continue
+        limit[limit < 0.0] = 0.0
+        tie = (block >= 0) & (limit <= theta + 1e-12)
+        tie &= keys[row] < keys[block] if bland else keys[row] > keys[block] + 1e-12
+        take = limit < theta - 1e-12
+        theta[take] = limit[take]
+        take |= tie
+        block[take], up[take] = row, swi < 0.0
+    if own == math.inf:  # only an entering variable with no other bound finds a ray
+        ray = theta == math.inf
+        block[ray], theta[ray] = -2, 0.0
     return block, up, theta
 
 
@@ -475,9 +460,10 @@ class _Run:
         None; and the iteration budget.
 
         Each round prices the basis and solves for the pivot column once.
-        A run of one row takes the ratio test in Python scalars; a run of
-        several, one per row (:func:`_ratio_tests`), and each row moves its
-        own basic values."""
+        A run of one row takes the ratio test and its step in Python
+        scalars.  A run of several takes the same scan in arrays
+        (:func:`_ratio_tests`), and each row steps its own basic values
+        before the run tests whether its rows part ways."""
         Aaug, AT, sense, xn, basis, xb = self.Aaug, self.AT, self.sense, self.xn, self.basis, self.xb
         cost, lo, hi, span, free_var, _ = phase
         lo_b, hi_b = [lo[j] for j in basis], [hi[j] for j in basis]
@@ -499,22 +485,16 @@ class _Run:
             if one:
                 sw = (step_sign * w[0, :, 0]).tolist()
                 block, up, theta = _ratio_test(xb, lo_b, hi_b, sw, basis, span[t], self.bland)
-                if block == -2:
-                    self.ray = True
-                    return []
-                xb[:] = [x - theta * s for x, s in zip(xb, sw)]
-                if block >= 0:
-                    xb[block] = float(xn[t]) + step_sign * theta
             else:
                 sw = step_sign * w[0, :, 0]
                 blocks, ups, thetas = _ratio_tests(xb, lo_b, hi_b, sw, basis, span[t], self.bland)
+                xb -= thetas[:, None] * sw
+                p = np.flatnonzero(blocks >= 0)
+                xb[p, blocks[p]] = float(xn[t]) + step_sign * thetas[p]
                 key = 2 * blocks + (thetas <= TOLERANCE)
                 if (key != key[0]).any():
-                    # The rows part ways: each outcome goes on in a run of its
-                    # own, which takes its own step.
-                    xb -= thetas[:, None] * sw
-                    p = np.flatnonzero(blocks >= 0)
-                    xb[p, blocks[p]] = float(xn[t]) + step_sign * thetas[p]
+                    # The rows part ways: each outcome goes on in a run of
+                    # its own, which takes its own step.
                     runs = []
                     for run, j in self.parts(key[:, None]):
                         if blocks[j] == -2:
@@ -524,12 +504,13 @@ class _Run:
                         runs.append(run)
                     return runs
                 block, up, theta = int(blocks[0]), bool(ups[0]), float(thetas[0])
-                if block == -2:
-                    self.ray = True
-                    return []
-                xb -= thetas[:, None] * sw
+            if block == -2:
+                self.ray = True
+                return []
+            if one:
+                xb[:] = [x - theta * s for x, s in zip(xb, sw)]
                 if block >= 0:
-                    xb[:, block] = float(xn[t]) + step_sign * thetas
+                    xb[block] = float(xn[t]) + step_sign * theta
             if block >= 0:
                 lo_b[block], hi_b[block] = lo[t], hi[t]
             self.step(t, block, up, theta <= TOLERANCE, phase)

@@ -291,7 +291,7 @@ class TestPinnedTrace:
         # right-hand sides.  The random LPs are grouped the same way, and a
         # few small ones share all but the right-hand side too; an LP with
         # no partner is stacked twice.  Every dispatch stack starts in runs
-        # of several rows, which screen their ratio tests in arrays, and
+        # of several rows, which take their ratio tests in arrays, and
         # splits.
         lps = trace_lps()
         real_pivot, real_parts = lp_core._Run.pivot, lp_core._Run.parts
@@ -537,6 +537,64 @@ class TestSolveMany:
         for not_numbers in ([[7.0], [7.0, 8.0]], [["a"]]):
             with pytest.raises(LpInputError, match="not an array of numbers"):
                 solve_rhs(lp, not_numbers)
+
+    def test_basis_of_a_row_that_is_not_optimal_is_its_own(self):
+        # Every row's basis comes back sorted, optimal or not, so an
+        # infeasible row reports the same basis alone, where no row reaches
+        # phase 2, as beside an optimal row, which takes the stack there.
+        rng = np.random.default_rng(0)
+        infeasible = 0
+        for _ in range(100):
+            lp = lp_oracle.random_bounded_lp(rng)
+            alone = solve_rhs(lp, [lp.eq_rhs])
+            if alone.status[0] != INFEASIBLE:
+                continue
+            infeasible += 1
+            stacked = solve_rhs(lp, [lp.eq_rhs, lp.eq_matrix @ lp.lower_bounds])
+            assert stacked.status == (INFEASIBLE, OPTIMAL)
+            assert stacked.basis[0].tolist() == alone.basis[0].tolist()
+        assert infeasible >= 20
+
+
+class TestRatioTests:
+    def test_stacked_scan_equals_the_scalar_scan_row_by_row(self):
+        # _ratio_tests is _ratio_test's scan taken by all the rows of a run
+        # at once.  Limits lie on a grid of small integers or a hair off it,
+        # so steps tie, nearly tie and just miss; pivots lie below the floor,
+        # a hair apart in size, or of either sign; bounds may be infinite;
+        # and the entering range is 0, finite, within 1e-12 of a limit or
+        # infinite.  Each row's blocking row, leaving side and step are the
+        # scalar scan's, to the bit, except that a ray's step is 0.
+        rng = np.random.default_rng(19)
+        offsets = np.array([0.0, 1e-13, -1e-13, 5e-13, 2e-12])
+        pivots = np.array([0.0, 1e-12, -1e-12, 1.0, -1.0, 1.0 + 5e-13, -1.0 - 5e-13, 2.0, -0.5])
+        ranges = np.array([0.0, 1.0, 3.0, INF])
+        # 20,000 draws of up to 8 rows and 5 basic rows, each cut to its size.
+        n = 20000
+        sizes = rng.integers((1, 2, 0, 0), (6, 9, 2, 4), size=(n, 4)).tolist()
+        sw = pivots[rng.integers(9, size=(n, 1, 5))]
+        base = -rng.integers(2, size=(n, 1, 5)).astype(float)
+        lo = np.where(rng.random((n, 1, 5)) < 0.2, -INF, base)
+        hi = base + ranges[rng.integers(4, size=(n, 1, 5))]
+        limit = rng.integers(0, 4, (n, 8, 5)) + offsets[rng.integers(5, size=(n, 8, 5))]
+        xb = np.where(sw > 0.0, lo + limit * sw, hi + limit * sw)
+        xb = np.where(np.isfinite(xb), xb, rng.integers(-3, 4, (n, 8, 5)))
+        bases = rng.permuted(np.tile(np.arange(8), (n, 1)), axis=1).tolist()
+        outcomes = set()
+        for i, (m, k, bland, kind) in enumerate(sizes):
+            # The entering range: 0, finite, within 1e-12 of a limit, or none.
+            own = [0.0, 2.0, float(limit[i, 0, m - 1]) + 5e-13, INF][kind]
+            xb_i, sw_i, basis = xb[i, :k, :m], sw[i, 0, :m], bases[i][:m]
+            lo_b, hi_b = lo[i, 0, :m].tolist(), hi[i, 0, :m].tolist()
+            blocks, ups, thetas = lp_core._ratio_tests(xb_i, lo_b, hi_b, sw_i, basis, own, bland)
+            for j, row in enumerate(xb_i.tolist()):
+                block, up, theta = lp_core._ratio_test(row, lo_b, hi_b, sw_i.tolist(), basis, own, bland)
+                step = 0.0 if block == -2 else theta
+                # The leaving side means something only where a row blocks.
+                side = bool(ups[j]) if block >= 0 else up
+                assert (int(blocks[j]), side, float(thetas[j]).hex()) == (block, up, step.hex())
+                outcomes.add((min(block, 0), up))
+        assert outcomes == {(-2, False), (-1, False), (0, False), (0, True)}
 
 
 class TestKktMany:
