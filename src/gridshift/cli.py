@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import pathlib
 import sys
 
@@ -180,6 +181,11 @@ def _run_heatmap(scenario, args) -> int:
             return EXIT_PARSE
         suffix = out_path.suffix or ".csv"
         boundary_out = str(out_path.with_name(out_path.stem + "_boundary" + suffix))
+    elif "-" not in (args.out, boundary_out):
+        # Writing both to one file would leave only the boundary table in it.
+        if os.path.realpath(args.out) == os.path.realpath(boundary_out):
+            print(f"error: --out and --boundary-out name the same file {args.out!r}", file=sys.stderr)
+            return EXIT_PARSE
     cell_lines, boundary_lines = sweep_mod.heatmap_csv_lines(
         scenario, f01_range, f12_range, args.resolution or 50
     )

@@ -19,7 +19,10 @@ holds the rows whose pivots so far are the same, with one basis, one
 pricing and one pivot column per round, while each row keeps its own basic
 values and ratio test.  The rows start in one run per sign pattern of
 their artificial columns, a run splits where its rows step differently,
-and the runs are taken depth-first; a lone right-hand side is a run of one
+and the runs are taken depth-first.  Each run goes from phase 1 to its
+rows' final status on its own: at the end of phase 1 its infeasible rows
+stop, unpriced, and the rest go on to phase 2, at whose end the run prices
+its basis and writes its rows.  A lone right-hand side is a run of one
 row, whose ratio test and basic values stay in Python scalars.  A run of
 any size makes the same products and solves on arrays of the same shapes,
 so a stack changes no bit of any solution.
@@ -260,63 +263,16 @@ def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
 
 
 def _priced(
-    c: np.ndarray, A: np.ndarray, cost: np.ndarray, BT: np.ndarray, basis: np.ndarray,
+    c: np.ndarray, A: np.ndarray, cost: np.ndarray, BT: np.ndarray, basis: list,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The duals and reduced costs of each basis of ``basis`` (one row
-    each) under ``cost``, the objective ``c`` padded with zeros: ``BT``
-    holds the bases' transposed matrices.  Basic variables have a reduced
-    cost of zero."""
-    G, n = len(basis), c.size
-    y = _lapack_solve(BT, cost.take(basis)[..., None])
+    """The duals and reduced costs, each a row of one, of ``basis`` under
+    ``cost``, the objective ``c`` padded with zeros: ``BT`` holds the
+    basis's transposed matrix, a stack of one.  Basic variables have a
+    reduced cost of zero."""
+    y = _lapack_solve(BT, cost.take(basis)[None, :, None])
     reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
-    flat = basis if G == 1 else basis + np.arange(0, G * n, n)[:, None]
-    reduced.reshape(-1)[flat[basis < n]] = 0.0
+    reduced[0, [j for j in basis if j < c.size]] = 0.0
     return y[..., 0], reduced
-
-
-def _solutions(
-    c: np.ndarray, status: list[str], x: np.ndarray, duals: np.ndarray, reduced: np.ndarray,
-    basis: np.ndarray, iterations: np.ndarray,
-) -> LpSolutions:
-    """The solutions of a stack from each row's point ``x`` (all variables),
-    duals, reduced costs, basis and pivot count, with NaN in the numeric
-    columns of the rows that are not optimal."""
-    primal = x[:, : c.size].copy()
-    objective = (c @ primal[..., None])[:, 0]
-    if status.count(OPTIMAL) < len(status):
-        failed = [s != OPTIMAL for s in status]
-        for values in (primal, duals, reduced, objective):
-            values[failed] = np.nan
-    basis.sort(axis=1)
-    return LpSolutions(
-        status=tuple(status),
-        primal=primal,
-        duals=duals,
-        reduced_costs=reduced,
-        basis=basis,
-        objective_value=objective,
-        iterations=iterations,
-    )
-
-
-def _none_optimal(
-    status: list[str], basis: np.ndarray, iterations: np.ndarray, n: int
-) -> LpSolutions:
-    """The solutions of a stack in which no row is optimal: one NaN block,
-    cut into the numeric columns, and each row's sorted phase-1 basis."""
-    m = basis.shape[1]
-    basis.sort(axis=1)
-    nan = np.empty((len(status), 2 * n + m + 1))
-    nan.fill(np.nan)
-    return LpSolutions(
-        status=tuple(status),
-        primal=nan[:, :n],
-        duals=nan[:, n : n + m],
-        reduced_costs=nan[:, n + m : -1],
-        basis=basis,
-        objective_value=nan[:, -1],
-        iterations=iterations,
-    )
 
 
 def _ratio_test(
@@ -406,7 +362,12 @@ class _Run:
     nonbasic variable at its upper bound, -1 at its lower bound and 0 for a
     variable that may not enter (basic, or fixed), so that ``d * sense``
     prices every variable; the pivot count, Bland's switch, the stretch of
-    degenerate pivots, and whether the run found an unbounded ray.
+    degenerate pivots, and whether the run found an unbounded ray; and the
+    ``phase`` the run pivots in, which holds what the phase prices and
+    steps by: its ``cost`` (one entry per variable); the bounds of every
+    variable as lists, ``lo``, ``hi`` and ``span = hi - lo`` (a variable
+    with no range is fixed); the array ``free_var`` of the variables with
+    no bound, or None; and the iteration budget.
 
     Per row: ``xb``, the values of its basic variables in basis order, a
     list in a run of one row and an array of one row per row otherwise.
@@ -414,18 +375,18 @@ class _Run:
 
     def __init__(
         self, A: np.ndarray, residual: np.ndarray, rows: np.ndarray, xn: np.ndarray,
-        sense: np.ndarray,
+        sense: np.ndarray, phase: tuple,
     ) -> None:
-        """A run at the start, from ``xn`` with the artificials basic, each
-        signed to take up its row of ``residual`` (the run's rows share the
-        signs)."""
+        """A run at the start of phase 1 (``phase``), from ``xn`` with the
+        artificials basic, each signed to take up its row of ``residual``
+        (the run's rows share the signs)."""
         m, n = A.shape
         N = n + m
         self.Aaug = np.zeros((1, m, N))
         self.Aaug[0, :, :n] = A
         self.Aaug.reshape(-1)[n :: N + 1] = np.where(residual[rows[0]] >= 0.0, 1.0, -1.0)
-        self.AT, self.rows, self.basis, self.xn, self.sense = (
-            self.Aaug[0].T.copy(), rows, list(range(n, N)), xn, sense
+        self.AT, self.rows, self.basis, self.xn, self.sense, self.phase = (
+            self.Aaug[0].T.copy(), rows, list(range(n, N)), xn, sense, phase
         )
         self.xb = np.abs(residual[rows[0]]).tolist() if len(rows) == 1 else np.abs(residual[rows])
         self.iterations, self.bland, self.degenerate, self.ray = 0, False, 0, False
@@ -435,11 +396,10 @@ class _Run:
         per row of the run), in order of their first rows, each with the
         lane of its first row in ``rows``: the run itself if the keys are
         all equal, otherwise runs with copies of its state."""
-        groups = _lanes(keys)
-        if len(groups) == 1:
+        if (keys == keys[0]).all():
             return [(self, 0)]
         parts = []
-        for lanes in groups:
+        for lanes in _lanes(keys):
             run = copy.copy(self)
             run.rows, run.basis, run.xn, run.sense = (
                 self.rows[lanes], list(self.basis), self.xn.copy(), self.sense.copy()
@@ -448,16 +408,10 @@ class _Run:
             parts.append((run, lanes[0]))
         return parts
 
-    def pivot(self, phase: tuple) -> list[_Run]:
-        """Pivot to the end of ``phase``, or until the rows step
+    def pivot(self) -> list[_Run]:
+        """Pivot to the end of the run's phase, or until the rows step
         differently; returns the runs the rows then go on in, or none if
         this run ended (priced out, or on a ray).
-
-        ``phase`` holds what the phase prices and steps by: its ``cost``
-        (one entry per variable); the bounds of every variable as lists,
-        ``lo``, ``hi`` and ``span = hi - lo`` (a variable with no range is
-        fixed); the array ``free_var`` of the variables with no bound, or
-        None; and the iteration budget.
 
         Each round prices the basis and solves for the pivot column once.
         A run of one row takes the ratio test and its step in Python
@@ -465,7 +419,7 @@ class _Run:
         (:func:`_ratio_tests`), and each row steps its own basic values
         before the run tests whether its rows part ways."""
         Aaug, AT, sense, xn, basis, xb = self.Aaug, self.AT, self.sense, self.xn, self.basis, self.xb
-        cost, lo, hi, span, free_var, _ = phase
+        cost, lo, hi, span, free_var, _ = self.phase
         lo_b, hi_b = [lo[j] for j in basis], [hi[j] for j in basis]
         one = len(self.rows) == 1
         while True:
@@ -500,7 +454,7 @@ class _Run:
                         if blocks[j] == -2:
                             run.ray = True
                         else:
-                            run.step(t, int(blocks[j]), bool(ups[j]), thetas[j] <= TOLERANCE, phase)
+                            run.step(t, int(blocks[j]), bool(ups[j]), thetas[j] <= TOLERANCE)
                         runs.append(run)
                     return runs
                 block, up, theta = int(blocks[0]), bool(ups[0]), float(thetas[0])
@@ -513,14 +467,14 @@ class _Run:
                     xb[block] = float(xn[t]) + step_sign * theta
             if block >= 0:
                 lo_b[block], hi_b[block] = lo[t], hi[t]
-            self.step(t, block, up, theta <= TOLERANCE, phase)
+            self.step(t, block, up, theta <= TOLERANCE)
 
-    def step(self, t: int, block: int, up: bool, degenerate: bool, phase: tuple) -> None:
+    def step(self, t: int, block: int, up: bool, degenerate: bool) -> None:
         """The basis's side of a step in which ``t`` entered: the bound flip
         (``block`` -1) or the pivot on row ``block``, whose variable leaves
         at its upper bound if ``up``; then the pivot count, the stretch of
         degenerate steps and Bland's switch."""
-        _, lo, hi, span, _, max_iterations = phase
+        _, lo, hi, span, _, max_iterations = self.phase
         self.iterations += 1
         if self.iterations > max_iterations:
             m = len(self.basis)
@@ -575,50 +529,6 @@ def _lanes(keys: np.ndarray) -> list[np.ndarray]:
     return sorted(np.split(order, cuts), key=lambda lanes: lanes[0])
 
 
-def _pivot_all(runs: list[_Run], phase: tuple, status: list[str]) -> list[_Run]:
-    """Pivot ``runs`` to the end of ``phase``, depth-first: each run, and
-    each run it splits into, in order of their first rows.  Returns the
-    runs the rows end in, and marks the rows that end on a ray in
-    ``status``."""
-    done = []
-    todo = runs[::-1]
-    while todo:
-        run = todo.pop()
-        split = None if run.ray else run.pivot(phase)
-        if split:
-            todo += split[::-1]
-            continue
-        done.append(run)
-        if run.ray:
-            for i in run.rows.tolist():
-                status[i] = UNBOUNDED
-    return done
-
-
-def _points(runs: list[_Run], b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refresh every run (:meth:`_Run.refresh`); returns their transposed
-    basis matrices, one per run, and the point of each row of ``b``."""
-    if len(runs) == 1:
-        return runs[0].refresh(b)
-    x = np.empty((len(b), runs[0].xn.size))
-    BT = []
-    for run in runs:
-        B, x[run.rows] = run.refresh(b)
-        BT.append(B)
-    return np.concatenate(BT), x
-
-
-def _per_row(runs: list[_Run], k: int, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each of ``values``, one row per run, as one row per row of a stack
-    of ``k`` rows."""
-    if k == 1:
-        return values
-    member = np.empty(k, dtype=np.intp)
-    for g, run in enumerate(runs):
-        member[run.rows] = g
-    return tuple(v[member] for v in values)
-
-
 def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     """Run the two-phase bounded-variable simplex method on ``lp`` at every
     row of ``rhs``, a ``(k, rows)`` stack of equality right-hand sides.
@@ -631,10 +541,12 @@ def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     one pricing and one pivot column per round, while each row keeps its
     own basic values and ratio test.  The rows start in one run per sign
     pattern of their artificials, a run splits where its rows step
-    differently, and the runs are taken depth-first; a lone right-hand side
-    is a run of one row.  Every product and solve is the same, to the bit,
-    in a run of any size, so row ``i`` is what the LP with right-hand side
-    ``rhs[i]`` gets alone.
+    differently, and the runs are taken depth-first, each from phase 1 to
+    its rows' final status: rows infeasible at the end of phase 1 stop
+    there, and the others are priced at the end of phase 2.  A lone
+    right-hand side is a run of one row.  Every product and solve is the
+    same, to the bit, in a run of any size, so row ``i`` is what the LP
+    with right-hand side ``rhs[i]`` gets alone.
 
     Raises :class:`LpInputError` if ``rhs`` is not such a stack, with at
     least one row, of finite numbers, and :class:`SolverFailure`, naming the
@@ -666,72 +578,103 @@ def _solve(
     c: np.ndarray, A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray,
     max_iterations: int,
 ) -> LpSolutions:
-    """:func:`solve_rhs` at the stack ``b``."""
+    """:func:`solve_rhs` at the stack ``b``.
+
+    Each run goes on its own from the start to its rows' final status.  At
+    the end of phase 1 its infeasible rows stop, and the rest drive out the
+    artificials left basic and go on to phase 2; at the end of phase 2 the
+    run prices its basis and writes its rows.  The runs are taken
+    depth-first, each run and each run it splits into in order of their
+    first rows."""
     k, m = b.shape
     n = c.size
     lo, hi, span, free_var, x, sense, residual = _start(A, b, lo_n, hi_n)
-    runs = []
-    for rows in _lanes(residual < 0.0) if k > 1 else [np.arange(1)]:
-        # Every run starts from the same point; the first takes the arrays.
-        xn, sn = (x.copy(), sense.copy()) if runs else (x, sense)
-        runs.append(_Run(A, residual, rows, xn, sn))
     cost = np.zeros(n + m)
     cost[n:] = 1.0
-    phase = (cost, lo.tolist(), hi.tolist(), span.tolist(), free_var, max_iterations)
-    status = [OPTIMAL] * k
-    runs = _pivot_all(runs, phase, status)
-    if UNBOUNDED in status:
-        i = status.index(UNBOUNDED)
-        raise SolverFailure(f"LP {i}: phase-1 objective diverged; numerical breakdown")
-    x = _points(runs, b)[1]
-    # A row is feasible if its artificials end within the cutoff of zero.
-    infeasibility = np.add.reduce(np.abs(x[:, n:]), axis=1)
+    first = (cost, lo.tolist(), hi.tolist(), span.tolist(), free_var, max_iterations)
+    second = None  # set up when a run first reaches phase 2
+    # A row is feasible if its artificials end phase 1 within the cutoff of zero.
     cutoff = _INFEASIBILITY_CUTOFF * (1.0 + np.maximum.reduce(np.abs(b), axis=1))
-    infeasible = infeasibility > cutoff
-    status = [INFEASIBLE if f else OPTIMAL for f in infeasible.tolist()]
-    if OPTIMAL not in status:
-        basis = np.array([run.basis for run in runs])
-        basis, iterations = _per_row(runs, k, basis, np.array([run.iterations for run in runs]))
-        return _none_optimal(status, basis, iterations, n)
+    # The numeric columns, one NaN block cut in four, stay NaN in the rows
+    # that do not end optimal.
+    nan = np.empty(k * (2 * n + m + 1))
+    nan.fill(np.nan)
+    primal, duals = nan[: k * n].reshape(k, n), nan[k * n : k * (n + m)].reshape(k, m)
+    reduced, objective = nan[k * (n + m) : -k].reshape(k, n), nan[-k:]
+    status, basis, iterations = [OPTIMAL] * k, np.empty((k, m), dtype=int), np.empty(k, dtype=int)
 
-    # Infeasible rows stop; the feasible ones drive out the artificials left
-    # basic.  Every variable keeps its value, so an artificial that left
-    # keeps each row's own: rows whose values differ there part ways.
-    live, stopped = [], []
-    mixed = INFEASIBLE in status
-    for run in runs:
-        for part, _ in run.parts(infeasible[run.rows, None]) if mixed else [(run, 0)]:
-            if infeasible[part.rows[0]]:
-                stopped.append(part)
-            elif max(part.basis) >= n and _drive_out(part.AT, A, part.basis, part.sense):
-                xr = x[part.rows]
-                xb = xr[:, part.basis]
-                part.xb = xb[0].tolist() if len(xb) == 1 else xb
-                xr[:, part.basis] = 0.0
-                for piece, j in part.parts(xr.view(np.uint64)):
-                    piece.xn = xr[j]
-                    live.append(piece)
-            else:
-                live.append(part)
+    def end(run: _Run, rows, label: str) -> None:
+        """Write the status, sorted basis and pivot count of ``run``'s rows,
+        at the index ``rows``."""
+        if label != OPTIMAL:
+            for i in run.rows.tolist():
+                status[i] = label
+        basis[rows], iterations[rows] = sorted(run.basis), run.iterations
 
-    # Phase 2 pins the artificials to zero (none may enter again) and prices
-    # by the objective.
-    hi[n:] = 0.0
-    span = hi - lo
-    cost = np.zeros(n + m)
-    cost[:n] = c
-    phase = (cost, phase[1], hi.tolist(), span.tolist(), free_var, max_iterations)
-    for run in live:
-        run.sense[n:] = 0.0
-        run.bland, run.degenerate = False, 0
-    runs = stopped + _pivot_all(live, phase, status)
-    BT, x = _points(runs, b)
-    basis = np.array([run.basis for run in runs])
-    duals, reduced = _priced(c, A, cost, BT, basis)
-    duals, reduced, basis, iterations = _per_row(
-        runs, k, duals, reduced, basis, np.array([run.iterations for run in runs])
-    )
-    return _solutions(c, status, x, duals, reduced, basis, iterations)
+    todo = []
+    for rows in _lanes(residual < 0.0) if k > 1 else [np.arange(1)]:
+        # Every run starts from the same point; the first takes the arrays.
+        xn, sn = (x.copy(), sense.copy()) if todo else (x, sense)
+        todo.append(_Run(A, residual, rows, xn, sn, first))
+    todo.reverse()
+    while todo:
+        run = todo.pop()
+        split = None if run.ray else run.pivot()
+        if split:
+            todo += split[::-1]
+            continue
+        # A run of the whole stack writes its rows through a slice.
+        rows = run.rows if len(run.rows) < k else slice(None)
+        if run.ray:
+            if run.phase is first:
+                raise SolverFailure(
+                    f"LP {run.rows[0]}: phase-1 objective diverged; numerical breakdown"
+                )
+            end(run, rows, UNBOUNDED)
+            continue
+        BT, xr = run.refresh(b)
+        if run.phase is second:
+            end(run, rows, OPTIMAL)
+            duals[rows], reduced[rows] = _priced(c, A, second[0], BT, run.basis)
+            point = xr[:, :n]
+            primal[rows], objective[rows] = point, (c @ point[..., None])[:, 0]
+            continue
+        infeasible = np.add.reduce(np.abs(xr[:, n:]), axis=1) > cutoff[rows]
+        flags = infeasible.tolist()
+        if True in flags:
+            if False not in flags:
+                end(run, rows, INFEASIBLE)
+                continue
+            # The infeasible rows stop; the feasible ones go on.
+            for part, j in run.parts(infeasible[:, None]):
+                if flags[j]:
+                    end(part, part.rows, INFEASIBLE)
+                else:
+                    run = part
+            xr = xr[~infeasible]
+        pieces = [run]
+        if max(run.basis) >= n and _drive_out(run.AT, A, run.basis, run.sense):
+            # Every variable keeps its value, so an artificial that left
+            # keeps each row's own: rows whose values differ there part ways.
+            xb = xr[:, run.basis]
+            run.xb = xb[0].tolist() if len(xb) == 1 else xb
+            xr[:, run.basis] = 0.0
+            pieces = []
+            for piece, j in run.parts(xr.view(np.uint64)):
+                piece.xn = xr[j]
+                pieces.append(piece)
+        if second is None:
+            # Phase 2 pins the artificials to zero (none may enter again)
+            # and prices by the objective.
+            hi[n:] = 0.0
+            cost = np.zeros(n + m)
+            cost[:n] = c
+            second = (cost, first[1], hi.tolist(), (hi - lo).tolist(), free_var, max_iterations)
+        for piece in pieces[::-1]:
+            piece.phase, piece.bland, piece.degenerate = second, False, 0
+            piece.sense[n:] = 0.0
+            todo.append(piece)
+    return LpSolutions(tuple(status), primal, duals, reduced, basis, objective, iterations)
 
 
 def solve(lp: LinearProgram) -> LpSolution:

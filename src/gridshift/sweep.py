@@ -316,7 +316,8 @@ class VerificationReport:
                     self.max_kkt_residual,
                     KKT_TOL,
                 ),
-                f"result: {'PASS' if self.passed else 'FAIL'}",
+                f"result: {'PASS' if self.passed else 'FAIL'}"
+                + (" (no grid point checked)" if self.points_skipped == self.points_total else ""),
             )
         )
 
@@ -327,7 +328,8 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     Every grid point off the threshold's immediate neighborhood gets its
     own LP, solved cold, and every solution is re-certified through the
     optimality-condition check.  A pass thus means: the LP really solved its
-    instances, and the closed forms reproduce what the LP route measures.
+    instances, and the closed forms reproduce what the LP route measures;
+    a grid with every point skipped checks nothing, so it does not pass.
     Unlike :func:`sweep_points`, this walks no pieces, so it checks that
     route from outside.  The LPs share only the numpy calls:
     :func:`~gridshift.lp_core.solve_rhs` runs each one's own simplex on the
@@ -371,7 +373,8 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
         max_sw_deviation=max_sw,
         max_kkt_residual=max_kkt,
         passed=(
-            max_dc <= CROSS_PATH_TOL
+            checked.size > 0
+            and max_dc <= CROSS_PATH_TOL
             and max_sw <= CROSS_PATH_TOL
             and max_kkt <= KKT_TOL
         ),

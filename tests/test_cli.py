@@ -77,6 +77,15 @@ class TestHeatmapCommand:
         assert rc == 0
         assert edge.exists()
 
+    def test_both_tables_to_stdout(self, canonical_path, capsys):
+        rc = cli.main(
+            ["heatmap", "--scenario", canonical_path, "--resolution", "3",
+             "--out", "-", "--boundary-out", "-"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == sweep.HEATMAP_HEADER and out[10] == sweep.BOUNDARY_HEADER
+
     def test_stdout_without_boundary_path_is_usage_error(self, canonical_path, capsys):
         rc = cli.main(["heatmap", "--scenario", canonical_path, "--resolution", "3"])
         assert rc == 2
@@ -170,6 +179,18 @@ class TestVerifyCommand:
         assert rc == 3
         assert "system cost: nan" in out
         assert "result: FAIL" in out
+
+    @pytest.mark.parametrize("resolution", ["200", "2"])
+    def test_no_checked_point_exits_3(self, tmp_path, resolution, capsys):
+        # A block of 1e-6 puts every grid point within the exclusion band
+        # around the threshold (5e-7), so nothing is checked.
+        path = tmp_path / "tiny.txt"
+        write_scenario_file(scenario_gen.canonical_scenario(L=1e-6, F01=1.4000005), path)
+        rc = cli.main(["verify", "--scenario", str(path), "--resolution", resolution])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert f"{resolution} points, {resolution} skipped" in out
+        assert "result: FAIL (no grid point checked)" in out
 
     def test_output_file_deterministic(self, canonical_path, tmp_path):
         a = tmp_path / "v1.txt"
@@ -289,6 +310,27 @@ class TestErrorPaths:
         )
         assert rc == 2
         assert "cannot write output" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("boundary", ["h.csv", "./h.csv", "sub/../h.csv"])
+    def test_heatmap_outputs_naming_one_file_exit_2(
+        self, canonical_path, tmp_path, monkeypatch, boundary, capsys
+    ):
+        # Both tables written to one file would leave only the boundary
+        # table in it, so the call is refused before anything is written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        cells = tmp_path / "h.csv"
+        cells.write_bytes(b"kept\n")
+        before = sorted(tmp_path.iterdir())
+        rc = cli.main(
+            ["heatmap", "--scenario", canonical_path, "--resolution", "3",
+             "--out", "h.csv", "--boundary-out", boundary]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out and --boundary-out"), err
+        assert cells.read_bytes() == b"kept\n"
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("mode", ["sweep", "verify", "heatmap"])

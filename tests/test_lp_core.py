@@ -405,6 +405,27 @@ class TestSolveMany:
         assert solve(_bland_lp()).iterations != switched.iterations
         assert trace_digest(runs) == trace_digest([solve(broken)] * 3)
 
+    def test_phase_2_starts_with_dantzig_pricing(self, monkeypatch):
+        # Phase 1 of _bland_lp makes 21 zero steps in a row and turns to
+        # Bland's rule; phase 2 starts over with Dantzig pricing and no
+        # stretch of degenerate steps, alone and in a stack.
+        calls = []
+        real_pivot = lp_core._Run.pivot
+
+        def pivot(run, *args):
+            phase_1 = run.phase[0][-1] == 1.0  # phase 1 prices the artificials
+            before = (run.bland, run.degenerate)
+            found = real_pivot(run, *args)
+            calls.append((phase_1, before, run.bland))
+            return found
+
+        monkeypatch.setattr(lp_core._Run, "pivot", pivot)
+        lp = _bland_lp()
+        for rhs in ([lp.eq_rhs], [lp.eq_rhs] * 2):
+            calls.clear()
+            assert solve_rhs(lp, rhs).status == (OPTIMAL,) * len(rhs)
+            assert calls == [(True, (False, 0), True), (False, (False, 0), False)]
+
     def test_empty_batch_rejected(self):
         with pytest.raises(LpInputError, match="rhs stack has shape"):
             solve_rhs(toy_lp(), np.zeros((0, 1)))
@@ -553,6 +574,35 @@ class TestSolveMany:
             stacked = solve_rhs(lp, [lp.eq_rhs, lp.eq_matrix @ lp.lower_bounds])
             assert stacked.status == (INFEASIBLE, OPTIMAL)
             assert stacked.basis[0].tolist() == alone.basis[0].tolist()
+        assert infeasible >= 20
+
+    def test_only_rows_that_end_optimal_are_priced(self, monkeypatch):
+        # A run prices its basis at the end of phase 2 only: rows that end
+        # phase 1 infeasible stop there, alone, in a stack of their own, or
+        # beside an optimal row.  The LPs are those of the test above.
+        priced = []
+        real = lp_core._priced
+
+        def record(c, A, cost, BT, basis):
+            priced.extend(np.reshape(basis, (-1, A.shape[0])).tolist())
+            return real(c, A, cost, BT, basis)
+
+        monkeypatch.setattr(lp_core, "_priced", record)
+        rng = np.random.default_rng(0)
+        infeasible = 0
+        for _ in range(100):
+            lp = lp_oracle.random_bounded_lp(rng)
+            priced.clear()
+            alone = solve_rhs(lp, [lp.eq_rhs])
+            if alone.status[0] != INFEASIBLE:
+                assert len(priced) == (alone.status[0] == OPTIMAL)
+                continue
+            infeasible += 1
+            assert solve_rhs(lp, [lp.eq_rhs] * 3).status == (INFEASIBLE,) * 3
+            assert priced == []
+            stacked = solve_rhs(lp, [lp.eq_rhs, lp.eq_matrix @ lp.lower_bounds])
+            assert stacked.status == (INFEASIBLE, OPTIMAL)
+            assert [sorted(basis) for basis in priced] == [stacked.basis[1].tolist()]
         assert infeasible >= 20
 
 

@@ -505,6 +505,16 @@ class TestVerification:
         assert report.points_skipped == 1  # the L endpoint itself
         assert report.passed
 
+    @pytest.mark.parametrize("resolution", [200, 2])
+    def test_grid_with_every_point_skipped_does_not_pass(self, resolution):
+        # A block of 1e-6 puts every grid point within the exclusion band
+        # around the threshold (5e-7): a report that checks nothing fails.
+        report = verify_scenario(scenario_gen.canonical_scenario(L=1e-6, F01=1.4000005), resolution)
+        assert report.threshold == pytest.approx(5e-7)
+        assert report.points_skipped == report.points_total == resolution
+        assert not report.passed
+        assert report.to_text().endswith("result: FAIL (no grid point checked)")
+
     def test_invalid_scenario_raises(self):
         with pytest.raises(ScenarioInvalidError):
             verify_scenario(scenario_gen.canonical_scenario(l2=0.5))
