@@ -66,10 +66,14 @@ def _parse_resolution(text: str) -> int:
     return resolution
 
 
-def _write_outputs(*outputs: tuple[str, list[str]]) -> None:
-    """Write each ``(destination, lines)`` pair in turn, ``-`` to stdout.  If
-    one cannot be written, the files this call opened are removed, so a
-    failed call leaves no partial output behind."""
+def _write_outputs(scenario: str, *outputs: tuple[str, list[str]]) -> None:
+    """Write each ``(destination, lines)`` pair in turn, ``-`` to stdout, or
+    none if one is the ``scenario`` file.  If one cannot be written, the files
+    this call opened are removed, so a failed call leaves no partial output."""
+    for destination, _ in outputs:
+        if destination != "-" and os.path.exists(destination):
+            if os.path.samefile(destination, scenario):
+                raise OSError(f"{destination!r} is the scenario file")
     opened = []
     try:
         for destination, lines in outputs:
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep(scenario, args) -> int:
     lines = sweep_mod.sweep_csv_lines(scenario, args.resolution or 200)
-    _write_outputs((args.out, lines))
+    _write_outputs(args.scenario, (args.out, lines))
     return EXIT_OK
 
 
@@ -189,26 +193,26 @@ def _run_heatmap(scenario, args) -> int:
     cell_lines, boundary_lines = sweep_mod.heatmap_csv_lines(
         scenario, f01_range, f12_range, args.resolution or 50
     )
-    _write_outputs((args.out, cell_lines), (boundary_out, boundary_lines))
+    _write_outputs(args.scenario, (args.out, cell_lines), (boundary_out, boundary_lines))
     return EXIT_OK
 
 
 def _run_classify(scenario, args) -> int:
     report = classify_alignment(scenario)
+    if args.out != "-":
+        _write_outputs(args.scenario, (args.out, [report.CSV_HEADER, report.to_csv_row()]))
     threshold = tau(scenario)
     print(
         f"scenario: {args.scenario}\n"
         f"threshold: {threshold.value:.6g} ({threshold.binding}-limited)\n"
         + report.to_text()
     )
-    if args.out != "-":
-        _write_outputs((args.out, [report.CSV_HEADER, report.to_csv_row()]))
     return EXIT_OK
 
 
 def _run_verify(scenario, args) -> int:
     report = sweep_mod.verify_scenario(scenario, args.resolution or 200)
-    _write_outputs((args.out, report.to_text().splitlines()))
+    _write_outputs(args.scenario, (args.out, report.to_text().splitlines()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -5,8 +5,9 @@ power), a generator bus 1 carrying flexible demand, and a generator bus 2
 hosting the remainder of a shiftable load block ``L``.  Everything downstream
 (dispatch, closed forms, sweeps) consumes the immutable scenario value defined
 here, and the regime analysis is only meaningful when :func:`validate` passes.
-Every CSV line comes from :func:`csv_row` (the one row format) or
-:func:`csv_lines` (the one table writer), both through :func:`csv_number`.
+CSV numbers are formatted by :func:`csv_number`: a row object's line by
+:func:`csv_row`, a table by :func:`csv_lines` (each distinct number of the
+table once), and a heatmap's cell lines join texts that these made.
 """
 
 from __future__ import annotations
@@ -359,21 +360,19 @@ def csv_lines(header: str, columns) -> list[str]:
     """The ``header`` line, then one :func:`csv_row` line per entry of the
     equally long ``columns``, each a column of numbers or of strings.
 
-    Each distinct value of a number column is formatted once.  Values are
-    keyed by their bit pattern, not compared as floats, because ``0.0`` and
-    ``-0.0`` are equal yet print as ``0`` and ``-0``.
+    Each distinct number of the whole table is formatted once, however many
+    cells and columns it fills.  Numbers are keyed by their bit pattern, not
+    compared as floats, because ``0.0`` and ``-0.0`` are equal yet print as
+    ``0`` and ``-0``.
     """
-    texts = []
-    for column in columns:
-        column = np.asarray(column)
-        if column.dtype.kind in "OU":
-            texts.append(column.tolist())
-            continue
-        bits = column.astype(np.float64, copy=False).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        formatted = [csv_number(x) for x in distinct.view(np.float64).tolist()]
-        texts.append(np.array(formatted, dtype=object)[inverse].tolist())
-    return [header, *map(",".join, zip(*texts))]
+    columns = [np.asarray(column) for column in columns]
+    strings = [column.dtype.kind in "OU" for column in columns]
+    bits = np.array([c for c, s in zip(columns, strings) if not s], dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    formatted = np.array([csv_number(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    texts = iter(formatted[inverse.reshape(bits.shape)].tolist())
+    table = [c.tolist() if s else next(texts) for c, s in zip(columns, strings)]
+    return [header, *map(",".join, zip(*table))]
 
 
 def write_scenario_file(s: ThreeBusScenario, path) -> None:

@@ -17,16 +17,17 @@ columns in :class:`SweepPoint` objects.  :func:`verify_scenario` reduces its
 columns to worst cases with numpy reductions, through which a NaN passes
 (and fails the check).
 
-A capacity heatmap is one call to
-:func:`~gridshift.closed_form.classify_alignment_grid` over the flattened
-(F01, F12) grid: only the shift threshold varies between cells, so every
-cell is classified elementwise by the derivation that
-:func:`~gridshift.closed_form.classify_alignment` runs on one scenario, and
-no per-cell scenario is built; the boundary is one ``np.where`` per agent.
-:func:`heatmap_csv_lines` writes those arrays through
-:func:`~gridshift.grid_model.csv_lines`, which formats the many repeats of a
-scan (axis values, shared optima, all-NaN invalid cells) once each;
-:func:`heatmap_cells` wraps the same arrays in :class:`HeatmapCell` objects.
+A capacity heatmap classifies (F01, F12) cells with
+:func:`~gridshift.closed_form.classify_alignment_grid`: only the shift
+threshold varies between cells, so cells are classified elementwise by the
+derivation that :func:`~gridshift.closed_form.classify_alignment` runs on
+one scenario, and no per-cell scenario is built; the boundary is one
+``np.where`` per agent.  :func:`heatmap_cells` classifies every cell of the
+flattened grid.  :func:`heatmap_csv_lines` keys the cells by threshold and
+validity (every invalid cell shares one key), classifies one cell per key,
+and writes the fields after ``f01,f12`` once per key through
+:func:`~gridshift.grid_model.csv_lines`; each axis value is formatted once,
+and a cell's line joins its two axis texts to its key's fields.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .dispatch import (
     solve_ed_columns,
     sw_cost_numeric,
 )
-from .grid_model import ThreeBusScenario, csv_lines, csv_row, tau
+from .grid_model import ThreeBusScenario, csv_lines, csv_number, csv_row, tau, threshold_grid
 
 #: Grid points this close to the threshold are excluded from the cold
 #: cross-check: a cold solve of the degenerate vertex there may stop in
@@ -263,10 +264,24 @@ def heatmap_csv_lines(
     f12_range: tuple[float, float],
     resolution: int = 50,
 ) -> tuple[list[str], list[str]]:
-    """Cell CSV lines and boundary CSV lines for a capacity scan."""
+    """Cell CSV lines and boundary CSV lines for a capacity scan: the fields
+    after ``f01,f12`` once per distinct threshold and validity."""
     f01_values, f12_values = (_axis(*r, resolution) for r in (f01_range, f12_range))
+    f01, f12 = (a.ravel() for a in np.meshgrid(f01_values, f12_values, indexing="ij"))
+    t, valid = threshold_grid(s, f01, f12)
+    # Threshold and validity are all that vary here; a batch must key on all that varies.
+    key = np.where(valid, t, math.nan).view(np.int64)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    grid = classify_alignment_grid(s, f01[first], f12[first])
+    _, *tails = csv_lines("", (
+        grid.delta_star_sw, grid.delta_star_dc, grid.sw_at_sw_choice,
+        grid.sw_at_dc_choice, grid.suboptimality_ratio, grid.verdict,
+    ))
+    tails = np.array(tails, dtype=object)[inverse].tolist()
+    f01_text, f12_text = ([csv_number(x) for x in a.tolist()] for a in (f01_values, f12_values))
+    f01_text = [text for text in f01_text for _ in range(resolution)]
     return (
-        csv_lines(HEATMAP_HEADER, _heatmap_columns(s, f01_values, f12_values)),
+        [HEATMAP_HEADER, *map(",".join, zip(f01_text, f12_text * resolution, tails))],
         csv_lines(BOUNDARY_HEADER, _boundary_columns(s, f12_values)),
     )
 

@@ -333,6 +333,37 @@ class TestErrorPaths:
         assert cells.read_bytes() == b"kept\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--scenario", "c.txt", "--out", "c.txt"],
+            ["verify", "--scenario", "c.txt", "--out", "./c.txt"],
+            ["classify", "--scenario", "c.txt", "--out", "c.txt"],
+            ["heatmap", "--scenario", "c.txt", "--out", "c.txt"],
+            ["heatmap", "--scenario", "c.txt", "--out", "h.csv", "--boundary-out", "sub/../c.txt"],
+            # The boundary file's default name, c_boundary.txt, is the scenario.
+            ["heatmap", "--scenario", "c_boundary.txt", "--out", "c.txt"],
+        ],
+        ids=["sweep", "verify", "classify", "heatmap-out", "heatmap-boundary", "heatmap-derived"],
+    )
+    def test_output_naming_the_scenario_file_exits_2(
+        self, canonical_path, tmp_path, monkeypatch, argv, capsys
+    ):
+        # Writing over the scenario would leave a file the next run cannot
+        # parse, so the call is refused before anything is written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        text = pathlib.Path(canonical_path).read_bytes()
+        for name in ("c.txt", "c_boundary.txt"):
+            (tmp_path / name).write_bytes(text)
+        before = sorted(tmp_path.iterdir())
+        rc = cli.main([*argv, "--resolution", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("is the scenario file"), err
+        assert all(path.read_bytes() == text for path in tmp_path.glob("*.txt"))
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("mode", ["sweep", "verify", "heatmap"])
     def test_grid_too_large_to_allocate_exits_2(self, canonical_path, tmp_path, mode, capsys):
         # 10**17 grid points cannot be allocated at all, and from 2**62 on

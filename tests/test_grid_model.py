@@ -227,6 +227,20 @@ class TestCsvNumber:
         assert zeros == ["0", "-0", "-0", "0", "-0"]
         assert lines[6] == "0.6,r5"
 
+    def test_table_writer_dedups_across_columns(self):
+        # One dedup serves the whole table: a zero in one column and a
+        # negative zero in another keep their own texts, and a value shared
+        # by two columns prints alike in both, around a string column.
+        nan, inf = float("nan"), float("inf")
+        a = [0.0, 0.5, nan, inf, -inf, 2.0]
+        b = [-0.0, 0.5, -0.0, -inf, 0.0, 1e-300]
+        labels = ["p", "q", "r", "s", "t", "u"]
+        c = [3, 0.5, nan, inf, -0.0, 2.0]
+        lines = csv_lines("a,b,label,c", [np.array(a), np.array(b), labels, np.array(c)])
+        assert lines == ["a,b,label,c"] + [csv_row(row) for row in zip(a, b, labels, c)]
+        assert lines[1] == "0,-0,p,3"
+        assert csv_lines("a,label", [np.array([]), np.array([], dtype=str)]) == ["a,label"]
+
 
 class TestBundledScenarios:
     def test_all_bundled_files_parse_and_validate(self):

@@ -342,6 +342,21 @@ class TestHeatmapArrayRoute:
             for b in np.linspace(0.0, 0.5, 5)
         ]
 
+    def test_shared_threshold_under_different_validity(self):
+        # The CSV writes each distinct threshold's fields once; a threshold
+        # that one valid and one invalid cell share must still print each
+        # cell's own fields.  Steps of 0.125 are exact, so the thresholds
+        # repeat bit for bit.
+        s = scenario_gen.canonical_scenario()
+        f01_values, f12_values = np.linspace(1.0, 2.0, 9), np.linspace(0.0, 1.0, 9)
+        f01, f12 = (a.ravel() for a in np.meshgrid(f01_values, f12_values, indexing="ij"))
+        t, valid = grid_model.threshold_grid(s, f01, f12)
+        assert set(t[valid].tolist()) & set(t[~valid].tolist())
+        lines, _ = heatmap_csv_lines(s, (1.0, 2.0), (0.0, 1.0), 9)
+        assert lines[1:] == [
+            _scalar_heatmap_row(s, float(a), float(b)) for a in f01_values for b in f12_values
+        ]
+
     def test_congestion_equals_renewable(self):
         # F01 = -l0 - F02 makes both capacity terms equal for every F12.
         s = scenario_gen.canonical_scenario()
