@@ -66,14 +66,24 @@ def _parse_resolution(text: str) -> int:
     return resolution
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file, so that writing both keeps
+    only the second: a hard or symbolic link names the file it links to, a
+    dangling one the file it would create.  Names that do not both exist
+    meet only through a symbolic link or in one file name."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    meet = os.path.islink(a) or os.path.islink(b) or os.path.basename(a) == os.path.basename(b)
+    return meet and os.path.realpath(a) == os.path.realpath(b)
+
+
 def _write_outputs(scenario: str, *outputs: tuple[str, list[str]]) -> None:
     """Write each ``(destination, lines)`` pair in turn, ``-`` to stdout, or
     none if one is the ``scenario`` file.  If one cannot be written, the files
     this call opened are removed, so a failed call leaves no partial output."""
     for destination, _ in outputs:
-        if destination != "-" and os.path.exists(destination):
-            if os.path.samefile(destination, scenario):
-                raise OSError(f"{destination!r} is the scenario file")
+        if destination != "-" and _same_file(destination, scenario):
+            raise OSError(f"{destination!r} is the scenario file")
     opened = []
     try:
         for destination, lines in outputs:
@@ -185,11 +195,10 @@ def _run_heatmap(scenario, args) -> int:
             return EXIT_PARSE
         suffix = out_path.suffix or ".csv"
         boundary_out = str(out_path.with_name(out_path.stem + "_boundary" + suffix))
-    elif "-" not in (args.out, boundary_out):
-        # Writing both to one file would leave only the boundary table in it.
-        if os.path.realpath(args.out) == os.path.realpath(boundary_out):
-            print(f"error: --out and --boundary-out name the same file {args.out!r}", file=sys.stderr)
-            return EXIT_PARSE
+    # Writing both to one file would leave only the boundary table in it.
+    if "-" not in (args.out, boundary_out) and _same_file(args.out, boundary_out):
+        print(f"error: --out and --boundary-out name the same file {boundary_out!r}", file=sys.stderr)
+        return EXIT_PARSE
     cell_lines, boundary_lines = sweep_mod.heatmap_csv_lines(
         scenario, f01_range, f12_range, args.resolution or 50
     )

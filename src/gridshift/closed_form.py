@@ -10,7 +10,7 @@ dispatch path in :mod:`gridshift.dispatch` recomputes the same quantities
 independently; the two must agree, and the test suite holds them to that.
 
 :func:`classify_alignment` and :func:`classify_alignment_grid` read one
-derivation of every alignment field, elementwise over a grid's thresholds.
+derivation of every alignment field, once per distinct threshold of a grid.
 """
 
 from __future__ import annotations
@@ -299,26 +299,38 @@ class AlignmentGrid(NamedTuple):
     suboptimality_ratio: np.ndarray
 
 
+def _keyed_alignment(s: ThreeBusScenario, t: np.ndarray, valid: np.ndarray) -> tuple:
+    """:class:`AlignmentGrid` over the distinct keys of the thresholds ``t``
+    and validity ``valid`` from :func:`threshold_grid`, and each cell's index
+    into it, shaped like ``t``.  A key is the bits of a valid cell's
+    threshold; every invalid cell shares the NaN key.  Only the threshold
+    changes from cell to cell, so :func:`_alignment` runs once, on the
+    distinct valid thresholds."""
+    # Threshold and validity are all that vary here; a batch must key on all that varies.
+    key, index = np.unique(np.where(valid, t, np.nan).view(np.int64), return_inverse=True)
+    key = key.view(float)
+    valid_key = ~np.isnan(key)
+    grid = AlignmentGrid(
+        np.full(key.shape, "invalid", dtype=object), *(np.full(key.shape, np.nan) for _ in range(5))
+    )
+    try:
+        dc, sw, verdict, _, sw_at_dc, sw_at_sw, _, ratio, _, _ = _alignment(s, key[valid_key])
+    except DegenerateWeightsError:
+        pass  # the weights, and so the degeneracy, are every key's
+    else:
+        for column, value in zip(grid, (verdict, dc, sw, sw_at_dc, sw_at_sw, ratio)):
+            column[valid_key] = value
+    return grid, index.reshape(t.shape)
+
+
 def classify_alignment_grid(
     s: ThreeBusScenario, F01: np.ndarray, F12: np.ndarray
 ) -> AlignmentGrid:
     """Classify ``s`` with its two scanned line limits replaced by each
-    ``(F01[i], F12[i])`` pair, through the same :func:`_alignment` as
-    :func:`classify_alignment`, elementwise over the cells.
-
-    Only the threshold changes from cell to cell, so the rates, cutoffs and
-    objective coefficients are computed once.  A cell is invalid where the
+    ``(F01[i], F12[i])`` pair (broadcast together) through the derivation of
+    :func:`classify_alignment`, run once per distinct threshold and validity;
+    every array is shaped like the cells.  A cell is invalid where the
     replaced scenario could not be built or fails :func:`validate`, and
-    everywhere when either agent's weights are degenerate.
-    """
-    t, valid = threshold_grid(s, F01, F12)
-    grid = AlignmentGrid(
-        np.full(t.shape, "invalid", dtype=object), *(np.full(t.shape, np.nan) for _ in range(5))
-    )
-    try:
-        dc, sw, verdict, _, sw_at_dc, sw_at_sw, _, ratio, _, _ = _alignment(s, t[valid])
-    except DegenerateWeightsError:
-        return grid  # the weights, and so the degeneracy, are every cell's
-    for column, value in zip(grid, (verdict, dc, sw, sw_at_dc, sw_at_sw, ratio)):
-        column[valid] = value
-    return grid
+    everywhere when either agent's weights are degenerate."""
+    grid, index = _keyed_alignment(s, *threshold_grid(s, F01, F12))
+    return AlignmentGrid(*(column[index, ...] for column in grid))  # a 0-d index gives 0-d arrays

@@ -549,9 +549,10 @@ def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     with right-hand side ``rhs[i]`` gets alone.
 
     Raises :class:`LpInputError` if ``rhs`` is not such a stack, with at
-    least one row, of finite numbers, and :class:`SolverFailure`, naming the
-    row, if one exhausts the iteration budget
-    ``max(200, 10 * (variables + rows))`` or meets a singular basis.
+    least one row, of finite numbers, and :class:`SolverFailure` on a
+    breakdown: naming the first row of a run that exhausts the iteration
+    budget ``max(200, 10 * (variables + rows))`` or whose phase-1 objective
+    diverges, and naming no row when a basis turns singular.
     """
     try:
         b = np.array(rhs, dtype=float)

@@ -17,15 +17,16 @@ columns in :class:`SweepPoint` objects.  :func:`verify_scenario` reduces its
 columns to worst cases with numpy reductions, through which a NaN passes
 (and fails the check).
 
-A capacity heatmap classifies (F01, F12) cells with
-:func:`~gridshift.closed_form.classify_alignment_grid`: only the shift
-threshold varies between cells, so cells are classified elementwise by the
-derivation that :func:`~gridshift.closed_form.classify_alignment` runs on
-one scenario, and no per-cell scenario is built; the boundary is one
-``np.where`` per agent.  :func:`heatmap_cells` classifies every cell of the
-flattened grid.  :func:`heatmap_csv_lines` keys the cells by threshold and
-validity (every invalid cell shares one key), classifies one cell per key,
-and writes the fields after ``f01,f12`` once per key through
+A capacity heatmap's (F01, F12) cells are classified in
+:mod:`~gridshift.closed_form`: only the shift threshold varies between
+cells, so it keys them by threshold and validity (every invalid cell shares
+one key) and runs the derivation that
+:func:`~gridshift.closed_form.classify_alignment` runs on one scenario once
+per key; no per-cell scenario is built, and the boundary is one
+``np.where`` per agent.  :func:`heatmap_cells` takes every cell's fields
+from :func:`~gridshift.closed_form.classify_alignment_grid`.
+:func:`heatmap_csv_lines` takes the keys themselves and writes the fields
+after ``f01,f12`` once per key through
 :func:`~gridshift.grid_model.csv_lines`; each axis value is formatted once,
 and a cell's line joins its two axis texts to its key's fields.
 """
@@ -40,6 +41,7 @@ import numpy as np
 from . import lp_core
 from .closed_form import (
     DegenerateWeightsError,
+    _keyed_alignment,
     classify_alignment_grid,
     cutoff,
     objectives,
@@ -186,24 +188,6 @@ class HeatmapCell:
         return csv_row(vars(self).values())
 
 
-def _heatmap_columns(
-    s: ThreeBusScenario, f01_values: np.ndarray, f12_values: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Classify every (F01, F12) pair of the two axes, row-major with F01
-    outer: the columns of :class:`HeatmapCell` in field order."""
-    f01, f12 = np.meshgrid(
-        np.asarray(f01_values, dtype=float),
-        np.asarray(f12_values, dtype=float),
-        indexing="ij",
-    )
-    f01, f12 = f01.ravel(), f12.ravel()
-    grid = classify_alignment_grid(s, f01, f12)
-    return (
-        f01, f12, grid.delta_star_sw, grid.delta_star_dc,
-        grid.sw_at_sw_choice, grid.sw_at_dc_choice, grid.suboptimality_ratio, grid.verdict,
-    )
-
-
 def heatmap_cells(
     s: ThreeBusScenario,
     f01_values: np.ndarray,
@@ -215,8 +199,13 @@ def heatmap_cells(
     re-derives everything from its grid values.  All classification here is
     closed-form, so the scan involves no LP solves.
     """
-    columns = (c.tolist() for c in _heatmap_columns(s, f01_values, f12_values))
-    return [HeatmapCell(*row) for row in zip(*columns)]
+    f01, f12 = (np.asarray(a, dtype=float).ravel() for a in (f01_values, f12_values))
+    grid = classify_alignment_grid(s, f01[:, None], f12)  # F01 down the rows
+    columns = (
+        np.repeat(f01, f12.size), np.tile(f12, f01.size), grid.delta_star_sw, grid.delta_star_dc,
+        grid.sw_at_sw_choice, grid.sw_at_dc_choice, grid.suboptimality_ratio, grid.verdict,
+    )
+    return [HeatmapCell(*row) for row in zip(*(c.ravel().tolist() for c in columns))]
 
 
 def alignment_cutoffs(s: ThreeBusScenario) -> tuple[float, float]:
@@ -267,17 +256,13 @@ def heatmap_csv_lines(
     """Cell CSV lines and boundary CSV lines for a capacity scan: the fields
     after ``f01,f12`` once per distinct threshold and validity."""
     f01_values, f12_values = (_axis(*r, resolution) for r in (f01_range, f12_range))
-    f01, f12 = (a.ravel() for a in np.meshgrid(f01_values, f12_values, indexing="ij"))
-    t, valid = threshold_grid(s, f01, f12)
-    # Threshold and validity are all that vary here; a batch must key on all that varies.
-    key = np.where(valid, t, math.nan).view(np.int64)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    grid = classify_alignment_grid(s, f01[first], f12[first])
+    # Row-major with F01 outer: the F01 column broadcasts against the F12 row.
+    grid, index = _keyed_alignment(s, *threshold_grid(s, f01_values[:, None], f12_values))
     _, *tails = csv_lines("", (
         grid.delta_star_sw, grid.delta_star_dc, grid.sw_at_sw_choice,
         grid.sw_at_dc_choice, grid.suboptimality_ratio, grid.verdict,
     ))
-    tails = np.array(tails, dtype=object)[inverse].tolist()
+    tails = np.array(tails, dtype=object)[index.ravel()].tolist()
     f01_text, f12_text = ([csv_number(x) for x in a.tolist()] for a in (f01_values, f12_values))
     f01_text = [text for text in f01_text for _ in range(resolution)]
     return (

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (exit codes and output)."""
 
 import dataclasses
+import os
 import pathlib
 
 import pytest
@@ -331,6 +332,36 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --out and --boundary-out"), err
         assert cells.read_bytes() == b"kept\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "argv, link, hard",
+        [
+            (["--out", "a.csv", "--boundary-out", "b.csv"], "b.csv", True),
+            (["--out", "a.csv"], "a_boundary.csv", True),
+            (["--out", "a.csv"], "a_boundary.csv", False),
+        ],
+        ids=["hard-link-explicit", "hard-link-derived", "dangling-symlink-derived"],
+    )
+    def test_heatmap_outputs_linked_to_one_file_exit_2(
+        self, canonical_path, tmp_path, monkeypatch, argv, link, hard, capsys
+    ):
+        # A link names the file it links to, whether the boundary name is
+        # given or derived; a dangling one names the file it would create.
+        monkeypatch.chdir(tmp_path)
+        cells = tmp_path / "a.csv"
+        if hard:
+            cells.write_bytes(b"kept\n")
+        try:
+            (os.link if hard else os.symlink)("a.csv", link)
+        except (AttributeError, NotImplementedError, OSError) as exc:
+            pytest.skip(f"links are unsupported here: {exc}")
+        before = sorted(tmp_path.iterdir())
+        rc = cli.main(["heatmap", "--scenario", canonical_path, "--resolution", "3", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out and --boundary-out"), err
+        assert not hard or cells.read_bytes() == b"kept\n"
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize(

@@ -353,9 +353,11 @@ class TestHeatmapArrayRoute:
         t, valid = grid_model.threshold_grid(s, f01, f12)
         assert set(t[valid].tolist()) & set(t[~valid].tolist())
         lines, _ = heatmap_csv_lines(s, (1.0, 2.0), (0.0, 1.0), 9)
-        assert lines[1:] == [
+        expected = [
             _scalar_heatmap_row(s, float(a), float(b)) for a in f01_values for b in f12_values
         ]
+        assert lines[1:] == expected
+        assert [c.to_csv_row() for c in heatmap_cells(s, f01_values, f12_values)] == expected
 
     def test_congestion_equals_renewable(self):
         # F01 = -l0 - F02 makes both capacity terms equal for every F12.
@@ -400,10 +402,15 @@ class TestHeatmapArrayRoute:
     )
     def test_degenerate_weights_make_every_cell_invalid(self, overrides):
         s = scenario_gen.canonical_scenario(**overrides)
-        verdicts = _assert_cells_match_scalar(
-            s, np.linspace(-0.5, 3.0, 8), np.linspace(-0.2, 1.0, 7)
-        )
+        f01_values, f12_values = np.linspace(-0.5, 3.0, 8), np.linspace(-0.2, 1.0, 7)
+        verdicts = _assert_cells_match_scalar(s, f01_values, f12_values)
         assert set(verdicts) == {"invalid"}
+        # Some cells are valid scenarios; the weights alone void them.
+        f01, f12 = np.meshgrid(f01_values, f12_values, indexing="ij")
+        assert grid_model.threshold_grid(s, f01, f12)[1].any()
+        grid = closed_form.classify_alignment_grid(s, f01, f12)
+        assert grid.verdict.shape == (8, 7) and set(grid.verdict.ravel()) == {"invalid"}
+        assert all(np.isnan(column).all() for column in grid[1:])
 
     def test_non_finite_line_limits_are_invalid(self):
         s = scenario_gen.canonical_scenario()
@@ -414,6 +421,28 @@ class TestHeatmapArrayRoute:
         # Only F01 = 1.5 is a usable line limit; F12 = -0.0 is a zero limit.
         assert verdicts[-2:] == ["aligned", "misaligned"]
         assert verdicts.count("invalid") == len(verdicts) - 2
+
+    def test_each_distinct_threshold_classified_once(self, monkeypatch):
+        # closed_form alone keys the cells: a heatmap derives its thresholds
+        # once, and the alignment runs once on the distinct valid ones.
+        s = scenario_gen.canonical_scenario()
+        f01_range = default_f01_range(s, (0.0, 1.0))
+        derivations = [_count_calls(monkeypatch, m, "threshold_grid") for m in (sweep, closed_form)]
+        heatmap_csv_lines(s, f01_range, (0.0, 1.0), 50)
+        assert sum(map(len, derivations)) == 1
+        f01, f12 = np.meshgrid(np.linspace(*f01_range, 50), np.linspace(0.0, 1.0, 50), indexing="ij")
+        t, valid = grid_model.threshold_grid(s, f01, f12)
+        alignments = _count_calls(monkeypatch, closed_form, "_alignment")
+        grid = closed_form.classify_alignment_grid(s, f01, f12)
+        ((_, thresholds),) = alignments
+        assert thresholds.size < valid.sum()
+        assert sorted(thresholds.view(np.int64)) == np.unique(t[valid].view(np.int64)).tolist()
+        # A 2-D call keeps the cells' shape and equals the raveled call.
+        flat = closed_form.classify_alignment_grid(s, f01.ravel(), f12.ravel())
+        assert grid.verdict.shape == f01.shape
+        assert grid.verdict.ravel().tolist() == flat.verdict.tolist()
+        for column, flat_column in zip(grid[1:], flat[1:]):
+            assert column.shape == f01.shape and _bits(column.ravel()) == _bits(flat_column)
 
     def test_no_per_cell_scenarios_or_scalar_classification(self, monkeypatch):
         s = scenario_gen.canonical_scenario()
