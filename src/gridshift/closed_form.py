@@ -253,22 +253,23 @@ def _alignment(s: ThreeBusScenario, threshold) -> tuple:
     elementwise when ``threshold`` holds one value per grid cell."""
     dc_objective = _objective(s, "dc", threshold)
     sw_objective = _objective(s, "sw", threshold)
-    dc = _optimum(s, "dc", dc_objective)
-    sw = _optimum(s, "sw", sw_objective)
-    sw_at_dc_choice = sw_objective.at(dc.delta)
-    dc_stops, sw_stops = (abs(x.delta - threshold) <= DECISION_TOL for x in (dc, sw))
-    case = _BINDING_CASES[2 * dc_stops + sw_stops]
-    # One division rule on both routes: x/0 is +-inf and 0/0 NaN, silently.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # One arithmetic rule on both routes, as on Python floats: overflow is
+    # +-inf and inf - inf NaN, silently; and x/0 is +-inf and 0/0 NaN.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dc = _optimum(s, "dc", dc_objective)
+        sw = _optimum(s, "sw", sw_objective)
+        sw_at_dc_choice = sw_objective.at(dc.delta)
+        dc_stops, sw_stops = (abs(x.delta - threshold) <= DECISION_TOL for x in (dc, sw))
+        case = _BINDING_CASES[2 * dc_stops + sw_stops]
         ratio = np.divide(sw_at_dc_choice, sw.value)
-    return (
-        dc.delta, sw.delta,
-        choose(abs(dc.delta - sw.delta) <= DECISION_TOL, "aligned", "misaligned"),
-        case if isinstance(case, np.ndarray) else str(case),
-        sw_at_dc_choice, sw.value, sw_at_dc_choice - sw.value,
-        ratio if isinstance(ratio, np.ndarray) else float(ratio),
-        sw_at_dc_choice - dc.value, sw.value - dc_objective.at(sw.delta),
-    )
+        return (
+            dc.delta, sw.delta,
+            choose(abs(dc.delta - sw.delta) <= DECISION_TOL, "aligned", "misaligned"),
+            case if isinstance(case, np.ndarray) else str(case),
+            sw_at_dc_choice, sw.value, sw_at_dc_choice - sw.value,
+            ratio if isinstance(ratio, np.ndarray) else float(ratio),
+            sw_at_dc_choice - dc.value, sw.value - dc_objective.at(sw.delta),
+        )
 
 
 def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:

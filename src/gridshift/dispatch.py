@@ -120,7 +120,8 @@ def _columns(
     """:class:`DispatchColumns` from shift-major ``lmp`` and ``lme``; every
     cost is the row's own dot product with the objective (a 2-D product
     would sum in another order)."""
-    costs = (flows[:, None, :] @ lp.objective)[:, 0]
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        costs = (flows[:, None, :] @ lp.objective)[:, 0]
     return DispatchColumns(deltas, flows, lmp.T, lme.T, costs, degenerate)
 
 

@@ -638,7 +638,8 @@ def _solve(
             end(run, rows, OPTIMAL)
             duals[rows], reduced[rows] = _priced(c, A, second[0], BT, run.basis)
             point = xr[:, :n]
-            primal[rows], objective[rows] = point, (c @ point[..., None])[:, 0]
+            with np.errstate(over="ignore"):  # an objective past the float range is inf
+                primal[rows], objective[rows] = point, (c @ point[..., None])[:, 0]
             continue
         infeasible = np.add.reduce(np.abs(xr[:, n:]), axis=1) > cutoff[rows]
         flags = infeasible.tolist()

@@ -279,7 +279,11 @@ def default_f01_range(s: ThreeBusScenario, f12_range: tuple[float, float]) -> tu
 
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
-    """Cross-path agreement summary over a shift grid."""
+    """Cross-path agreement summary over a shift grid: each worst case, and
+    the grid shift where it sits (``worst_*_delta``; the first NaN's shift
+    where a column holds a NaN, and NaN when no point was checked).  Its
+    verdict, :attr:`passed`, and every PASS/FAIL of :meth:`to_text` read
+    :meth:`checks`."""
 
     threshold: float
     binding: str
@@ -288,38 +292,43 @@ class VerificationReport:
     max_dc_deviation: float
     max_sw_deviation: float
     max_kkt_residual: float
-    passed: bool
+    worst_dc_delta: float
+    worst_sw_delta: float
+    worst_kkt_delta: float
+
+    def checks(self) -> list[tuple[str, float, float, float, bool]]:
+        """Each check's label, worst value, tolerance and the shift of the
+        worst value, and whether the value is within the tolerance (a NaN is
+        not), in line order."""
+        return [
+            (label, value, tolerance, delta, value <= tolerance)
+            for label, value, tolerance, delta in (
+                ("max |analytic - numeric| bill:       ",
+                 self.max_dc_deviation, CROSS_PATH_TOL, self.worst_dc_delta),
+                ("max |analytic - numeric| system cost:",
+                 self.max_sw_deviation, CROSS_PATH_TOL, self.worst_sw_delta),
+                ("max dispatch optimality residual:    ",
+                 self.max_kkt_residual, KKT_TOL, self.worst_kkt_delta),
+            )
+        ]
+
+    @property
+    def passed(self) -> bool:
+        """At least one grid point was checked, and every check holds."""
+        return self.points_skipped < self.points_total and all(ok for *_, ok in self.checks())
 
     def to_text(self) -> str:
-        def line(label: str, value: float, tol: float) -> str:
-            verdict = "PASS" if value <= tol else "FAIL"
-            return f"{label} {value:.6e}  (tolerance {tol:.0e})  {verdict}"
-
-        return "\n".join(
-            (
-                f"scenario: valid (threshold {self.threshold:.6g}, "
-                f"{self.binding}-limited)",
-                f"grid: {self.points_total} points, {self.points_skipped} skipped "
-                f"within {BREAKPOINT_EXCLUSION:.0e} of the threshold",
-                line(
-                    "max |analytic - numeric| bill:       ",
-                    self.max_dc_deviation,
-                    CROSS_PATH_TOL,
-                ),
-                line(
-                    "max |analytic - numeric| system cost:",
-                    self.max_sw_deviation,
-                    CROSS_PATH_TOL,
-                ),
-                line(
-                    "max dispatch optimality residual:    ",
-                    self.max_kkt_residual,
-                    KKT_TOL,
-                ),
-                f"result: {'PASS' if self.passed else 'FAIL'}"
-                + (" (no grid point checked)" if self.points_skipped == self.points_total else ""),
-            )
-        )
+        return "\n".join((
+            f"scenario: valid (threshold {self.threshold:.6g}, {self.binding}-limited)",
+            f"grid: {self.points_total} points, {self.points_skipped} skipped "
+            f"within {BREAKPOINT_EXCLUSION:.0e} of the threshold",
+            *(
+                f"{label} {value:.6e}  (tolerance {tolerance:.0e})  {'PASS' if ok else 'FAIL'}"
+                for label, value, tolerance, _, ok in self.checks()
+            ),
+            f"result: {'PASS' if self.passed else 'FAIL'}"
+            + (" (no grid point checked)" if self.points_skipped == self.points_total else ""),
+        ))
 
 
 def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationReport:
@@ -337,12 +346,13 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     so far are the same share one pricing per round, and
     :func:`~gridshift.lp_core.kkt_residuals` certifies them in one stacked
     check.  Every worst case is a reduction over columns that lets a NaN
-    through, so a NaN deviation or residual fails the check.
+    through, so a NaN deviation or residual fails the check; its shift is
+    the first that holds the worst value, or the first NaN.
     """
     dc_objective, sw_objective = objectives(s)
     t = tau(s)
 
-    max_dc = max_sw = max_kkt = 0.0
+    worst = [(0.0, math.nan)] * 3
     deltas = delta_grid(s.L, resolution)
     checked = deltas[np.abs(deltas - t.value) > BREAKPOINT_EXCLUSION]
     if checked.size:
@@ -360,9 +370,11 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
         with np.errstate(over="ignore", invalid="ignore"):
             dc = np.abs(dc_objective.at(checked) - dc_cost_numeric(s, out))
             sw = np.abs(sw_objective.at(checked) - sw_cost_numeric(s, out))
-        max_dc, max_sw, max_kkt = (
-            float(np.max(v, initial=0.0)) for v in (dc, sw, np.stack(residuals))
-        )
+        worst = [
+            (float(np.max(v, initial=0.0)), float(checked[np.argmax(v)]))
+            for v in (dc, sw, np.max(residuals, axis=0))
+        ]
+    (max_dc, at_dc), (max_sw, at_sw), (max_kkt, at_kkt) = worst
 
     return VerificationReport(
         threshold=t.value,
@@ -372,10 +384,7 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
         max_dc_deviation=max_dc,
         max_sw_deviation=max_sw,
         max_kkt_residual=max_kkt,
-        passed=(
-            checked.size > 0
-            and max_dc <= CROSS_PATH_TOL
-            and max_sw <= CROSS_PATH_TOL
-            and max_kkt <= KKT_TOL
-        ),
+        worst_dc_delta=at_dc,
+        worst_sw_delta=at_sw,
+        worst_kkt_delta=at_kkt,
     )

@@ -162,7 +162,7 @@ class TestVerifyCommand:
         real = sweep.verify_scenario
 
         def always_fail(s, resolution=200):
-            return dataclasses.replace(real(s, resolution), passed=False)
+            return dataclasses.replace(real(s, resolution), max_kkt_residual=1.0)
 
         monkeypatch.setattr(sweep, "verify_scenario", always_fail)
         rc = cli.main(["verify", "--scenario", canonical_path, "--resolution", "10"])
@@ -410,3 +410,21 @@ class TestErrorPaths:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: --resolution"), resolution
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"l2": 1e308}, {"c2": 1e308}, {"e1": 1e308, "alpha_dc": 0.0, "alpha_sw": 0.0}],
+        ids=["l2", "c2", "e1-emissions-only"],
+    )
+    def test_number_near_the_float_maximum_warns_nothing(self, fields, tmp_path, capsys):
+        # A valid scenario with one number at 1e308: what passes the float
+        # range is inf, and inf - inf NaN, as on Python floats and without a
+        # RuntimeWarning (which this suite turns into an error).  Sweep,
+        # heatmap and classify exit 0; verify meets a NaN and fails.
+        s = scenario_gen.canonical_scenario(**fields)
+        path = tmp_path / "ceiling.txt"
+        write_scenario_file(s, path)
+        out = tmp_path / "out.csv"
+        for mode, expected in (("sweep", 0), ("verify", 3), ("heatmap", 0), ("classify", 0)):
+            rc = cli.main([mode, "--scenario", str(path), "--out", str(out)])
+            assert (rc, capsys.readouterr().err) == (expected, ""), mode

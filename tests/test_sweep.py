@@ -18,7 +18,9 @@ from gridshift.closed_form import (
 from gridshift.grid_model import TOLERANCE, ScenarioError, csv_number, tau
 from gridshift.sweep import (
     BOUNDARY_HEADER,
+    CROSS_PATH_TOL,
     HEATMAP_HEADER,
+    KKT_TOL,
     SWEEP_HEADER,
     alignment_cutoffs,
     boundary_rows,
@@ -558,6 +560,59 @@ class TestVerification:
         assert report.points_skipped == report.points_total == resolution
         assert not report.passed
         assert report.to_text().endswith("result: FAIL (no grid point checked)")
+        assert all(math.isnan(delta) for _, _, _, delta, _ in report.checks())
+
+    def test_verdict_agrees_with_every_mark(self):
+        # The verdict and each line's PASS/FAIL read one list of checks: a
+        # worst value passes at its tolerance and fails above it or as NaN,
+        # and a grid with no checked point fails with every line passing.
+        base = verify_scenario(scenario_gen.canonical_scenario(), resolution=11)
+        tolerances = {
+            "max_dc_deviation": CROSS_PATH_TOL,
+            "max_sw_deviation": CROSS_PATH_TOL,
+            "max_kkt_residual": KKT_TOL,
+        }
+        cases = [(base, True), (dataclasses.replace(base, points_skipped=base.points_total), False)]
+        for name, tol in tolerances.items():
+            for value, passes in ((math.nan, False), (math.nextafter(tol, 1.0), False), (tol, True)):
+                cases.append((dataclasses.replace(base, **{name: value}), passes))
+        for report, passes in cases:
+            lines = report.to_text().splitlines()
+            marks = [line.rsplit("  ", 1)[1] for line in lines[2:5]]
+            assert marks == [
+                "PASS" if getattr(report, name) <= tol else "FAIL" for name, tol in tolerances.items()
+            ]
+            checked = report.points_skipped < report.points_total
+            assert report.passed is passes is (checked and marks == ["PASS"] * 3)
+            assert lines[-1] == (
+                ("result: PASS" if passes else "result: FAIL")
+                + ("" if checked else " (no grid point checked)")
+            )
+
+    @pytest.mark.parametrize("draw", ["canonical", "seed-5"])
+    def test_worst_shift_holds_the_worst_value(self, draw):
+        # Each worst case names a grid shift; a lone cold solve there gives
+        # back the reported maximum, to the bit.
+        if draw == "canonical":
+            s = scenario_gen.canonical_scenario()
+        else:
+            s = scenario_gen.random_valid_scenario(np.random.default_rng(5))
+        report = verify_scenario(s, resolution=40)
+        dc_objective, sw_objective = closed_form.objectives(s)
+        grid = delta_grid(s.L, 40).tolist()
+
+        def kkt(out, sol):
+            k = lp_core.verify_kkt(dispatch.build_ed(s, out.delta), sol)
+            return max(k.primal_feasibility, k.dual_feasibility, k.complementary_slackness)
+
+        gaps = (
+            lambda out, sol: abs(dc_objective.at(out.delta) - dispatch.dc_cost_numeric(s, out)),
+            lambda out, sol: abs(sw_objective.at(out.delta) - dispatch.sw_cost_numeric(s, out)),
+            kkt,
+        )
+        for (_, value, _, delta, _), gap in zip(report.checks(), gaps):
+            assert delta in grid
+            assert gap(*dispatch.solve_ed_detailed(s, delta)) == value
 
     def test_invalid_scenario_raises(self):
         with pytest.raises(ScenarioInvalidError):
@@ -623,6 +678,7 @@ class TestVerification:
         assert grid_model.validate(s).valid
         report = verify_scenario(s)
         assert math.isnan(report.max_sw_deviation)
+        assert report.worst_sw_delta == 0.0  # the first NaN's shift
         assert not report.passed
         lines = report.to_text().splitlines()
         assert lines[3].startswith("max |analytic - numeric| system cost: nan ")
