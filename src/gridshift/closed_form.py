@@ -76,20 +76,22 @@ class PiecewiseObjective:
             )
         return self.at(delta)
 
-    def at(self, delta):
-        """:meth:`evaluate` without the domain check, elementwise over an
-        array breakpoint or shift."""
-        return choose(
-            delta <= self.breakpoint,
+    def sides(self, delta):
+        """Both segments' values at ``delta``, on either side: (left, right)."""
+        return (
             self.left_intercept + self.left_slope * delta,
             self.right_intercept + self.right_slope * delta,
         )
 
+    def at(self, delta):
+        """:meth:`evaluate` without the domain check, elementwise over an
+        array breakpoint or shift."""
+        return choose(delta <= self.breakpoint, *self.sides(delta))
+
     def discontinuity(self) -> float:
         """Jump at the breakpoint: right-limit value minus the (left-branch)
         value attained there."""
-        left = self.left_intercept + self.left_slope * self.breakpoint
-        right = self.right_intercept + self.right_slope * self.breakpoint
+        left, right = self.sides(self.breakpoint)
         return right - left
 
 

@@ -125,7 +125,11 @@ class ConditionCheck:
 @dataclasses.dataclass(frozen=True)
 class ValidityReport:
     checks: tuple[ConditionCheck, ...]
-    valid: bool
+
+    @property
+    def valid(self) -> bool:
+        """Every condition holds."""
+        return all(c.passed for c in self.checks)
 
     def failures(self) -> tuple[ConditionCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -216,7 +220,7 @@ def validate(s: ThreeBusScenario) -> ValidityReport:
             _CONDITIONS, _margins(s, s.F01, s.F12, t), details
         )
     )
-    return ValidityReport(checks=checks, valid=all(c.passed for c in checks))
+    return ValidityReport(checks)
 
 
 class Threshold(NamedTuple):

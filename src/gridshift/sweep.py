@@ -10,7 +10,8 @@ the LP solve to the CSV or the report: the dispatch comes as
 :class:`~gridshift.dispatch.DispatchColumns` (for a sweep off the pieces,
 for the gate from one stack of cold solves), the closed forms are
 evaluated on the whole grid with
-:meth:`~gridshift.closed_form.PiecewiseObjective.at`, the settlement costs
+:meth:`~gridshift.closed_form.PiecewiseObjective.at` (by the gate on either
+side near the threshold, see :data:`THRESHOLD_BAND`), the settlement costs
 elementwise, and :func:`sweep_csv_lines` writes those arrays through
 :func:`~gridshift.grid_model.csv_lines`; :func:`sweep_points` wraps the same
 columns in :class:`SweepPoint` objects.  :func:`verify_scenario` reduces its
@@ -54,11 +55,11 @@ from .dispatch import (
 )
 from .grid_model import ThreeBusScenario, csv_lines, csv_number, csv_row, tau, threshold_grid
 
-#: Grid points this close to the threshold are excluded from the cold
-#: cross-check: a cold solve of the degenerate vertex there may stop in
-#: either optimal basis, and the LP's break matches the threshold only to
-#: rounding, so a point between the two is priced on opposite sides.
-BREAKPOINT_EXCLUSION = 1e-6
+#: Grid points this close to the threshold are checked against the nearer
+#: segment of the closed forms: a cold solve of the degenerate vertex there
+#: may stop in either optimal basis, and the LP's break matches the
+#: threshold only to rounding, so such a point may be priced on either side.
+THRESHOLD_BAND = 1e-6
 
 #: Cross-path agreement tolerance for the two settlement objectives.
 CROSS_PATH_TOL = 1e-6
@@ -281,14 +282,12 @@ def default_f01_range(s: ThreeBusScenario, f12_range: tuple[float, float]) -> tu
 class VerificationReport:
     """Cross-path agreement summary over a shift grid: each worst case, and
     the grid shift where it sits (``worst_*_delta``; the first NaN's shift
-    where a column holds a NaN, and NaN when no point was checked).  Its
-    verdict, :attr:`passed`, and every PASS/FAIL of :meth:`to_text` read
-    :meth:`checks`."""
+    where a column holds a NaN).  Its verdict, :attr:`passed`, and every
+    PASS/FAIL of :meth:`to_text` read :meth:`checks`."""
 
     threshold: float
     binding: str
     points_total: int
-    points_skipped: int
     max_dc_deviation: float
     max_sw_deviation: float
     max_kkt_residual: float
@@ -314,32 +313,32 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        """At least one grid point was checked, and every check holds."""
-        return self.points_skipped < self.points_total and all(ok for *_, ok in self.checks())
+        """Every check holds."""
+        return all(ok for *_, ok in self.checks())
 
     def to_text(self) -> str:
         return "\n".join((
             f"scenario: valid (threshold {self.threshold:.6g}, {self.binding}-limited)",
-            f"grid: {self.points_total} points, {self.points_skipped} skipped "
-            f"within {BREAKPOINT_EXCLUSION:.0e} of the threshold",
+            f"grid: {self.points_total} points, either side within "
+            f"{THRESHOLD_BAND:.0e} of the threshold",
             *(
                 f"{label} {value:.6e}  (tolerance {tolerance:.0e})  {'PASS' if ok else 'FAIL'}"
                 for label, value, tolerance, _, ok in self.checks()
             ),
-            f"result: {'PASS' if self.passed else 'FAIL'}"
-            + (" (no grid point checked)" if self.points_skipped == self.points_total else ""),
+            f"result: {'PASS' if self.passed else 'FAIL'}",
         ))
 
 
 def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationReport:
     """Replay the closed forms against independent LP solves over the grid.
 
-    Every grid point off the threshold's immediate neighborhood gets its
-    own LP, solved cold, and every solution is re-certified through the
-    optimality-condition check.  A pass thus means: the LP really solved its
-    instances, and the closed forms reproduce what the LP route measures;
-    a grid with every point skipped checks nothing, so it does not pass.
-    Unlike :func:`sweep_points`, this walks no pieces, so it checks that
+    Every grid point gets its own LP, solved cold, and every solution is
+    re-certified through the optimality-condition check.  A pass thus
+    means: the LP really solved its instances, and the closed forms
+    reproduce what the LP route measures.  A point is compared with the
+    closed forms on its side of the threshold, or within
+    :data:`THRESHOLD_BAND` of it on the nearer side.  Unlike
+    :func:`sweep_points`, this walks no pieces, so it checks that
     route from outside.  The LPs share only the numpy calls:
     :func:`~gridshift.lp_core.solve_rhs` runs each one's own simplex on the
     dispatch LP at a stack of right-hand sides, where shifts whose pivots
@@ -351,36 +350,29 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     """
     dc_objective, sw_objective = objectives(s)
     t = tau(s)
-
-    worst = [(0.0, math.nan)] * 3
     deltas = delta_grid(s.L, resolution)
-    checked = deltas[np.abs(deltas - t.value) > BREAKPOINT_EXCLUSION]
-    if checked.size:
-        lp, rhs, sols, out = _solve_ed_cold(s, checked)
-        residuals = lp_core.kkt_residuals(
-            lp.objective,
-            lp.eq_matrix,
-            rhs,
-            lp.lower_bounds,
-            lp.upper_bounds,
-            sols.primal,
-            sols.duals,
-            KKT_TOL,
+    lp, rhs, sols, out = _solve_ed_cold(s, deltas)
+    residuals = lp_core.kkt_residuals(
+        lp.objective, lp.eq_matrix, rhs, lp.lower_bounds, lp.upper_bounds,
+        sols.primal, sols.duals, KKT_TOL,
+    )
+    near = np.abs(deltas - t.value) <= THRESHOLD_BAND
+    with np.errstate(over="ignore", invalid="ignore"):
+        # In the band the nearer segment's gap counts; np.minimum keeps a NaN.
+        dc, sw = (
+            np.where(near, np.minimum(*(np.abs(v - numeric) for v in f.sides(deltas))),
+                     np.abs(f.at(deltas) - numeric))
+            for f, numeric in ((dc_objective, dc_cost_numeric(s, out)),
+                               (sw_objective, sw_cost_numeric(s, out)))
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            dc = np.abs(dc_objective.at(checked) - dc_cost_numeric(s, out))
-            sw = np.abs(sw_objective.at(checked) - sw_cost_numeric(s, out))
-        worst = [
-            (float(np.max(v, initial=0.0)), float(checked[np.argmax(v)]))
-            for v in (dc, sw, np.max(residuals, axis=0))
-        ]
-    (max_dc, at_dc), (max_sw, at_sw), (max_kkt, at_kkt) = worst
+    (max_dc, at_dc), (max_sw, at_sw), (max_kkt, at_kkt) = (
+        (float(np.max(v)), float(deltas[np.argmax(v)])) for v in (dc, sw, np.max(residuals, axis=0))
+    )
 
     return VerificationReport(
         threshold=t.value,
         binding=t.binding,
         points_total=int(deltas.size),
-        points_skipped=int(deltas.size - checked.size),
         max_dc_deviation=max_dc,
         max_sw_deviation=max_sw,
         max_kkt_residual=max_kkt,

@@ -64,16 +64,20 @@ MUTANTS = (
         "(label, value, tolerance, delta, value < tolerance)",
         (_VERIFY + "test_verdict_agrees_with_every_mark",),
     ),
+    # The band around the threshold where either segment may match.
     Mutant(
-        "empty-grid-passes",
+        "band-dropped",
         "src/gridshift/sweep.py",
-        "return self.points_skipped < self.points_total and all(",
-        "return all(",
-        (_VERIFY + "test_verdict_agrees_with_every_mark",
-         _VERIFY + "test_grid_with_every_point_skipped_does_not_pass[200]",
-         _VERIFY + "test_grid_with_every_point_skipped_does_not_pass[2]",
-         _VERIFY_CLI + "test_no_checked_point_exits_3[200]",
-         _VERIFY_CLI + "test_no_checked_point_exits_3[2]"),
+        "near = np.abs(deltas - t.value) <= THRESHOLD_BAND",
+        "near = False",
+        (_VERIFY + "test_grid_mix_verifies",),
+    ),
+    Mutant(
+        "band-everywhere",
+        "src/gridshift/sweep.py",
+        "near = np.abs(deltas - t.value) <= THRESHOLD_BAND",
+        "near = True",
+        (_VERIFY + "test_misplaced_threshold_fails",),
     ),
     # Float-range rules: past the range is inf, and inf - inf NaN, silently.
     Mutant(

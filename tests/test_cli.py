@@ -182,16 +182,29 @@ class TestVerifyCommand:
         assert "result: FAIL" in out
 
     @pytest.mark.parametrize("resolution", ["200", "2"])
-    def test_no_checked_point_exits_3(self, tmp_path, resolution, capsys):
-        # A block of 1e-6 puts every grid point within the exclusion band
-        # around the threshold (5e-7), so nothing is checked.
+    def test_tiny_block_exits_0(self, tmp_path, resolution, capsys):
+        # A block of 1e-6 puts every grid point within the band around the
+        # threshold (5e-7); each is checked against either side, and passes.
         path = tmp_path / "tiny.txt"
         write_scenario_file(scenario_gen.canonical_scenario(L=1e-6, F01=1.4000005), path)
         rc = cli.main(["verify", "--scenario", str(path), "--resolution", resolution])
         out = capsys.readouterr().out
-        assert rc == 3
-        assert f"{resolution} points, {resolution} skipped" in out
-        assert "result: FAIL (no grid point checked)" in out
+        assert rc == 0
+        assert f"grid: {resolution} points, either side within 1e-06 of the threshold" in out
+        assert out.endswith("result: PASS\n")
+
+    @pytest.mark.parametrize("j", range(-26, -19))
+    def test_scaled_down_canonical_exits_0(self, tmp_path, j, capsys):
+        # Canonical with every quantity scaled by 2**j: the block is so short
+        # that every grid point lies within the band, which is absolute.
+        scaled = {k: v * 2.0**j for k, v in vars(scenario_gen.canonical_scenario()).items()
+                  if k in ("l0", "l1", "l2", "L", "F01", "F02", "F12")}
+        path = tmp_path / "scaled.txt"
+        write_scenario_file(scenario_gen.canonical_scenario(**scaled), path)
+        rc = cli.main(["verify", "--scenario", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.endswith("result: PASS\n")
 
     def test_output_file_deterministic(self, canonical_path, tmp_path):
         a = tmp_path / "v1.txt"

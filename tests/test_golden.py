@@ -24,14 +24,14 @@ SPLIT_WEIGHT_SCENARIOS = {
     "split_reverse": dict(alpha_dc=1.0, alpha_sw=0.0, e1=0.1, F01=2.1),
     "split_classic": dict(alpha_dc=0.6, alpha_sw=0.2, e1=1.6, e2=2.5),
     # Renewable-limited threshold exactly at L, so the last sweep point sits
-    # on the degenerate vertex and verify skips it.
+    # on the degenerate vertex, where verify accepts either side.
     "split_threshold_at_block": dict(alpha_dc=0.3, alpha_sw=0.7, l0=-2.9, F01=2.5),
 }
 
 GOLDEN = {
     "aligned_clean_bus1": {
         "sweep": "14e25ee1bab103b17e5d63a5b055121098884bab8998923365078b2f3d00f87a",
-        "verify": "6b14f5abe9a1bc7d0d0e80ca00ad43748339b34fb5d804d59cff1a590a75b889",
+        "verify": "2553339fb14f272868309295062ef7655e24c6435d4a6f35497bd9a298e815d0",
         "classify": "e08cd78ce35320ffd1c12eb058e948b911b8bf9c5f65b848c6bba5237ea10840",
         "heatmap": "71d2c9cad720570760e4f2c1822e8d73a551e47ecd8eaf475bc7e99203bfedf5",
         "boundary": "6d3cdecc443406c3895c76473ed0f9ae1a2b578b12fbe3f84d5d3a2b8c1b23d5",
@@ -39,7 +39,7 @@ GOLDEN = {
     },
     "aligned_costly_bus1": {
         "sweep": "488d9182d3ce722668e2e52c80c4d9d428a2fab89e0cfa4a8746707b23506cb2",
-        "verify": "aadc32385c7bb8736f7f1a3d86827d47e1b868c32f5cc761b5d02e02eef7dd1a",
+        "verify": "44e2f4d7b68d425072312e540bbdda0a01e5bdaf0d54cf60546b78d5c663957a",
         "classify": "7cc3b50b6839fbb9d70b99f1553a89f7213880b71cb2d06b02108d172ed0f652",
         "heatmap": "2b8d6041ee704cac845f5811d2d35ba96aac28fa63fe5108c57d862feb771603",
         "boundary": "fec41b85c6e5a1ace37278063a401387c594d6674397c40d33f729292540295c",
@@ -47,7 +47,7 @@ GOLDEN = {
     },
     "aligned_expanded_line": {
         "sweep": "a64b6654b964eab7e5e8a8c4f2e6340695de19d5aa6426866770b5643cafef38",
-        "verify": "c1f9206b7b88c49302fdbb427577bc961aba6d2f0af0d61fad6733c67530e263",
+        "verify": "56b917a3a3e0ceb04655a454d1d793ea3a883e5199f794a4f6ba8c3d73725228",
         "classify": "2264a26656a46ffa5dcdb18ea0c40d5d6d71b03306ed80c70943ce3fb298254f",
         "heatmap": "a4874db2bb2af17fd6fdac57622675973d5300dccc9e02be59baf4a8fd9cb7f0",
         "boundary": "f3e66b85982c20afa7e02e48cb38b06caae95cf6971449501f77ec374acb797f",
@@ -55,7 +55,7 @@ GOLDEN = {
     },
     "canonical": {
         "sweep": "04194bd94c98b04c288f9c2aa36c788e1059489831648b3c47867c9474130387",
-        "verify": "daf7b3f27fe2af3900e288151c45b9d5c96ec4021cce7ad28da642951a5c14b4",
+        "verify": "b8ffbf09d01d8e56e21406a0d7a82ef86d95a15e1a7670a9b4d48eeab9af5617",
         "classify": "f6072b47356582aa788c2f5fabc937340f891a37c06b388b9abc30ab9a871cc2",
         "heatmap": "6ee7acb68ceaa78d7e144723c7f4c2b833f8f907381dcfd05f86ac04285a94df",
         "boundary": "f3e66b85982c20afa7e02e48cb38b06caae95cf6971449501f77ec374acb797f",
@@ -63,7 +63,7 @@ GOLDEN = {
     },
     "misaligned_full_shift": {
         "sweep": "1886e81a911748c6516828afb83318e2052b828c3a985a767893ecc7c0d92de7",
-        "verify": "aadc32385c7bb8736f7f1a3d86827d47e1b868c32f5cc761b5d02e02eef7dd1a",
+        "verify": "44e2f4d7b68d425072312e540bbdda0a01e5bdaf0d54cf60546b78d5c663957a",
         "classify": "dbad6207e47a4f056c35081b838be9b68f96c1e6a68d1c7f7885bfe71164d391",
         "heatmap": "a4874db2bb2af17fd6fdac57622675973d5300dccc9e02be59baf4a8fd9cb7f0",
         "boundary": "f3e66b85982c20afa7e02e48cb38b06caae95cf6971449501f77ec374acb797f",
@@ -71,7 +71,7 @@ GOLDEN = {
     },
     "split_classic": {
         "sweep": "02522ea3df829e7d4f95a0bc15d357e7d1a2c587a64d4a47c1bd5498ce14f51b",
-        "verify": "aadc32385c7bb8736f7f1a3d86827d47e1b868c32f5cc761b5d02e02eef7dd1a",
+        "verify": "44e2f4d7b68d425072312e540bbdda0a01e5bdaf0d54cf60546b78d5c663957a",
         "classify": "a7b661bfacca6f39f1291bb940037f6388479c9ec1fac1a00a1cf151d0f9c86f",
         "heatmap": "c91164fdfa18a0959dd12b724c1618fc5edb61084550ddb1027c79ee43dd8b0c",
         "boundary": "6d2d053088076510110e782c509a432371e651c4dcf4b22c7773c9928137b7ea",
@@ -79,7 +79,7 @@ GOLDEN = {
     },
     "split_reverse": {
         "sweep": "925eecb74e49a238e08058ed8e86315a81a739ddadd8b3053c0816891940680b",
-        "verify": "a0aec59fa8bbc586e9abc6043451dab2e3055523fde433b64a9db094377f2caf",
+        "verify": "f423a8cc2bca6a4bde48348ebac98ad72c0a9fa97e33eb09695cfa01bc3953b5",
         "classify": "d6f7f16fbd6406ff53b7e7fa10bb83cad5eca14f53999bec004015e4d70dea9e",
         "heatmap": "61934dc8e82063811ce7ebdadd65dd0bdeed1f02af4e59ff0556b45eeae57d5b",
         "boundary": "c4a5a79d6682a2cdf54ff8f805e54e0497b8a9ca6b3cffbab527df7d641d0e1f",
@@ -87,7 +87,7 @@ GOLDEN = {
     },
     "split_threshold_at_block": {
         "sweep": "7735632848af9d084635892174c2ac0cbf7ba06b8e8028462b551988d64c4df4",
-        "verify": "4ca1ef2325fd55135dfde58113ff769644f4c960239523064fb7f87577f52b32",
+        "verify": "b0d2266e49870a932067177c66bef2e31858c28168d174ab36d298c66d01a7ca",
         "classify": "3278fc68a97a171b32a63efc02972b7e8453a81b5cd246e527fcd4664662c2d2",
         "heatmap": "24459782e0dcbbb0cd6d7a5e9b32d34f22b435dac511c8e63941f25605367467",
         "boundary": "079882f84e06734323b7d47098275ce147483e2d1f05531523cc2a2f02269a84",

@@ -533,46 +533,65 @@ class TestVerification:
         report = verify_scenario(scenario_gen.canonical_scenario(), resolution=50)
         assert report.passed
         assert report.points_total == 50
-        assert report.points_skipped == 0
         assert report.max_dc_deviation <= 1e-9
         assert report.max_sw_deviation <= 1e-9
         assert report.max_kkt_residual <= 1e-10
-
-    def test_grid_point_on_threshold_is_skipped(self):
-        # linspace(0, 1, 11) hits the 0.1 threshold exactly.
-        report = verify_scenario(scenario_gen.canonical_scenario(), resolution=11)
-        assert report.points_skipped == 1
-        assert report.passed
 
     def test_threshold_at_block_edge_passes(self):
         s = scenario_gen.canonical_scenario(F01=2.4, l0=-2.9)
         report = verify_scenario(s, resolution=21)
         assert report.threshold == pytest.approx(1.0)
-        assert report.points_skipped == 1  # the L endpoint itself
+        assert report.points_total == 21  # the L endpoint, on the threshold, included
         assert report.passed
 
     @pytest.mark.parametrize("resolution", [200, 2])
-    def test_grid_with_every_point_skipped_does_not_pass(self, resolution):
-        # A block of 1e-6 puts every grid point within the exclusion band
-        # around the threshold (5e-7): a report that checks nothing fails.
+    def test_tiny_block_checks_every_point(self, resolution):
+        # A block of 1e-6 puts every grid point within the band around the
+        # threshold (5e-7), where either segment of the closed forms may
+        # match the cold solve: every point is checked, and the grid passes.
         report = verify_scenario(scenario_gen.canonical_scenario(L=1e-6, F01=1.4000005), resolution)
         assert report.threshold == pytest.approx(5e-7)
-        assert report.points_skipped == report.points_total == resolution
+        assert report.points_total == resolution
+        assert report.passed
+        lines = report.to_text().splitlines()
+        assert lines[1] == f"grid: {resolution} points, either side within 1e-06 of the threshold"
+        assert lines[-1] == "result: PASS"
+        grid = delta_grid(1e-6, resolution).tolist()
+        assert all(delta in grid for _, _, _, delta, _ in report.checks())
+
+    def test_grid_mix_verifies(self):
+        # Six of these scenarios have a grid point within the band where the
+        # cold solve stops in the left basis while the point lies right of
+        # the threshold; there the left segment must count.
+        for i, s in enumerate(scenario_gen.grid_mix()):
+            report = verify_scenario(s, resolution=200)
+            assert report.passed, (i, report.to_text())
+
+    def test_misplaced_threshold_fails(self, monkeypatch):
+        # Off the band a point is compared with the segment on its side of
+        # the closed forms' breakpoint, so a breakpoint moved off the LP's
+        # break fails, although each segment matches the LP on its side.
+        real = sweep.objectives
+
+        def moved(s):
+            return tuple(dataclasses.replace(f, breakpoint=f.breakpoint + 0.05) for f in real(s))
+
+        monkeypatch.setattr(sweep, "objectives", moved)
+        report = verify_scenario(scenario_gen.canonical_scenario())
         assert not report.passed
-        assert report.to_text().endswith("result: FAIL (no grid point checked)")
-        assert all(math.isnan(delta) for _, _, _, delta, _ in report.checks())
+        assert 0.1 < report.worst_dc_delta <= 0.15
+        assert report.to_text().endswith("result: FAIL")
 
     def test_verdict_agrees_with_every_mark(self):
         # The verdict and each line's PASS/FAIL read one list of checks: a
-        # worst value passes at its tolerance and fails above it or as NaN,
-        # and a grid with no checked point fails with every line passing.
+        # worst value passes at its tolerance and fails above it or as NaN.
         base = verify_scenario(scenario_gen.canonical_scenario(), resolution=11)
         tolerances = {
             "max_dc_deviation": CROSS_PATH_TOL,
             "max_sw_deviation": CROSS_PATH_TOL,
             "max_kkt_residual": KKT_TOL,
         }
-        cases = [(base, True), (dataclasses.replace(base, points_skipped=base.points_total), False)]
+        cases = [(base, True)]
         for name, tol in tolerances.items():
             for value, passes in ((math.nan, False), (math.nextafter(tol, 1.0), False), (tol, True)):
                 cases.append((dataclasses.replace(base, **{name: value}), passes))
@@ -582,12 +601,8 @@ class TestVerification:
             assert marks == [
                 "PASS" if getattr(report, name) <= tol else "FAIL" for name, tol in tolerances.items()
             ]
-            checked = report.points_skipped < report.points_total
-            assert report.passed is passes is (checked and marks == ["PASS"] * 3)
-            assert lines[-1] == (
-                ("result: PASS" if passes else "result: FAIL")
-                + ("" if checked else " (no grid point checked)")
-            )
+            assert report.passed is passes is (marks == ["PASS"] * 3)
+            assert lines[-1] == ("result: PASS" if passes else "result: FAIL")
 
     @pytest.mark.parametrize("draw", ["canonical", "seed-5"])
     def test_worst_shift_holds_the_worst_value(self, draw):
@@ -620,8 +635,8 @@ class TestVerification:
 
     def test_cold_solves_and_certifies_every_point(self, monkeypatch):
         # verify is the independent check on the sweep's pieces: one cold
-        # solve and one optimality check per grid point off the threshold,
-        # and no other solve.  The solver is handed the dispatch LP and a
+        # solve and one optimality check per grid point, the one on the
+        # threshold included, and no other solve.  The solver is handed the dispatch LP and a
         # stack of right-hand sides alone, never a basis to start from, and
         # the check certifies what it returned.
         stacks, checks = [], []
@@ -638,14 +653,13 @@ class TestVerification:
         monkeypatch.setattr(lp_core, "solve_rhs", solve_rhs)
         monkeypatch.setattr(lp_core, "kkt_residuals", kkt_residuals)
         s = scenario_gen.canonical_scenario()
-        report = verify_scenario(s, resolution=11)
-        assert report.points_skipped == 1
+        report = verify_scenario(s, resolution=11)  # linspace(0, 1, 11) hits the 0.1 threshold
+        assert report.passed
         assert len(stacks) == len(checks) == 1
         ((lp, rhs), sols), = stacks
-        assert len(rhs) == len(sols.primal) == 10
+        assert len(rhs) == len(sols.primal) == 11
         shifts = np.asarray(rhs)[:, 1] - s.l1
-        expected = [d for d in delta_grid(s.L, 11) if abs(d - tau(s).value) > 1e-6]
-        np.testing.assert_allclose(shifts, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(shifts, delta_grid(s.L, 11), rtol=0.0, atol=1e-12)
         (c, A, b, lo, hi, x, y, tol), = checks
         assert (c, A, lo, hi) == (lp.objective, lp.eq_matrix, lp.lower_bounds, lp.upper_bounds)
         assert b is rhs and x is sols.primal and y is sols.duals
