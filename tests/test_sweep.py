@@ -537,6 +537,22 @@ class TestVerification:
         assert report.max_sw_deviation <= 1e-9
         assert report.max_kkt_residual <= 1e-10
 
+    def test_grid_point_on_threshold_is_checked(self):
+        # linspace(0, 1, 11) hits the 0.1 threshold exactly: that point is
+        # checked with the rest, and its cold solve matches one of the two
+        # segments of each closed form there.
+        s = scenario_gen.canonical_scenario()
+        report = verify_scenario(s, resolution=11)
+        assert report.points_total == 11
+        assert report.passed
+        on_threshold = delta_grid(s.L, 11)[1]
+        assert on_threshold == 0.1
+        assert abs(on_threshold - report.threshold) <= sweep.THRESHOLD_BAND
+        out, _ = dispatch.solve_ed_detailed(s, on_threshold)
+        numerics = (dispatch.dc_cost_numeric(s, out), dispatch.sw_cost_numeric(s, out))
+        for f, numeric in zip(closed_form.objectives(s), numerics):
+            assert min(abs(v - numeric) for v in f.sides(on_threshold)) <= CROSS_PATH_TOL
+
     def test_threshold_at_block_edge_passes(self):
         s = scenario_gen.canonical_scenario(F01=2.4, l0=-2.9)
         report = verify_scenario(s, resolution=21)
