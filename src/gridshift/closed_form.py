@@ -10,7 +10,8 @@ dispatch path in :mod:`gridshift.dispatch` recomputes the same quantities
 independently; the two must agree, and the test suite holds them to that.
 
 :func:`classify_alignment` and :func:`classify_alignment_grid` read one
-derivation of every alignment field, once per distinct threshold of a grid.
+derivation of every alignment field, once per distinct threshold of a grid,
+and both return it as an :class:`AlignmentReport`.
 """
 
 from __future__ import annotations
@@ -202,11 +203,15 @@ class AlignmentReport:
     reverse split ``dc-threshold-sw-full`` can only appear when the two
     agents blend price and emissions with different weights, or when the
     bus-1 base load is negative.
+
+    From :func:`classify_alignment_grid` each field is an array over the
+    cells, "invalid" or NaN on an invalid cell; :meth:`to_text`,
+    :meth:`to_csv_row` and :attr:`CSV_HEADER` serve one scenario's report.
     """
 
     delta_star_dc: float
     delta_star_sw: float
-    verdict: str  # "aligned" | "misaligned"
+    verdict: str  # "aligned" | "misaligned" (| "invalid" on a grid)
     binding_case: str
     sw_at_dc_choice: float
     sw_at_sw_choice: float
@@ -250,9 +255,9 @@ _BINDING_CASES = np.array(
 )
 
 
-def _alignment(s: ThreeBusScenario, threshold) -> tuple:
-    """Every :class:`AlignmentReport` field at ``threshold``, in field order;
-    elementwise when ``threshold`` holds one value per grid cell."""
+def _alignment(s: ThreeBusScenario, threshold) -> AlignmentReport:
+    """The :class:`AlignmentReport` at ``threshold``; elementwise when
+    ``threshold`` holds one value per grid cell."""
     dc_objective = _objective(s, "dc", threshold)
     sw_objective = _objective(s, "sw", threshold)
     # One arithmetic rule on both routes, as on Python floats: overflow is
@@ -264,13 +269,15 @@ def _alignment(s: ThreeBusScenario, threshold) -> tuple:
         dc_stops, sw_stops = (abs(x.delta - threshold) <= DECISION_TOL for x in (dc, sw))
         case = _BINDING_CASES[2 * dc_stops + sw_stops]
         ratio = np.divide(sw_at_dc_choice, sw.value)
-        return (
-            dc.delta, sw.delta,
-            choose(abs(dc.delta - sw.delta) <= DECISION_TOL, "aligned", "misaligned"),
-            case if isinstance(case, np.ndarray) else str(case),
-            sw_at_dc_choice, sw.value, sw_at_dc_choice - sw.value,
-            ratio if isinstance(ratio, np.ndarray) else float(ratio),
-            sw_at_dc_choice - dc.value, sw.value - dc_objective.at(sw.delta),
+        return AlignmentReport(
+            delta_star_dc=dc.delta, delta_star_sw=sw.delta,
+            verdict=choose(abs(dc.delta - sw.delta) <= DECISION_TOL, "aligned", "misaligned"),
+            binding_case=case if isinstance(case, np.ndarray) else str(case),
+            sw_at_dc_choice=sw_at_dc_choice, sw_at_sw_choice=sw.value,
+            externality_at_dc_choice=sw_at_dc_choice - sw.value,
+            suboptimality_ratio=ratio if isinstance(ratio, np.ndarray) else float(ratio),
+            residual_at_dc_choice=sw_at_dc_choice - dc.value,
+            residual_at_sw_choice=sw.value - dc_objective.at(sw.delta),
         )
 
 
@@ -284,26 +291,11 @@ def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:
     minimizes over the same two candidates.  At a cost of 0 the ratio is
     +-inf (NaN if both costs are 0), and below 0 it may be negative.
     """
-    return AlignmentReport(*_alignment(s, _validated_threshold(s)))
-
-
-class AlignmentGrid(NamedTuple):
-    """:func:`classify_alignment` over a capacity grid, one entry per cell.
-
-    ``verdict`` is "aligned", "misaligned" or "invalid"; the numeric fields
-    are NaN on invalid cells.
-    """
-
-    verdict: np.ndarray
-    delta_star_dc: np.ndarray
-    delta_star_sw: np.ndarray
-    sw_at_dc_choice: np.ndarray
-    sw_at_sw_choice: np.ndarray
-    suboptimality_ratio: np.ndarray
+    return _alignment(s, _validated_threshold(s))
 
 
 def _keyed_alignment(s: ThreeBusScenario, t: np.ndarray, valid: np.ndarray) -> tuple:
-    """:class:`AlignmentGrid` over the distinct keys of the thresholds ``t``
+    """:class:`AlignmentReport` over the distinct keys of the thresholds ``t``
     and validity ``valid`` from :func:`threshold_grid`, and each cell's index
     into it, shaped like ``t``.  A key is the bits of a valid cell's
     threshold; every invalid cell shares the NaN key.  Only the threshold
@@ -313,27 +305,33 @@ def _keyed_alignment(s: ThreeBusScenario, t: np.ndarray, valid: np.ndarray) -> t
     key, index = np.unique(np.where(valid, t, np.nan).view(np.int64), return_inverse=True)
     key = key.view(float)
     valid_key = ~np.isnan(key)
-    grid = AlignmentGrid(
-        np.full(key.shape, "invalid", dtype=object), *(np.full(key.shape, np.nan) for _ in range(5))
-    )
+    columns = {
+        field.name: np.full(key.shape, "invalid", dtype=object)
+        if field.name in ("verdict", "binding_case") else np.full(key.shape, np.nan)
+        for field in dataclasses.fields(AlignmentReport)
+    }
     try:
-        dc, sw, verdict, _, sw_at_dc, sw_at_sw, _, ratio, _, _ = _alignment(s, key[valid_key])
+        found = _alignment(s, key[valid_key])
     except DegenerateWeightsError:
         pass  # the weights, and so the degeneracy, are every key's
     else:
-        for column, value in zip(grid, (verdict, dc, sw, sw_at_dc, sw_at_sw, ratio)):
-            column[valid_key] = value
-    return grid, index.reshape(t.shape)
+        for name, column in columns.items():
+            column[valid_key] = getattr(found, name)
+    return AlignmentReport(**columns), index.reshape(t.shape)
 
 
 def classify_alignment_grid(
     s: ThreeBusScenario, F01: np.ndarray, F12: np.ndarray
-) -> AlignmentGrid:
+) -> AlignmentReport:
     """Classify ``s`` with its two scanned line limits replaced by each
     ``(F01[i], F12[i])`` pair (broadcast together) through the derivation of
-    :func:`classify_alignment`, run once per distinct threshold and validity;
-    every array is shaped like the cells.  A cell is invalid where the
-    replaced scenario could not be built or fails :func:`validate`, and
-    everywhere when either agent's weights are degenerate."""
+    :func:`classify_alignment`, run once per distinct threshold and validity.
+    Every field of the report is an array shaped like the cells, and on a
+    valid cell equals the field of :func:`classify_alignment` on that cell's
+    scenario.  A cell is invalid where the replaced scenario could not be
+    built or fails :func:`validate`, and everywhere when either agent's
+    weights are degenerate; there ``verdict`` and ``binding_case`` read
+    "invalid" and every number is NaN."""
     grid, index = _keyed_alignment(s, *threshold_grid(s, F01, F12))
-    return AlignmentGrid(*(column[index, ...] for column in grid))  # a 0-d index gives 0-d arrays
+    # A 0-d index gives 0-d arrays.
+    return AlignmentReport(**{name: column[index, ...] for name, column in vars(grid).items()})

@@ -118,8 +118,12 @@ class ConditionCheck:
     name: str
     passed: bool
     margin: float
-    borderline: bool
     detail: str
+
+    @property
+    def borderline(self) -> bool:
+        """The margin is within TOLERANCE of the knife edge."""
+        return abs(self.margin) <= TOLERANCE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,13 +211,11 @@ def validate(s: ThreeBusScenario) -> ValidityReport:
         f"threshold {t:.6g} must be positive",
         f"threshold {t:.6g} must not exceed the shiftable block L={s.L:g}",
     )
-    # Margins within TOLERANCE of the knife edge are flagged as borderline.
     checks = tuple(
         ConditionCheck(
             name=name,
             passed=_holds(margin, strict),
             margin=margin,
-            borderline=abs(margin) <= TOLERANCE,
             detail=detail,
         )
         for (name, strict), margin, detail in zip(

@@ -46,6 +46,9 @@ _VERIFY_CLI = "tests/test_cli.py::TestVerifyCommand::"
 _CEILING = "tests/test_cli.py::TestErrorPaths::test_number_near_the_float_maximum_warns_nothing"
 _SOLVE_MANY = "tests/test_lp_core.py::TestSolveMany::"
 _TRACE = "tests/test_lp_core.py::TestPinnedTrace::"
+_SCAN = "tests/test_lp_core.py::TestRatioTests::test_stacked_scan_equals_the_scalar_scan_row_by_row"
+_PART_WAYS = _SOLVE_MANY + "test_rhs_stack_whose_rows_part_ways_equals_lone_solves"
+_HEATMAP = "tests/test_sweep.py::TestHeatmapArrayRoute::"
 
 MUTANTS = (
     # The verdict of a verify report.
@@ -144,7 +147,7 @@ MUTANTS = (
         "src/gridshift/lp_core.py",
         "for piece, j in run.parts(xr.view(np.uint64)):",
         "for piece, j in [(run, 0)]:",
-        (_SOLVE_MANY + "test_rhs_stack_whose_rows_part_ways_equals_lone_solves[within-cutoff]",),
+        (_PART_WAYS + "[within-cutoff]",),
     ),
     Mutant(
         "phase-2-priced-by-phase-1-cost",
@@ -155,6 +158,61 @@ MUTANTS = (
          _TRACE + "test_one_at_a_time_matches_the_pinned_digest",
          _TRACE + "test_rhs_stacks_match_the_pinned_digest",
          "tests/test_golden.py::test_cli_outputs_match_golden_hashes[canonical]"),
+    ),
+    # The ratio test of a run of several rows (lp_core._ratio_tests, _Run.pivot).
+    Mutant(
+        "ratio-tie-dropped",
+        "src/gridshift/lp_core.py",
+        "take |= tie",
+        "take |= False",
+        (_PART_WAYS + "[bland-tie-array-step]", _SCAN),
+    ),
+    Mutant(
+        "bland-tie-reversed",
+        "src/gridshift/lp_core.py",
+        "keys[row] < keys[block] if bland",
+        "keys[row] > keys[block] if bland",
+        (_PART_WAYS + "[bland-tie-array-step]", _SCAN),
+    ),
+    Mutant(
+        "pivot-size-margin-dropped",
+        "src/gridshift/lp_core.py",
+        "keys[row] > keys[block] + 1e-12",
+        "keys[row] > keys[block]",
+        (_SCAN,),
+    ),
+    Mutant(
+        "tie-without-blocker",
+        "src/gridshift/lp_core.py",
+        "tie = (block >= 0) & (limit <= theta + 1e-12)",
+        "tie = limit <= theta + 1e-12",
+        (_SCAN,
+         _SOLVE_MANY + "test_stacks_with_free_and_upper_bounded_variables_equal_lone_solves"),
+    ),
+    Mutant(
+        "ray-step-infinite",
+        "src/gridshift/lp_core.py",
+        "block[ray], theta[ray] = -2, 0.0",
+        "block[ray] = -2",
+        (_PART_WAYS + "[open-box-array-step]", _SCAN),
+    ),
+    Mutant(
+        "step-only-on-split",
+        "src/gridshift/lp_core.py",
+        "xb -= thetas[:, None] * sw",
+        "if (2 * blocks + (thetas <= TOLERANCE) != 2 * blocks[0] + (thetas[0] <= TOLERANCE)).any():"
+        " xb -= thetas[:, None] * sw",
+        (_TRACE + "test_rhs_stacks_match_the_pinned_digest",
+         "tests/test_dispatch.py::TestGridDispatch::test_matches_cold_solves_pointwise",
+         "tests/test_golden.py::test_cli_outputs_match_golden_hashes[split_reverse]"),
+    ),
+    # The capacity grid's scatter of each key's fields (closed_form._keyed_alignment).
+    Mutant(
+        "grid-binding-case-left-invalid",
+        "src/gridshift/closed_form.py",
+        "column[valid_key] = getattr(found, name)",
+        'column[valid_key] = "invalid" if name == "binding_case" else getattr(found, name)',
+        (_HEATMAP + "test_every_field_matches_scalar_on_random_draws_and_grid_mix",),
     ),
 )
 

@@ -3,11 +3,12 @@
 import dataclasses
 import os
 import pathlib
+import re
 
 import pytest
 
 import scenario_gen
-from gridshift import cli, sweep
+from gridshift import cli, lp_core, sweep
 from gridshift.grid_model import (
     bundled_scenario_path,
     write_scenario_file,
@@ -252,6 +253,40 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "scenario INVALID" in err
         assert "bus-1 generation cheaper" in err
+
+    def test_out_of_range_field_exits_1(self, canonical_path, tmp_path, capsys):
+        path = tmp_path / "negative_block.txt"
+        text = pathlib.Path(canonical_path).read_text(encoding="utf-8")
+        path.write_text(re.sub(r"(?m)^L = .*$", "L = -1.0", text), encoding="utf-8")
+        rc = cli.main(["sweep", "--scenario", str(path)])
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: {path}: shiftable load L must be nonnegative\n"
+        )
+
+    def test_degenerate_weights_classify_exits_1(self, tmp_path, capsys):
+        # A valid scenario whose data center weighs only emissions and sees
+        # none at bus 2: every shift costs it the same.  Only classify needs
+        # the data center's optimum; the other modes exit 0.
+        path = tmp_path / "degenerate.txt"
+        write_scenario_file(scenario_gen.canonical_scenario(alpha_dc=0.0, e2=0.0), path)
+        rc = cli.main(["classify", "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: blended bus-2 rate is zero for the data center; ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        for mode in ("sweep", "verify", "heatmap"):
+            rc = cli.main([mode, "--scenario", str(path), "--out", str(tmp_path / "out.csv")])
+            assert (rc, capsys.readouterr().err) == (0, ""), mode
+
+    def test_solver_failure_exits_3(self, canonical_path, monkeypatch, capsys):
+        def breaks_down(s, resolution=200):
+            raise lp_core.SolverFailure("iteration budget exhausted")
+
+        monkeypatch.setattr(sweep, "verify_scenario", breaks_down)
+        rc = cli.main(["verify", "--scenario", canonical_path])
+        assert (rc, capsys.readouterr().err) == (
+            3, "error: solver breakdown: iteration budget exhausted\n"
+        )
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

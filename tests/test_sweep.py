@@ -240,12 +240,23 @@ SPLIT_CLASSIC = dict(alpha_dc=0.6, alpha_sw=0.2, e1=1.6, e2=2.5)
 SPLIT_REVERSE = dict(alpha_dc=1.0, alpha_sw=0.0, e1=0.1, F01=2.1)
 
 
+#: The two text fields of an :class:`AlignmentReport`; the other eight are numbers.
+_TEXT_FIELDS = ("verdict", "binding_case")
+
+
+def _scalar_report(s, f01: float, f12: float):
+    """The cell's own scenario classified alone; None where it is invalid."""
+    try:
+        return closed_form.classify_alignment(dataclasses.replace(s, F01=f01, F12=f12))
+    except (ScenarioError, ScenarioInvalidError, DegenerateWeightsError):
+        return None
+
+
 def _scalar_heatmap_row(s, f01: float, f12: float) -> str:
     """One heatmap row the per-cell way: build the cell's scenario and run
     the scalar classification on it."""
-    try:
-        report = closed_form.classify_alignment(dataclasses.replace(s, F01=f01, F12=f12))
-    except (ScenarioError, ScenarioInvalidError, DegenerateWeightsError):
+    report = _scalar_report(s, f01, f12)
+    if report is None:
         numbers, verdict = [math.nan] * 5, "invalid"
     else:
         numbers = [
@@ -259,7 +270,27 @@ def _scalar_heatmap_row(s, f01: float, f12: float) -> str:
     return ",".join([csv_number(x) for x in (f01, f12, *numbers)] + [verdict])
 
 
+def _assert_grid_matches_scalar(s, f01_values, f12_values):
+    """Every field of ``classify_alignment_grid`` over the (F01, F12) mesh
+    equals that of the scalar classification of each valid cell's scenario,
+    numbers to the bit; an invalid cell reads "invalid" in both text fields
+    and NaN in every number.  Returns the grid's report."""
+    f01, f12 = np.meshgrid(f01_values, f12_values, indexing="ij")
+    grid = closed_form.classify_alignment_grid(s, f01, f12)
+    reports = [_scalar_report(s, a, b) for a, b in zip(f01.ravel().tolist(), f12.ravel().tolist())]
+    invalid = {name: "invalid" if name in _TEXT_FIELDS else math.nan for name in vars(grid)}
+    for name, column in vars(grid).items():
+        assert column.shape == f01.shape, name
+        expected = [invalid[name] if r is None else getattr(r, name) for r in reports]
+        if name in _TEXT_FIELDS:
+            assert column.ravel().tolist() == expected, name
+        else:
+            assert _bits(column.ravel()) == _bits(expected), name
+    return grid
+
+
 def _assert_cells_match_scalar(s, f01_values, f12_values) -> list[str]:
+    _assert_grid_matches_scalar(s, f01_values, f12_values)
     rows = [c.to_csv_row() for c in heatmap_cells(s, f01_values, f12_values)]
     expected = [
         _scalar_heatmap_row(s, float(a), float(b)) for a in f01_values for b in f12_values
@@ -314,6 +345,27 @@ class TestHeatmapArrayRoute:
                 ]
                 verdicts.update(line.rsplit(",", 1)[1] for line in lines[1:])
         assert min(verdicts[v] for v in ("aligned", "misaligned", "invalid")) > 100
+
+    def test_every_field_matches_scalar_on_random_draws_and_grid_mix(self):
+        rng = np.random.default_rng(404)
+        draws = [
+            draw(rng) for _ in range(20)
+            for draw in (scenario_gen.random_valid_scenario, scenario_gen.random_misaligned_scenario)
+        ]
+        cases = collections.Counter()
+        for s in draws + scenario_gen.grid_mix():
+            f01_values = np.linspace(-0.4, s.F01 + s.L + 0.8, 9)
+            f12_values = np.linspace(-0.3, s.F12 + s.L + 0.5, 8)
+            cases.update(_assert_grid_matches_scalar(s, f01_values, f12_values).binding_case.flat)
+        # All four binding cases and invalid cells, over 1000 cells valid.
+        assert len(cases) == 5 and sum(cases.values()) - cases["invalid"] > 1000
+
+    def test_line_limits_given_as_numbers_give_0d_fields(self):
+        s = scenario_gen.canonical_scenario()
+        grid = closed_form.classify_alignment_grid(s, 1.75, 0.25)
+        report = closed_form.classify_alignment(dataclasses.replace(s, F01=1.75, F12=0.25))
+        assert all(np.shape(column) == () for column in vars(grid).values())
+        assert {name: column.item() for name, column in vars(grid).items()} == vars(report)
 
     @pytest.mark.parametrize(
         "overrides, agent",
@@ -411,8 +463,12 @@ class TestHeatmapArrayRoute:
         f01, f12 = np.meshgrid(f01_values, f12_values, indexing="ij")
         assert grid_model.threshold_grid(s, f01, f12)[1].any()
         grid = closed_form.classify_alignment_grid(s, f01, f12)
-        assert grid.verdict.shape == (8, 7) and set(grid.verdict.ravel()) == {"invalid"}
-        assert all(np.isnan(column).all() for column in grid[1:])
+        for name, column in vars(grid).items():
+            assert column.shape == (8, 7), name
+            if name in _TEXT_FIELDS:
+                assert set(column.ravel()) == {"invalid"}, name
+            else:
+                assert np.isnan(column).all(), name
 
     def test_non_finite_line_limits_are_invalid(self):
         s = scenario_gen.canonical_scenario()
@@ -441,10 +497,13 @@ class TestHeatmapArrayRoute:
         assert sorted(thresholds.view(np.int64)) == np.unique(t[valid].view(np.int64)).tolist()
         # A 2-D call keeps the cells' shape and equals the raveled call.
         flat = closed_form.classify_alignment_grid(s, f01.ravel(), f12.ravel())
-        assert grid.verdict.shape == f01.shape
-        assert grid.verdict.ravel().tolist() == flat.verdict.tolist()
-        for column, flat_column in zip(grid[1:], flat[1:]):
-            assert column.shape == f01.shape and _bits(column.ravel()) == _bits(flat_column)
+        for name, column in vars(grid).items():
+            flat_column = getattr(flat, name)
+            assert column.shape == f01.shape and flat_column.shape == (f01.size,), name
+            if name in _TEXT_FIELDS:
+                assert column.ravel().tolist() == flat_column.tolist(), name
+            else:
+                assert _bits(column.ravel()) == _bits(flat_column), name
 
     def test_no_per_cell_scenarios_or_scalar_classification(self, monkeypatch):
         s = scenario_gen.canonical_scenario()
