@@ -206,18 +206,19 @@ def _prices(s: ThreeBusScenario, bases: np.ndarray) -> tuple[np.ndarray, np.ndar
     structural columns, as the balance rows have full row rank."""
     rates = np.array([[0.0, s.c1, s.c2, 0.0, 0.0, 0.0], [0.0, s.e1, s.e2, 0.0, 0.0, 0.0]])
     # "+ 0.0" folds IEEE negative zeros into plain zeros for clean output.
-    both = np.linalg.solve(_BALANCE.T[bases], rates.T[bases]) + 0.0
+    both = lp_core._lapack_solve(_BALANCE.T[bases], rates.T[bases]) + 0.0
     return both[..., 0], both[..., 1]
 
 
 def _checked(s: ThreeBusScenario, deltas: Sequence[float], statuses: Sequence[str]) -> None:
     """Raise for the first shift of ``deltas`` whose dispatch LP ended with
     another of ``statuses`` than optimal."""
-    for delta, status in zip(deltas, statuses):
-        if status == lp_core.INFEASIBLE:
-            raise _diagnose_infeasible(s, float(delta))
-        if status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
-            raise lp_core.SolverFailure(f"unexpected dispatch status {status!r}")
+    if statuses.count(lp_core.OPTIMAL) < len(statuses):
+        for delta, status in zip(deltas, statuses):
+            if status == lp_core.INFEASIBLE:
+                raise _diagnose_infeasible(s, float(delta))
+            if status != lp_core.OPTIMAL:  # objective >= 0 rules unboundedness out
+                raise lp_core.SolverFailure(f"unexpected dispatch status {status!r}")
 
 
 def _in_block(s: ThreeBusScenario, deltas: Iterable[float]) -> np.ndarray:
@@ -241,7 +242,7 @@ def _solve_ed_cold(
     lp = build_ed(s, 0.0)
     rhs = np.array([np.full(deltas.shape, s.l0), s.l1 + deltas, s.l2 - deltas]).T
     sols = lp_core.solve_rhs(lp, rhs)
-    _checked(s, deltas.tolist(), sols.status)
+    _checked(s, deltas, sols.status)
     degenerate = ~_clear_of_bounds(lp, sols.basis, sols.primal, _DEGENERACY_TOL)
     # The shifts share a handful of bases: price each distinct one once.
     key = sols.basis @ len(VARIABLE_NAMES) ** np.arange(sols.basis.shape[1])
@@ -285,7 +286,7 @@ def _walk(s: ThreeBusScenario, lp: lp_core.LinearProgram) -> list[Piece]:
     while len(walk) < 20:  # the balance matrix has C(6, 3) = 20 column triples
         B = _BALANCE[:, basis]
         slope = np.zeros(lp.n_variables)
-        slope[basis] = rate = np.linalg.solve(B, _SHIFT_DIRECTION)
+        slope[basis] = rate = lp_core._lapack_solve(B, _SHIFT_DIRECTION[:, None])[:, 0]
         # How far each basic variable moves before it meets a bound.
         room = np.where(rate > 0.0, hi[basis] - flows[basis], flows[basis] - lo[basis])
         reach = np.full(rate.shape, np.inf)
@@ -302,7 +303,7 @@ def _walk(s: ThreeBusScenario, lp: lp_core.LinearProgram) -> list[Piece]:
         # cost reaches zero first enters.
         flows = flows + (end - start) * slope
         flows[basis[p]] = hi[basis[p]] if rate[p] > 0.0 else lo[basis[p]]
-        row = np.linalg.solve(B.T, np.eye(len(basis))[p]) @ _BALANCE
+        row = lp_core._lapack_solve(B.T, np.eye(len(basis))[:, p, None])[:, 0] @ _BALANCE
         rises = np.where(flows - lo <= hi - flows, 1.0, -1.0)
         movable = (rises * np.sign(rate[p]) * row > lp_core.TOLERANCE) & (hi - lo > 0.0)
         if not movable.any():  # no dispatch is feasible past this break

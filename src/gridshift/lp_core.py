@@ -22,10 +22,10 @@ their artificial columns, a run splits where its rows step differently,
 and the runs are taken depth-first.  Each run goes from phase 1 to its
 rows' final status on its own: at the end of phase 1 its infeasible rows
 stop, unpriced, and the rest go on to phase 2, at whose end the run prices
-its basis and writes its rows.  A lone right-hand side is a run of one
-row, whose ratio test and basic values stay in Python scalars.  A run of
-any size makes the same products and solves on arrays of the same shapes,
-so a stack changes no bit of any solution.
+its basis (refreshed again only if phase 2 pivoted) and writes its rows.  A
+lone right-hand side is a run of one row, with its ratio test and basic
+values in Python scalars.  A run of any size makes the same products and
+solves on arrays of the same shapes, so a stack changes no solution's bits.
 :func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
 is its one-LP face.
 """
@@ -249,10 +249,7 @@ def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
     for p in range(m):
         if basis[p] < n:
             continue
-        unit = np.zeros(m)
-        unit[p] = 1.0
-        multipliers = np.linalg.solve(AT[basis], unit)
-        row = multipliers @ A
+        row = _lapack_solve(AT[basis], np.eye(m)[:, p, None])[:, 0] @ A
         row[[j for j in basis if j < n]] = 0.0
         entering = int(np.argmax(np.abs(row)))
         if abs(row[entering]) > TOLERANCE:
@@ -326,9 +323,7 @@ def _ratio_tests(
     once; a ray leaves its row's step 0.  The rows share ``sw`` and the
     bounds, so only the limits and each row's step, blocking row and
     leaving side are arrays."""
-    k = len(xb)
-    theta, block, up = np.full(k, own), np.full(k, -1), np.zeros(k, dtype=bool)
-    keys = np.array(basis) if bland else np.abs(sw)  # the tie-break operands
+    block = keys = None
     for row, (swi, lov, hiv) in enumerate(zip(sw.tolist(), lo, hi)):
         if swi > _PIVOT_FLOOR and lov > -math.inf:
             limit = (xb[:, row] - lov) / swi
@@ -337,12 +332,24 @@ def _ratio_tests(
         else:
             continue
         limit[limit < 0.0] = 0.0
-        tie = (block >= 0) & (limit <= theta + 1e-12)
+        if block is None:  # no row blocks before this one, so no row ties with it
+            take = limit < own - 1e-12
+            if take.any():
+                theta, block, up = np.where(take, limit, own), np.where(take, row, -1), take & (swi < 0.0)
+            continue
+        near = limit <= theta + 1e-12
+        if not near.any():  # no row takes this one or ties with it
+            continue
+        if keys is None:  # the tie-break operands
+            keys = np.array(basis) if bland else np.abs(sw)
+        tie = (block >= 0) & near
         tie &= keys[row] < keys[block] if bland else keys[row] > keys[block] + 1e-12
         take = limit < theta - 1e-12
         theta[take] = limit[take]
         take |= tie
         block[take], up[take] = row, swi < 0.0
+    if block is None:  # no row can block
+        theta, block, up = np.full(len(xb), own), np.full(len(xb), -1), np.zeros(len(xb), dtype=bool)
     if own == math.inf:  # only an entering variable with no other bound finds a ray
         ray = theta == math.inf
         block[ray], theta[ray] = -2, 0.0
@@ -371,6 +378,9 @@ class _Run:
 
     Per row: ``xb``, the values of its basic variables in basis order, a
     list in a run of one row and an array of one row per row otherwise.
+    ``held``: the pivot count and what the phase-1 refresh returned (None
+    before it and once an artificial is driven out); a phase 2 that ends at
+    that count keeps the refresh's basis and values, and so its ``BT`` and ``x``.
     """
 
     def __init__(
@@ -389,7 +399,7 @@ class _Run:
             self.Aaug[0].T.copy(), rows, list(range(n, N)), xn, sense, phase
         )
         self.xb = np.abs(residual[rows[0]]).tolist() if len(rows) == 1 else np.abs(residual[rows])
-        self.iterations, self.bland, self.degenerate, self.ray = 0, False, 0, False
+        self.iterations, self.bland, self.degenerate, self.ray, self.held = 0, False, 0, False, None
 
     def parts(self, keys: np.ndarray) -> list[tuple[_Run, int]]:
         """The runs of this run's rows grouped by ``keys`` (one row of keys
@@ -443,9 +453,14 @@ class _Run:
                 sw = step_sign * w[0, :, 0]
                 blocks, ups, thetas = _ratio_tests(xb, lo_b, hi_b, sw, basis, span[t], self.bland)
                 xb -= thetas[:, None] * sw
-                p = np.flatnonzero(blocks >= 0)
-                xb[p, blocks[p]] = float(xn[t]) + step_sign * thetas[p]
-                key = 2 * blocks + (thetas <= TOLERANCE)
+                block, key = int(blocks[0]), thetas <= TOLERANCE
+                if (blocks == block).all():  # every row blocks alike: one column steps
+                    if block >= 0:
+                        xb[:, block] = float(xn[t]) + step_sign * thetas
+                else:
+                    p = np.flatnonzero(blocks >= 0)
+                    xb[p, blocks[p]] = float(xn[t]) + step_sign * thetas[p]
+                    key = 2 * blocks + key
                 if (key != key[0]).any():
                     # The rows part ways: each outcome goes on in a run of
                     # its own, which takes its own step.
@@ -457,7 +472,7 @@ class _Run:
                             run.step(t, int(blocks[j]), bool(ups[j]), thetas[j] <= TOLERANCE)
                         runs.append(run)
                     return runs
-                block, up, theta = int(blocks[0]), bool(ups[0]), float(thetas[0])
+                up, theta = bool(ups[0]), float(thetas[0])
             if block == -2:
                 self.ray = True
                 return []
@@ -508,15 +523,10 @@ class _Run:
         r = len(self.rows)
         BT = self.AT.take(self.basis, axis=0)[None]
         rhs = (b if r == len(b) else b[self.rows]) - (self.Aaug @ self.xn[None, :, None])[..., 0]
-        if r == 1:
-            xb = _lapack_solve(BT.transpose(0, 2, 1), rhs[..., None])[0, :, 0]
-            self.xb = xb.tolist()
-            x = self.xn[None].copy()
-            x[0].put(self.basis, xb)
-        else:
-            self.xb = _lapack_solve(BT.repeat(r, axis=0).transpose(0, 2, 1), rhs[..., None])[..., 0]
-            x = self.xn[None].repeat(r, axis=0)
-            x[:, self.basis] = self.xb
+        xb = _lapack_solve(BT.transpose(0, 2, 1), rhs[..., None])[..., 0]  # BT broadcasts
+        x = self.xn[None].repeat(r, axis=0)
+        x[:, self.basis] = xb
+        self.xb = xb[0].tolist() if r == 1 else xb
         return BT, x
 
 
@@ -525,8 +535,8 @@ def _lanes(keys: np.ndarray) -> list[np.ndarray]:
     distinct row, in order of their first positions."""
     order = np.lexsort(keys.T[::-1])  # stable
     ordered = keys[order]
-    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-    return sorted(np.split(order, cuts), key=lambda lanes: lanes[0])
+    cuts = (np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1).tolist()
+    return sorted((order[i:j] for i, j in zip([0, *cuts], [*cuts, None])), key=lambda lanes: lanes[0])
 
 
 def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
@@ -612,8 +622,8 @@ def _solve(
                 status[i] = label
         basis[rows], iterations[rows] = sorted(run.basis), run.iterations
 
-    todo = []
-    for rows in _lanes(residual < 0.0) if k > 1 else [np.arange(1)]:
+    todo, signs = [], residual < 0.0
+    for rows in _lanes(signs) if (signs != signs[0]).any() else [np.arange(k)]:
         # Every run starts from the same point; the first takes the arrays.
         xn, sn = (x.copy(), sense.copy()) if todo else (x, sense)
         todo.append(_Run(A, residual, rows, xn, sn, first))
@@ -624,8 +634,8 @@ def _solve(
         if split:
             todo += split[::-1]
             continue
-        # A run of the whole stack writes its rows through a slice.
-        rows = run.rows if len(run.rows) < k else slice(None)
+        # A run of consecutive rows (they are in order) writes them through a slice.
+        rows = run.rows if run.rows[-1] - run.rows[0] >= len(run.rows) else slice(run.rows[0], run.rows[-1] + 1)
         if run.ray:
             if run.phase is first:
                 raise SolverFailure(
@@ -633,14 +643,16 @@ def _solve(
                 )
             end(run, rows, UNBOUNDED)
             continue
-        BT, xr = run.refresh(b)
         if run.phase is second:
             end(run, rows, OPTIMAL)
+            # A phase 2 without a pivot ends where the phase-1 refresh left it.
+            BT, xr = run.held[1:] if run.held and run.held[0] == run.iterations else run.refresh(b)
             duals[rows], reduced[rows] = _priced(c, A, second[0], BT, run.basis)
             point = xr[:, :n]
             with np.errstate(over="ignore"):  # an objective past the float range is inf
                 primal[rows], objective[rows] = point, (c @ point[..., None])[:, 0]
             continue
+        BT, xr = run.refresh(b)
         infeasible = np.add.reduce(np.abs(xr[:, n:]), axis=1) > cutoff[rows]
         flags = infeasible.tolist()
         if True in flags:
@@ -654,8 +666,9 @@ def _solve(
                 else:
                     run = part
             xr = xr[~infeasible]
-        pieces = [run]
+        pieces, run.held = [run], (run.iterations, BT, xr)
         if max(run.basis) >= n and _drive_out(run.AT, A, run.basis, run.sense):
+            run.held = None  # a new basis
             # Every variable keeps its value, so an artificial that left
             # keeps each row's own: rows whose values differ there part ways.
             xb = xr[:, run.basis]
@@ -744,12 +757,13 @@ def kkt_residuals(
     ``A``, ``b``, ``lo``, ``hi``, stacked the same way; any LP array may be
     one LP's, broadcast against the stack.  Returns the primal-feasibility,
     dual-feasibility and complementary-slackness residual of each LP."""
+    # Maxima are taken down transposed copies: numpy reduces faster across rows.
     below = lo - x
     above = x - hi
 
-    residual = np.abs((A @ x[..., None])[..., 0] - b).max(axis=1)
-    primal = np.maximum(residual, below.max(axis=1, initial=0.0))
-    primal = np.maximum(primal, above.max(axis=1, initial=0.0))
+    residual = np.abs((A @ x[..., None])[..., 0] - b).T.copy().max(axis=0)
+    primal = np.maximum(residual, below.T.copy().max(axis=0, initial=0.0))
+    primal = np.maximum(primal, above.T.copy().max(axis=0, initial=0.0))
 
     d = c - (y[:, None, :] @ A)[:, 0]
     # A variable within _ACTIVE_BOUND_TOL of a bound may carry a reduced
@@ -760,14 +774,14 @@ def kkt_residuals(
     dual_viol = np.maximum(
         np.maximum(0.0, np.where(at_hi, 0.0, -d)), np.where(at_lo, 0.0, d)
     )
-    dual = dual_viol.max(axis=1, initial=0.0)
+    dual = dual_viol.T.copy().max(axis=0, initial=0.0)
 
     # A nonzero reduced cost must pin its variable to the matching bound;
     # the residual is |reduced cost| times the distance left to that bound.
-    gap = np.where(d > 0.0, -below, -above)
+    gap = -np.where(d > 0.0, below, above)
     gap = np.where(np.isfinite(gap), np.maximum(gap, 0.0), 0.0)
     size = np.abs(d)
-    comp = np.where(size <= tolerance, 0.0, size * gap).max(axis=1, initial=0.0)
+    comp = np.where(size <= tolerance, 0.0, size * gap).T.copy().max(axis=0, initial=0.0)
     return primal, dual, comp
 
 

@@ -49,6 +49,7 @@ _TRACE = "tests/test_lp_core.py::TestPinnedTrace::"
 _SCAN = "tests/test_lp_core.py::TestRatioTests::test_stacked_scan_equals_the_scalar_scan_row_by_row"
 _PART_WAYS = _SOLVE_MANY + "test_rhs_stack_whose_rows_part_ways_equals_lone_solves"
 _HEATMAP = "tests/test_sweep.py::TestHeatmapArrayRoute::"
+_WORK = "tests/test_lp_core.py::TestWorkCounts::"
 
 MUTANTS = (
     # The verdict of a verify report.
@@ -184,10 +185,9 @@ MUTANTS = (
     Mutant(
         "tie-without-blocker",
         "src/gridshift/lp_core.py",
-        "tie = (block >= 0) & (limit <= theta + 1e-12)",
-        "tie = limit <= theta + 1e-12",
-        (_SCAN,
-         _SOLVE_MANY + "test_stacks_with_free_and_upper_bounded_variables_equal_lone_solves"),
+        "tie = (block >= 0) & near",
+        "tie = near",
+        (_SCAN,),
     ),
     Mutant(
         "ray-step-infinite",
@@ -205,6 +205,44 @@ MUTANTS = (
         (_TRACE + "test_rhs_stacks_match_the_pinned_digest",
          "tests/test_dispatch.py::TestGridDispatch::test_matches_cold_solves_pointwise",
          "tests/test_golden.py::test_cli_outputs_match_golden_hashes[split_reverse]"),
+    ),
+    # Work the solver does not repeat: the phase-1 refresh held to the end
+    # of a phase 2 without a pivot, the first blocker's scan without ties,
+    # the start without a lexsort, and the one-column step.
+    Mutant(
+        "held-refresh-after-phase-2-pivot",
+        "src/gridshift/lp_core.py",
+        "run.held and run.held[0] == run.iterations",
+        "run.held",
+        (_WORK + "test_verify_stack", _TRACE + "test_rhs_stacks_match_the_pinned_digest"),
+    ),
+    Mutant(
+        "held-refresh-after-drive-out",
+        "src/gridshift/lp_core.py",
+        "            run.held = None  # a new basis\n",
+        "",
+        (_PART_WAYS + "[within-cutoff]", _TRACE + "test_one_at_a_time_matches_the_pinned_digest"),
+    ),
+    Mutant(
+        "first-blocker-ignores-own-range",
+        "src/gridshift/lp_core.py",
+        "take = limit < own - 1e-12",
+        "take = limit == limit",
+        (_SCAN, _WORK + "test_verify_stack"),
+    ),
+    Mutant(
+        "one-lane-start-with-mixed-signs",
+        "src/gridshift/lp_core.py",
+        "_lanes(signs) if (signs != signs[0]).any() else",
+        "_lanes(signs) if False else",
+        (_PART_WAYS + "[open-box]", _SOLVE_MANY + "test_rhs_stack_checks_and_solves_each_row"),
+    ),
+    Mutant(
+        "column-write-with-differing-blocks",
+        "src/gridshift/lp_core.py",
+        "if (blocks == block).all():",
+        "if True:",
+        (_PART_WAYS + "[bland]", _TRACE + "test_rhs_stacks_match_the_pinned_digest"),
     ),
     # The capacity grid's scatter of each key's fields (closed_form._keyed_alignment).
     Mutant(

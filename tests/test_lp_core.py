@@ -1,5 +1,6 @@
 """Unit tests for the bounded-variable simplex solver."""
 
+import collections
 import dataclasses
 import hashlib
 
@@ -10,7 +11,7 @@ import lp_oracle
 import lp_stack
 import scenario_gen
 from gridshift import lp_core
-from gridshift.dispatch import build_ed
+from gridshift.dispatch import build_ed, pieces
 from gridshift.grid_model import bundled_scenario_names, bundled_scenario_path, parse_scenario_file, tau
 from gridshift.lp_core import (
     INFEASIBLE,
@@ -645,6 +646,47 @@ class TestRatioTests:
                 assert (int(blocks[j]), side, float(thetas[j]).hex()) == (block, up, step.hex())
                 outcomes.add((min(block, 0), up))
         assert outcomes == {(-2, False), (-1, False), (0, False), (0, True)}
+
+
+class TestWorkCounts:
+    """The work of canonical's verify stack (its dispatch LP at the 200
+    shifts of ``verify``) and of one ``pieces`` walk, counted in calls.  The
+    pivots fix these counts, so they do not move with the host."""
+
+    @staticmethod
+    def counted(monkeypatch) -> collections.Counter:
+        counts = collections.Counter()
+        for owner, name in ((lp_core._Run, "refresh"), (lp_core, "_lanes"), (lp_core, "_lapack_solve")):
+            real = getattr(owner, name)
+
+            def call(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, call)
+        return counts
+
+    def test_verify_stack(self, monkeypatch):
+        # The 200 rows share one sign pattern, so they start in one run with
+        # no lexsort; it splits twice in phase 1, into runs of 20, 160 and 20
+        # rows.  Two of them take no phase-2 pivot and are refreshed once;
+        # the third pivots once in phase 2 and is refreshed again.
+        s = parse_scenario_file(bundled_scenario_path("canonical"))
+        deltas = np.linspace(0.0, s.L, 200)
+        rhs = np.array([np.full(200, s.l0), s.l1 + deltas, s.l2 - deltas]).T
+        counts = self.counted(monkeypatch)
+        assert set(solve_rhs(build_ed(s, 0.0), rhs).status) == {OPTIMAL}
+        assert counts == {"refresh": 4, "_lanes": 2, "_lapack_solve": 39}
+
+    def test_pieces(self, monkeypatch):
+        # The cold solve at shift 0 (5 phase-1 pivots of two solves each,
+        # none in phase 2, so one refresh) makes 14 solves; the walk makes
+        # two per piece (its rate and its prices) and one at the break
+        # between them (the dual-simplex row).
+        s = parse_scenario_file(bundled_scenario_path("canonical"))
+        counts = self.counted(monkeypatch)
+        assert len(pieces(s)) == 2
+        assert counts == {"refresh": 1, "_lapack_solve": 19}
 
 
 class TestKktMany:
