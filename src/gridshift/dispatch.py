@@ -23,6 +23,7 @@ route, as one :class:`DispatchOutcome`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -92,12 +93,16 @@ class DispatchOutcome:
     degenerate: bool = False
 
 
-class DispatchColumns(NamedTuple):
+@dataclasses.dataclass(frozen=True)
+class DispatchColumns:
     """Optimal dispatch at ``k`` shifts, as columns: the shifts ``delta``
     (``k``), the ``flows`` (``k`` rows in :data:`VARIABLE_NAMES` order), the
     bus prices ``lmp`` and emission rates ``lme`` bus-major (``3`` rows of
-    ``k``, so that ``lmp[1]`` is the bus-1 column), the ``total_cost`` and
-    the ``degenerate`` flags, each as on :class:`DispatchOutcome`.
+    ``k``, so that ``lmp[1]`` is the bus-1 column), the ``basis`` that priced
+    each shift (``k`` rows), and the dispatch ``lp`` at shift 0, whose
+    objective and bounds every shift shares.  The ``total_cost`` and the
+    ``degenerate`` flags, each as on :class:`DispatchOutcome`, are worked
+    out when first read (a sweep or a verify reads neither).
     :func:`dc_cost_numeric` and :func:`sw_cost_numeric` take these columns
     as they take one outcome."""
 
@@ -105,24 +110,19 @@ class DispatchColumns(NamedTuple):
     flows: np.ndarray
     lmp: np.ndarray
     lme: np.ndarray
-    total_cost: np.ndarray
-    degenerate: np.ndarray
+    basis: np.ndarray
+    lp: lp_core.LinearProgram
 
+    @functools.cached_property
+    def total_cost(self) -> np.ndarray:
+        # Each row's own dot product with the objective: a 2-D product
+        # would sum in another order.
+        with np.errstate(over="ignore"):  # a cost past the float range is inf
+            return (self.flows[:, None, :] @ self.lp.objective)[:, 0]
 
-def _columns(
-    lp: lp_core.LinearProgram,
-    deltas: np.ndarray,
-    flows: np.ndarray,
-    lmp: np.ndarray,
-    lme: np.ndarray,
-    degenerate: np.ndarray,
-) -> DispatchColumns:
-    """:class:`DispatchColumns` from shift-major ``lmp`` and ``lme``; every
-    cost is the row's own dot product with the objective (a 2-D product
-    would sum in another order)."""
-    with np.errstate(over="ignore"):  # a cost past the float range is inf
-        costs = (flows[:, None, :] @ lp.objective)[:, 0]
-    return DispatchColumns(deltas, flows, lmp.T, lme.T, costs, degenerate)
+    @functools.cached_property
+    def degenerate(self) -> np.ndarray:
+        return ~_clear_of_bounds(self.lp, self.basis, self.flows, _DEGENERACY_TOL)
 
 
 def _balance_rhs(s: ThreeBusScenario, delta: float) -> list[float]:
@@ -243,12 +243,11 @@ def _solve_ed_cold(
     rhs = np.array([np.full(deltas.shape, s.l0), s.l1 + deltas, s.l2 - deltas]).T
     sols = lp_core.solve_rhs(lp, rhs)
     _checked(s, deltas, sols.status)
-    degenerate = ~_clear_of_bounds(lp, sols.basis, sols.primal, _DEGENERACY_TOL)
     # The shifts share a handful of bases: price each distinct one once.
     key = sols.basis @ len(VARIABLE_NAMES) ** np.arange(sols.basis.shape[1])
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     lme = _prices(s, sols.basis[first])[1][inverse]
-    return lp, rhs, sols, _columns(lp, deltas, sols.primal, sols.duals + 0.0, lme, degenerate)
+    return lp, rhs, sols, DispatchColumns(deltas, sols.primal, (sols.duals + 0.0).T, lme.T, sols.basis, lp)
 
 
 class Piece(NamedTuple):
@@ -344,8 +343,7 @@ def solve_ed_columns(s: ThreeBusScenario, deltas: Iterable[float]) -> DispatchCo
     if deltas.size and k.max() == len(walk):  # past the last feasible break
         raise _diagnose_infeasible(s, float(deltas[k.argmax()]))
     flows = flows[k] + (deltas - start[k])[:, None] * slope[k]
-    degenerate = ~_clear_of_bounds(lp, basis[k], flows, _DEGENERACY_TOL)
-    return _columns(lp, deltas, flows, lmp[k], lme[k], degenerate)
+    return DispatchColumns(deltas, flows, lmp[k].T, lme[k].T, basis[k], lp)
 
 
 def dc_cost_numeric(s: ThreeBusScenario, out: DispatchOutcome | DispatchColumns):

@@ -20,12 +20,15 @@ pricing and one pivot column per round, while each row keeps its own basic
 values and ratio test.  The rows start in one run per sign pattern of
 their artificial columns, a run splits where its rows step differently,
 and the runs are taken depth-first.  Each run goes from phase 1 to its
-rows' final status on its own: at the end of phase 1 its infeasible rows
-stop, unpriced, and the rest go on to phase 2, at whose end the run prices
-its basis (refreshed again only if phase 2 pivoted) and writes its rows.  A
-lone right-hand side is a run of one row, with its ratio test and basic
-values in Python scalars.  A run of any size makes the same products and
-solves on arrays of the same shapes, so a stack changes no solution's bits.
+rows' final status on its own: phase 1 ends, unpriced, once no artificial
+is basic; then its infeasible rows stop, and the rest go on to phase 2, at
+whose end the run writes its rows, with the multipliers of its last
+pricing round as their duals and its point refreshed again only if phase 2
+pivoted.  A lone right-hand side is a run of one row, started without a
+sign-pattern test, with its ratio test, step and basic values in Python
+scalars; every run steps by bound lists made once per solve.  A run of any
+size makes the same products and solves on arrays of the same shapes, so a
+stack changes no solution's bits.
 :func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
 is its one-LP face.
 """
@@ -87,7 +90,7 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         try:
-            A = np.atleast_2d(np.array(self.eq_matrix, dtype=float))
+            A = np.array(self.eq_matrix, dtype=float, ndmin=2)
             c = np.array(self.objective, dtype=float)
             b = np.array(self.eq_rhs, dtype=float)
             lo = np.array(self.lower_bounds, dtype=float)
@@ -117,7 +120,7 @@ class LinearProgram:
                 raise LpInputError("bounds may be infinite but not NaN")
             bad = int(np.argmax(lo - hi))
             raise LpInputError(f"lower bound exceeds upper bound for variable {bad}")
-        empty = np.isposinf(lo) | np.isneginf(hi)
+        empty = (lo == np.inf) | (hi == -np.inf)
         if empty.any():
             bad = int(np.argmax(empty))
             raise LpInputError(f"variable {bad} has no real point in [{lo[bad]}, {hi[bad]}]")
@@ -202,38 +205,29 @@ def _solution(sols: LpSolutions, i: int) -> LpSolution:
 
 def _start(
     A: np.ndarray, b: np.ndarray, lo_n: np.ndarray, hi_n: np.ndarray
-) -> tuple[np.ndarray, ...]:
+) -> tuple:
     """What every right-hand side of the stack ``b`` starts from: the bounds
     ``lo`` and ``hi`` of the variables (the structural ones, then one
-    artificial per row), ``span = hi - lo``, the flags ``free_var`` of
-    variables with no bound (None if there are none), each variable's value
-    ``x`` and ``sense`` (as in :class:`_Run`), and each right-hand side's
-    ``residual`` at ``x``, in that order.
+    artificial per row) and ``span = hi - lo``, as lists; the flags
+    ``free_var`` of variables with no bound (None if there are none), each
+    variable's value ``x`` and ``sense`` (as in :class:`_Run`), and each
+    right-hand side's ``residual`` at ``x``, in that order.
 
     Every variable starts at its lower bound when finite, otherwise at its
     upper bound, otherwise at zero; one artificial per row, signed to take
     up the residual, starts basic."""
     m, n = A.shape
-    N = n + m
-    lo = np.zeros(N)
-    hi = np.empty(N)
-    lo[:n] = lo_n
-    hi[:n] = hi_n
-    hi[n:] = np.inf
-    lo_finite = np.isfinite(lo)
-    hi_finite = np.isfinite(hi)
-    free_var = ~(lo_finite | hi_finite)
-    x = np.where(lo_finite, lo, hi)
-    if free_var.any():
-        x[free_var] = 0.0
-    else:
-        free_var = None
-    span = hi - lo
-    sense = np.where(hi_finite & ~lo_finite, 1.0, -1.0)
-    sense[n:] = 0.0
-    sense[span <= TOLERANCE] = 0.0
+    lo, hi, zero, inf = lo_n.tolist(), hi_n.tolist(), [0.0] * m, [math.inf] * m
+    span = (hi_n - lo_n).tolist()  # in numpy: a span past the float range warns
+    free = [lv == -math.inf and hv == math.inf for lv, hv in zip(lo, hi)]
+    x = np.array([lv if lv > -math.inf else hv if hv < math.inf else 0.0 for lv, hv in zip(lo, hi)] + zero)
+    sense = [
+        0.0 if s <= TOLERANCE else 1.0 if lv == -math.inf and hv < math.inf else -1.0
+        for lv, hv, s in zip(lo, hi, span)
+    ]
     residual = b - (A @ x[:n, None])[:, 0]
-    return lo, hi, span, free_var, x, sense, residual
+    free_var = np.array(free + [False] * m) if True in free else None
+    return lo + zero, hi + inf, span + inf, free_var, x, np.array(sense + zero), residual
 
 
 def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
@@ -259,16 +253,12 @@ def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
     return swapped
 
 
-def _priced(
-    c: np.ndarray, A: np.ndarray, cost: np.ndarray, BT: np.ndarray, basis: list,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The duals and reduced costs, each a row of one, of ``basis`` under
-    ``cost``, the objective ``c`` padded with zeros: ``BT`` holds the
-    basis's transposed matrix, a stack of one.  Basic variables have a
-    reduced cost of zero."""
-    y = _lapack_solve(BT, cost.take(basis)[None, :, None])
+def _priced(c: np.ndarray, A: np.ndarray, y: np.ndarray, basis: list) -> tuple[np.ndarray, np.ndarray]:
+    """The duals and reduced costs, each a row of one, of ``basis`` whose
+    multipliers under the objective ``c`` are ``y`` (a stack of one column).
+    Basic variables have a reduced cost of zero."""
     reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
-    reduced[0, [j for j in basis if j < c.size]] = 0.0
+    reduced[0].put([j for j in basis if j < c.size], 0.0)
     return y[..., 0], reduced
 
 
@@ -374,13 +364,17 @@ class _Run:
     steps by: its ``cost`` (one entry per variable); the bounds of every
     variable as lists, ``lo``, ``hi`` and ``span = hi - lo`` (a variable
     with no range is fixed); the array ``free_var`` of the variables with
-    no bound, or None; and the iteration budget.
+    no bound, or None; the iteration budget; and whether it is phase 1,
+    which ends without a pricing round once no artificial is basic.
 
     Per row: ``xb``, the values of its basic variables in basis order, a
     list in a run of one row and an array of one row per row otherwise.
-    ``held``: the pivot count and what the phase-1 refresh returned (None
-    before it and once an artificial is driven out); a phase 2 that ends at
-    that count keeps the refresh's basis and values, and so its ``BT`` and ``x``.
+    ``held``: the pivot count and the point the phase-1 refresh returned
+    (None before it and once an artificial is driven out); a phase 2 that
+    ends at that count keeps the refresh's basis and so its point.  ``y``:
+    the multipliers of the last round that found no variable to enter, a
+    stack of one column (None before one); at the end of phase 2 they are
+    the duals of the basis, which that round priced.
     """
 
     def __init__(
@@ -392,14 +386,15 @@ class _Run:
         (the run's rows share the signs)."""
         m, n = A.shape
         N = n + m
+        lead = residual[rows[0]].tolist()  # the first row's, whose signs the rows share
         self.Aaug = np.zeros((1, m, N))
         self.Aaug[0, :, :n] = A
-        self.Aaug.reshape(-1)[n :: N + 1] = np.where(residual[rows[0]] >= 0.0, 1.0, -1.0)
+        self.Aaug.reshape(-1)[n :: N + 1] = [1.0 if r >= 0.0 else -1.0 for r in lead]
         self.AT, self.rows, self.basis, self.xn, self.sense, self.phase = (
             self.Aaug[0].T.copy(), rows, list(range(n, N)), xn, sense, phase
         )
-        self.xb = np.abs(residual[rows[0]]).tolist() if len(rows) == 1 else np.abs(residual[rows])
-        self.iterations, self.bland, self.degenerate, self.ray, self.held = 0, False, 0, False, None
+        self.xb = [abs(r) for r in lead] if len(rows) == 1 else np.abs(residual[rows])
+        self.iterations, self.bland, self.degenerate, self.ray, self.held, self.y = 0, False, 0, False, None, None
 
     def parts(self, keys: np.ndarray) -> list[tuple[_Run, int]]:
         """The runs of this run's rows grouped by ``keys`` (one row of keys
@@ -429,10 +424,13 @@ class _Run:
         (:func:`_ratio_tests`), and each row steps its own basic values
         before the run tests whether its rows part ways."""
         Aaug, AT, sense, xn, basis, xb = self.Aaug, self.AT, self.sense, self.xn, self.basis, self.xb
-        cost, lo, hi, span, free_var, _ = self.phase
+        cost, lo, hi, span, free_var, _, feasibility = self.phase
         lo_b, hi_b = [lo[j] for j in basis], [hi[j] for j in basis]
-        one = len(self.rows) == 1
+        one, n = len(self.rows) == 1, len(xn) - len(basis)
         while True:
+            if feasibility and max(basis) < n:
+                # No artificial is basic: their sum is at zero, its least.
+                return []
             BT = AT.take(basis, axis=0)[None]
             y = _lapack_solve(BT, cost.take(basis)[None, :, None])
             d = cost - (y.transpose(0, 2, 1) @ Aaug)[0, 0]
@@ -441,13 +439,14 @@ class _Run:
                 score = np.where(free_var & (sense != 0.0), np.abs(d), score)
             t = int((score > TOLERANCE).argmax() if self.bland else score.argmax())
             if not score[t] > TOLERANCE:
+                self.y = y
                 return []
             step_sign = -float(sense[t])
             if free_var is not None and free_var[t]:
                 step_sign = 1.0 if d[t] < 0.0 else -1.0
             w = _lapack_solve(BT.transpose(0, 2, 1), AT[None, t, :, None])
             if one:
-                sw = (step_sign * w[0, :, 0]).tolist()
+                sw = [step_sign * v for v in w[0, :, 0].tolist()]  # a product with +-1.0 is exact
                 block, up, theta = _ratio_test(xb, lo_b, hi_b, sw, basis, span[t], self.bland)
             else:
                 sw = step_sign * w[0, :, 0]
@@ -489,7 +488,7 @@ class _Run:
         (``block`` -1) or the pivot on row ``block``, whose variable leaves
         at its upper bound if ``up``; then the pivot count, the stretch of
         degenerate steps and Bland's switch."""
-        _, lo, hi, span, _, max_iterations = self.phase
+        _, lo, hi, span, _, max_iterations, _ = self.phase
         self.iterations += 1
         if self.iterations > max_iterations:
             m = len(self.basis)
@@ -515,11 +514,10 @@ class _Run:
         self.degenerate += 1
         self.bland = self.bland or self.degenerate >= BLAND_TRIGGER
 
-    def refresh(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def refresh(self, b: np.ndarray) -> np.ndarray:
         """Re-solve for each row's basic values from the exactly-held
         nonbasic values, clearing the drift accumulated by incremental
-        updates.  Returns the transposed basis matrix and each row's whole
-        point."""
+        updates.  Returns each row's whole point."""
         r = len(self.rows)
         BT = self.AT.take(self.basis, axis=0)[None]
         rhs = (b if r == len(b) else b[self.rows]) - (self.Aaug @ self.xn[None, :, None])[..., 0]
@@ -527,7 +525,7 @@ class _Run:
         x = self.xn[None].repeat(r, axis=0)
         x[:, self.basis] = xb
         self.xb = xb[0].tolist() if r == 1 else xb
-        return BT, x
+        return x
 
 
 def _lanes(keys: np.ndarray) -> list[np.ndarray]:
@@ -594,7 +592,7 @@ def _solve(
     Each run goes on its own from the start to its rows' final status.  At
     the end of phase 1 its infeasible rows stop, and the rest drive out the
     artificials left basic and go on to phase 2; at the end of phase 2 the
-    run prices its basis and writes its rows.  The runs are taken
+    run writes its rows, priced by its last pricing round.  The runs are taken
     depth-first, each run and each run it splits into in order of their
     first rows."""
     k, m = b.shape
@@ -602,10 +600,8 @@ def _solve(
     lo, hi, span, free_var, x, sense, residual = _start(A, b, lo_n, hi_n)
     cost = np.zeros(n + m)
     cost[n:] = 1.0
-    first = (cost, lo.tolist(), hi.tolist(), span.tolist(), free_var, max_iterations)
+    first = (cost, lo, hi, span, free_var, max_iterations, True)
     second = None  # set up when a run first reaches phase 2
-    # A row is feasible if its artificials end phase 1 within the cutoff of zero.
-    cutoff = _INFEASIBILITY_CUTOFF * (1.0 + np.maximum.reduce(np.abs(b), axis=1))
     # The numeric columns, one NaN block cut in four, stay NaN in the rows
     # that do not end optimal.
     nan = np.empty(k * (2 * n + m + 1))
@@ -622,8 +618,9 @@ def _solve(
                 status[i] = label
         basis[rows], iterations[rows] = sorted(run.basis), run.iterations
 
-    todo, signs = [], residual < 0.0
-    for rows in _lanes(signs) if (signs != signs[0]).any() else [np.arange(k)]:
+    todo = []
+    # A lone right-hand side has one sign pattern.
+    for rows in _lanes(signs) if k > 1 and ((signs := residual < 0.0) != signs[0]).any() else [np.arange(k)]:
         # Every run starts from the same point; the first takes the arrays.
         xn, sn = (x.copy(), sense.copy()) if todo else (x, sense)
         todo.append(_Run(A, residual, rows, xn, sn, first))
@@ -646,27 +643,30 @@ def _solve(
         if run.phase is second:
             end(run, rows, OPTIMAL)
             # A phase 2 without a pivot ends where the phase-1 refresh left it.
-            BT, xr = run.held[1:] if run.held and run.held[0] == run.iterations else run.refresh(b)
-            duals[rows], reduced[rows] = _priced(c, A, second[0], BT, run.basis)
+            xr = run.held[1] if run.held and run.held[0] == run.iterations else run.refresh(b)
+            duals[rows], reduced[rows] = _priced(c, A, run.y, run.basis)
             point = xr[:, :n]
             with np.errstate(over="ignore"):  # an objective past the float range is inf
                 primal[rows], objective[rows] = point, (c @ point[..., None])[:, 0]
             continue
-        BT, xr = run.refresh(b)
-        infeasible = np.add.reduce(np.abs(xr[:, n:]), axis=1) > cutoff[rows]
-        flags = infeasible.tolist()
-        if True in flags:
-            if False not in flags:
-                end(run, rows, INFEASIBLE)
-                continue
-            # The infeasible rows stop; the feasible ones go on.
-            for part, j in run.parts(infeasible[:, None]):
-                if flags[j]:
-                    end(part, part.rows, INFEASIBLE)
-                else:
-                    run = part
-            xr = xr[~infeasible]
-        pieces, run.held = [run], (run.iterations, BT, xr)
+        xr = run.refresh(b)
+        if max(run.basis) >= n:  # with no artificial basic, all are at zero
+            # A row is feasible if its artificials end phase 1 within the cutoff of zero.
+            cutoff = _INFEASIBILITY_CUTOFF * (1.0 + np.maximum.reduce(np.abs(b[rows]), axis=1))
+            infeasible = np.add.reduce(np.abs(xr[:, n:]), axis=1) > cutoff
+            flags = infeasible.tolist()
+            if True in flags:
+                if False not in flags:
+                    end(run, rows, INFEASIBLE)
+                    continue
+                # The infeasible rows stop; the feasible ones go on.
+                for part, j in run.parts(infeasible[:, None]):
+                    if flags[j]:
+                        end(part, part.rows, INFEASIBLE)
+                    else:
+                        run = part
+                xr = xr[~infeasible]
+        pieces, run.held = [run], (run.iterations, xr)
         if max(run.basis) >= n and _drive_out(run.AT, A, run.basis, run.sense):
             run.held = None  # a new basis
             # Every variable keeps its value, so an artificial that left
@@ -681,10 +681,9 @@ def _solve(
         if second is None:
             # Phase 2 pins the artificials to zero (none may enter again)
             # and prices by the objective.
-            hi[n:] = 0.0
             cost = np.zeros(n + m)
             cost[:n] = c
-            second = (cost, first[1], hi.tolist(), (hi - lo).tolist(), free_var, max_iterations)
+            second = (cost, lo, hi[:n] + [0.0] * m, span[:n] + [0.0] * m, free_var, max_iterations, False)
         for piece in pieces[::-1]:
             piece.phase, piece.bland, piece.degenerate = second, False, 0
             piece.sense[n:] = 0.0
@@ -735,7 +734,8 @@ def verify_kkt(lp: LinearProgram, sol: LpSolution, tolerance: float = 1e-8) -> K
         )
     # The LP's own arrays broadcast against the one-row stack of the point.
     arrays = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.lower_bounds, lp.upper_bounds)
-    residuals = kkt_residuals(*arrays, np.array([sol.primal]), np.array([sol.duals]), tolerance)
+    x, y = (np.ascontiguousarray(v)[None] for v in (sol.primal, sol.duals))
+    residuals = kkt_residuals(*arrays, x, y, tolerance)
     values = [float(r[0]) for r in residuals]
     names = ("primal feasibility", "dual feasibility", "complementary slackness")
     violations = tuple((name, v) for name, v in zip(names, values) if not v <= tolerance)

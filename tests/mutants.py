@@ -95,10 +95,10 @@ MUTANTS = (
     Mutant(
         "dispatch-cost-overflow-warns",
         "src/gridshift/dispatch.py",
-        '    with np.errstate(over="ignore"):  # a cost past the float range is inf\n'
-        "        costs = (flows[:, None, :] @ lp.objective)[:, 0]\n",
-        "    costs = (flows[:, None, :] @ lp.objective)[:, 0]\n",
-        (_CEILING + "[l2]",),
+        '        with np.errstate(over="ignore"):  # a cost past the float range is inf\n'
+        "            return (self.flows[:, None, :] @ self.lp.objective)[:, 0]\n",
+        "        return (self.flows[:, None, :] @ self.lp.objective)[:, 0]\n",
+        ("tests/test_dispatch.py::TestCostEvaluations::test_cost_past_the_float_range_is_inf",),
     ),
     Mutant(
         "alignment-overflow-warns",
@@ -118,8 +118,8 @@ MUTANTS = (
     Mutant(
         "infeasible-rows-go-on",
         "src/gridshift/lp_core.py",
-        "        if True in flags:\n",
-        "        if False:\n",
+        "            if True in flags:\n",
+        "            if False:\n",
         (_SOLVE_MANY + "test_only_rows_that_end_optimal_are_priced",),
     ),
     Mutant(
@@ -151,14 +151,18 @@ MUTANTS = (
         (_PART_WAYS + "[within-cutoff]",),
     ),
     Mutant(
+        # The duals are the multipliers of the run's last pricing round; here
+        # they stay those of the round that ended phase 1, in a run whose
+        # phase 1 ended with an artificial still basic (the others end it
+        # unpriced).
         "phase-2-priced-by-phase-1-cost",
         "src/gridshift/lp_core.py",
-        "_priced(c, A, second[0], BT, run.basis)",
-        "_priced(c, A, first[0], BT, run.basis)",
-        ("tests/test_lp_core.py::TestKktCertificate::test_clean_solution_certifies",
+        "                self.y = y\n",
+        "                self.y = y if self.y is None else self.y\n",
+        ("tests/test_lp_core.py::TestSolveBasics::test_redundant_rows_still_solve",
          _TRACE + "test_one_at_a_time_matches_the_pinned_digest",
          _TRACE + "test_rhs_stacks_match_the_pinned_digest",
-         "tests/test_golden.py::test_cli_outputs_match_golden_hashes[canonical]"),
+         "tests/test_acceptance.py::test_criterion_6_solver_matches_enumeration_and_survives_degeneracy"),
     ),
     # The ratio test of a run of several rows (lp_core._ratio_tests, _Run.pivot).
     Mutant(
@@ -208,7 +212,10 @@ MUTANTS = (
     ),
     # Work the solver does not repeat: the phase-1 refresh held to the end
     # of a phase 2 without a pivot, the first blocker's scan without ties,
-    # the start without a lexsort, and the one-column step.
+    # the start without a lexsort (and, for one row, without a sign test),
+    # the lone step sign on the list, the empty-box test on equalities,
+    # phase 1 ended unpriced once no artificial is basic (and then not
+    # tested for infeasible rows), and the one-column step.
     Mutant(
         "held-refresh-after-phase-2-pivot",
         "src/gridshift/lp_core.py",
@@ -233,9 +240,47 @@ MUTANTS = (
     Mutant(
         "one-lane-start-with-mixed-signs",
         "src/gridshift/lp_core.py",
-        "_lanes(signs) if (signs != signs[0]).any() else",
-        "_lanes(signs) if False else",
+        "((signs := residual < 0.0) != signs[0]).any()",
+        "False",
         (_PART_WAYS + "[open-box]", _SOLVE_MANY + "test_rhs_stack_checks_and_solves_each_row"),
+    ),
+    Mutant(
+        "one-row-start-for-two-rows",
+        "src/gridshift/lp_core.py",
+        "if k > 1 and ((signs",
+        "if k > 2 and ((signs",
+        (_PART_WAYS + "[two-rows-of-two-sign-patterns]", _TRACE + "test_rhs_stacks_match_the_pinned_digest"),
+    ),
+    Mutant(
+        "lone-step-sign-dropped",
+        "src/gridshift/lp_core.py",
+        "sw = [step_sign * v for v in w[0, :, 0].tolist()]",
+        "sw = w[0, :, 0].tolist()",
+        (_TRACE + "test_one_at_a_time_matches_the_pinned_digest",
+         "tests/test_acceptance.py::test_criterion_6_solver_matches_enumeration_and_survives_degeneracy"),
+    ),
+    Mutant(
+        "empty-box-misses-minus-inf-upper",
+        "src/gridshift/lp_core.py",
+        "(lo == np.inf) | (hi == -np.inf)",
+        "(lo == np.inf)",
+        ("tests/test_lp_core.py::TestInputValidation::test_box_without_real_point_rejected",),
+    ),
+    Mutant(
+        "phase-1-ends-with-an-artificial-basic",
+        "src/gridshift/lp_core.py",
+        "if feasibility and max(basis) < n:",
+        "if feasibility and min(basis) < n:",
+        (_TRACE + "test_one_at_a_time_matches_the_pinned_digest",
+         "tests/test_acceptance.py::test_criterion_6_solver_matches_enumeration_and_survives_degeneracy"),
+    ),
+    Mutant(
+        "feasibility-test-skipped-for-the-first-artificial",
+        "src/gridshift/lp_core.py",
+        "if max(run.basis) >= n:  # with no artificial basic",
+        "if max(run.basis) > n:  # with no artificial basic",
+        ("tests/test_lp_core.py::TestSolveBasics::test_infeasible_when_bound_blocks_rhs",
+         _TRACE + "test_one_at_a_time_matches_the_pinned_digest"),
     ),
     Mutant(
         "column-write-with-differing-blocks",

@@ -310,6 +310,14 @@ class TestCostEvaluations:
             assert dc_cost_numeric(s, o) == pytest.approx(dc)
             assert sw_cost_numeric(s, o) == pytest.approx(sw)
 
+    def test_cost_past_the_float_range_is_inf(self):
+        # With l2 = 1e308 the bus-2 generation costs more than a float
+        # holds: the total cost, read off either route, is inf, with no
+        # RuntimeWarning (which this suite turns into an error).
+        s = scenario_gen.canonical_scenario(l2=1e308)
+        for outcome in (solve_ed(s, 0.5), solve_ed_detailed(s, 0.5)[0]):
+            assert outcome.total_cost == np.inf
+
     def test_total_cost_matches_generation(self):
         rng = np.random.default_rng(34)
         for _ in range(25):

@@ -274,6 +274,33 @@ class TestPinnedTrace:
         statuses = {solve(lp).status for lp in trace_lps()}
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
+    def test_lone_solves_take_every_path(self, monkeypatch):
+        # The pinned LPs take each way through a lone solve: an artificial
+        # driven out after phase 1, a phase 2 that pivots and one that
+        # does not (its point is the phase-1 refresh's), an infeasible row
+        # and an unbounded ray.
+        paths = collections.Counter()
+        real_pivot, real_drive_out = lp_core._Run.pivot, lp_core._drive_out
+
+        def pivot(run, *args):
+            before = run.iterations
+            found = real_pivot(run, *args)
+            if run.phase[0][-1] == 0.0 and not run.ray:  # phase 2 prices the objective
+                paths["phase-2 pivot" if run.iterations > before else "phase 2 without a pivot"] += 1
+            return found
+
+        def drive_out(*args):
+            swapped = real_drive_out(*args)
+            paths["drive-out"] += swapped
+            return swapped
+
+        monkeypatch.setattr(lp_core._Run, "pivot", pivot)
+        monkeypatch.setattr(lp_core, "_drive_out", drive_out)
+        paths.update(solve(lp).status for lp in trace_lps())
+        assert set(paths) == {
+            "drive-out", "phase-2 pivot", "phase 2 without a pivot", INFEASIBLE, UNBOUNDED, OPTIMAL,
+        }
+
     def test_one_at_a_time_matches_the_pinned_digest(self, monkeypatch):
         # A lone solve is a run of one row from start to end.
         lps = trace_lps()
@@ -486,6 +513,8 @@ class TestSolveMany:
                 id="redundant-row",
             ),
             pytest.param(_OPEN_BOX, _OPEN_BOX_RHS, id="open-box"),
+            # Two rows whose artificials take different signs start apart.
+            pytest.param(_OPEN_BOX, [[1.0, -1.0], [3.0, 0.0]], id="two-rows-of-two-sign-patterns"),
             # Rows with the same outcome find their rays together.
             pytest.param(_OPEN_BOX, _OPEN_BOX_RHS * 3, id="open-box-array-step"),
             # Nine rows break Bland's ties together.
@@ -584,9 +613,9 @@ class TestSolveMany:
         priced = []
         real = lp_core._priced
 
-        def record(c, A, cost, BT, basis):
+        def record(c, A, y, basis):
             priced.extend(np.reshape(basis, (-1, A.shape[0])).tolist())
-            return real(c, A, cost, BT, basis)
+            return real(c, A, y, basis)
 
         monkeypatch.setattr(lp_core, "_priced", record)
         rng = np.random.default_rng(0)
@@ -666,27 +695,46 @@ class TestWorkCounts:
             monkeypatch.setattr(owner, name, call)
         return counts
 
+    def test_lone_solve(self, monkeypatch):
+        # Each pricing round and each pivot column is one solve, and so is
+        # each refresh; the duals are the last pricing round's multipliers,
+        # and phase 1 ends unpriced once no artificial is basic.  toy_lp
+        # pivots once in phase 1 (2 solves), is refreshed (1) and prices
+        # out at once in phase 2 (1), keeping the refresh.  The second LP
+        # pivots twice in phase 1 (4 solves), is refreshed (1), pivots
+        # twice in phase 2 (5) and is refreshed again (1).
+        twice = LinearProgram([1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [4.0], [0.0] * 3, [3.0, 3.0, INF])
+        for lp, pivots, work in ((toy_lp(), 1, {"refresh": 1, "_lapack_solve": 4}),
+                                 (twice, 4, {"refresh": 2, "_lapack_solve": 11})):
+            counts = self.counted(monkeypatch)
+            sol = solve(lp)
+            assert (sol.status, sol.iterations) == (OPTIMAL, pivots)
+            assert counts == work
+
     def test_verify_stack(self, monkeypatch):
         # The 200 rows share one sign pattern, so they start in one run with
         # no lexsort; it splits twice in phase 1, into runs of 20, 160 and 20
         # rows.  Two of them take no phase-2 pivot and are refreshed once;
-        # the third pivots once in phase 2 and is refreshed again.
+        # the third pivots once in phase 2 and is refreshed again.  Each
+        # run's phase 1 ends unpriced, with no artificial basic, and its
+        # duals are its last pricing round's multipliers.
         s = parse_scenario_file(bundled_scenario_path("canonical"))
         deltas = np.linspace(0.0, s.L, 200)
         rhs = np.array([np.full(200, s.l0), s.l1 + deltas, s.l2 - deltas]).T
         counts = self.counted(monkeypatch)
         assert set(solve_rhs(build_ed(s, 0.0), rhs).status) == {OPTIMAL}
-        assert counts == {"refresh": 4, "_lanes": 2, "_lapack_solve": 39}
+        assert counts == {"refresh": 4, "_lanes": 2, "_lapack_solve": 33}
 
     def test_pieces(self, monkeypatch):
         # The cold solve at shift 0 (5 phase-1 pivots of two solves each,
-        # none in phase 2, so one refresh) makes 14 solves; the walk makes
-        # two per piece (its rate and its prices) and one at the break
-        # between them (the dual-simplex row).
+        # after which no artificial is basic, one refresh, and one phase-2
+        # round that prices out at once) makes 12 solves; the walk makes two
+        # per piece (its rate and its prices) and one at the break between
+        # them (the dual-simplex row).
         s = parse_scenario_file(bundled_scenario_path("canonical"))
         counts = self.counted(monkeypatch)
         assert len(pieces(s)) == 2
-        assert counts == {"refresh": 1, "_lapack_solve": 19}
+        assert counts == {"refresh": 1, "_lapack_solve": 17}
 
 
 class TestKktMany:
