@@ -5,9 +5,10 @@ flexible block moves from bus 2 to bus 1: below the shift threshold the
 bus-1 price is zero (surplus renewable is marginal), above it the bus-1
 generator sets the price.  That makes both settlement objectives linear on
 each side of the threshold, so they can be written down directly and
-optimized by comparing two candidate points — no LP required.  The numeric
-dispatch path in :mod:`gridshift.dispatch` recomputes the same quantities
-independently; the two must agree, and the test suite holds them to that.
+optimized by comparing two candidate points — no LP required.  Each
+objective is a two-piece :class:`Piecewise`, the shape that
+:func:`gridshift.dispatch.settlements` builds independently from the LP's
+own pieces; the two must agree, and the test suite holds them to that.
 
 :func:`classify_alignment` and :func:`classify_alignment_grid` read one
 derivation of every alignment field, once per distinct threshold of a grid,
@@ -52,48 +53,39 @@ class DegenerateWeightsError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class PiecewiseObjective:
-    """A two-segment linear function of the shift with its breakpoint.
+class Piecewise:
+    """A piecewise-linear function of the shift on ``[0, domain]``.
 
-    The left segment applies for ``delta <= breakpoint`` (the breakpoint
-    itself settles at zero bus-1 price), the right segment beyond it.  The
-    function may jump upward at the breakpoint: the bus-1 price snaps from
-    zero to the generator offer, instantly repricing whatever that segment's
-    settlement covers at bus 1.  On a capacity grid the breakpoint is an
-    array holding one threshold per cell.
+    Piece ``i`` is ``intercepts[i] + slopes[i] * delta`` on
+    ``(breaks[i-1], breaks[i]]``, the first from 0 and the last to
+    ``domain``, so the value at a break is the left piece's.  The function
+    may jump at a break: there a bus price snaps to another generator's
+    offer, repricing whatever the settlement covers at that bus.  On a
+    capacity grid a break is an array holding one threshold per cell.
     """
 
-    breakpoint: float
-    left_intercept: float
-    left_slope: float
-    right_intercept: float
-    right_slope: float
+    breaks: tuple
+    intercepts: tuple
+    slopes: tuple
     domain: float  # evaluation allowed on [0, domain]
 
     def evaluate(self, delta: float) -> float:
         if not -DECISION_TOL <= delta <= self.domain + DECISION_TOL:
-            raise ValueError(
-                f"delta={delta!r} outside the shiftable block [0, {self.domain}]"
-            )
+            raise ValueError(f"delta={delta!r} outside the shiftable block [0, {self.domain}]")
         return self.at(delta)
 
-    def sides(self, delta):
-        """Both segments' values at ``delta``, on either side: (left, right)."""
-        return (
-            self.left_intercept + self.left_slope * delta,
-            self.right_intercept + self.right_slope * delta,
-        )
+    def sides(self, delta) -> tuple:
+        """Every piece's line at ``delta``, in order: for two pieces, the
+        values on either side of the break, (left, right)."""
+        return tuple(a + b * delta for a, b in zip(self.intercepts, self.slopes))
 
     def at(self, delta):
         """:meth:`evaluate` without the domain check, elementwise over an
-        array breakpoint or shift."""
-        return choose(delta <= self.breakpoint, *self.sides(delta))
-
-    def discontinuity(self) -> float:
-        """Jump at the breakpoint: right-limit value minus the (left-branch)
-        value attained there."""
-        left, right = self.sides(self.breakpoint)
-        return right - left
+        array break or shift."""
+        *lines, value = self.sides(delta)
+        for brk, line in zip(reversed(self.breaks), reversed(lines)):
+            value = choose(delta <= brk, line, value)
+        return value
 
 
 class Shift(NamedTuple):
@@ -117,18 +109,11 @@ def _covered_loads(s: ThreeBusScenario, agent: str) -> tuple[float, float]:
     return (0.0, s.L) if agent == "dc" else (s.l1, s.l2)
 
 
-def _objective(s: ThreeBusScenario, agent: str, threshold: float) -> PiecewiseObjective:
-    eta1 = eta(s, 1, agent)
-    eta2 = eta(s, 2, agent)
+def _objective(s: ThreeBusScenario, agent: str, threshold: float) -> Piecewise:
+    eta1, eta2 = eta(s, 1, agent), eta(s, 2, agent)
     base1, load2 = _covered_loads(s, agent)
-    return PiecewiseObjective(
-        breakpoint=threshold,
-        left_intercept=eta2 * load2,
-        left_slope=-eta2,
-        right_intercept=eta1 * base1 + eta2 * load2,
-        right_slope=eta1 - eta2,
-        domain=s.L,
-    )
+    left = eta2 * load2
+    return Piecewise((threshold,), (left, eta1 * base1 + left), (-eta2, eta1 - eta2), s.L)
 
 
 def cutoff(s: ThreeBusScenario, agent: str) -> float:
@@ -148,17 +133,17 @@ def cutoff(s: ThreeBusScenario, agent: str) -> float:
     return s.L - (eta(s, 1, agent) / eta2) * (s.L + base1)
 
 
-def _optimum(s: ThreeBusScenario, agent: str, objective: PiecewiseObjective) -> Shift:
+def _optimum(s: ThreeBusScenario, agent: str, objective: Piecewise) -> Shift:
     # Only two candidates exist because the objective is linear on both sides
     # and strictly decreasing on the left.  Stop-at-threshold wins at the
     # cutoff itself (ties resolve to the threshold, the physically
     # distinguished point).
-    t = objective.breakpoint
+    (t,) = objective.breaks
     delta = choose(t - cutoff(s, agent) >= -DECISION_TOL, t, s.L)
     return Shift(delta, objective.at(delta))
 
 
-def objective_dc(s: ThreeBusScenario) -> PiecewiseObjective:
+def objective_dc(s: ThreeBusScenario) -> Piecewise:
     """Data-center bill as a function of the shift.
 
     Below the threshold the shifted megawatts are free (zero bus-1 price) and
@@ -168,13 +153,13 @@ def objective_dc(s: ThreeBusScenario) -> PiecewiseObjective:
     return _objective(s, "dc", _validated_threshold(s))
 
 
-def objective_sw(s: ThreeBusScenario) -> PiecewiseObjective:
+def objective_sw(s: ThreeBusScenario) -> Piecewise:
     """System-wide settlement cost as a function of the shift: same regime
     structure as the bill, but covering the full bus-1 and bus-2 loads."""
     return _objective(s, "sw", _validated_threshold(s))
 
 
-def objectives(s: ThreeBusScenario) -> tuple[PiecewiseObjective, PiecewiseObjective]:
+def objectives(s: ThreeBusScenario) -> tuple[Piecewise, Piecewise]:
     """:func:`objective_dc` and :func:`objective_sw`, validating ``s`` once."""
     t = _validated_threshold(s)
     return _objective(s, "dc", t), _objective(s, "sw", t)
@@ -290,6 +275,11 @@ def classify_alignment(s: ThreeBusScenario) -> AlignmentReport:
     and never below 1 when the system optimum costs more than 0, since it
     minimizes over the same two candidates.  At a cost of 0 the ratio is
     +-inf (NaN if both costs are 0), and below 0 it may be negative.
+
+    Each optimum compares the left-limit value at the threshold with the
+    value at ``L``.  That is not the infimum when ``l1 + tau < 0``: the
+    system cost then jumps down past the threshold, and its right limit
+    there may be lower than either candidate.
     """
     return _alignment(s, _validated_threshold(s))
 

@@ -10,8 +10,8 @@ cold route (the verification gate, and :func:`solve_ed_detailed`) solves
 each shift's own LP from scratch: one dispatch LP at a stack of balance
 right-hand sides, in one :func:`~gridshift.lp_core.solve_rhs` call, as the
 check from outside.
-Also provides the data-center bill and the system-wide cost, which
-cross-check the closed-form objectives numerically.
+Also provides the data-center bill and the system-wide cost, per shift and
+along the pieces (:func:`settlements`), which cross-check the closed forms.
 
 Both routes carry a grid of shifts as columns (:class:`DispatchColumns`)
 from the solve to the settlement costs, which work elementwise on them; no
@@ -25,11 +25,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Iterable, Sequence
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lp_core
+from .closed_form import Piecewise
 from .grid_model import ThreeBusScenario
 
 #: Variable order of the dispatch LP.
@@ -375,3 +377,17 @@ def _blend(a: float, price_part, emission_part):
     price = a * price_part if a != 0.0 else 0.0
     emission = (1.0 - a) * emission_part if a != 1.0 else 0.0
     return price + emission
+
+
+def settlements(s: ThreeBusScenario) -> tuple[Piecewise, Piecewise]:
+    """The bill and the system cost along :func:`pieces`: on a piece each is
+    linear in the shift, so :func:`dc_cost_numeric` and :func:`sw_cost_numeric`
+    at its prices give the intercept (shift 0) and the slope (rise to shift 1)."""
+    walk = pieces(s)
+    lmp, lme = (np.array([getattr(p, k) for p in walk]).T[..., None] for k in ("lmp", "lme"))
+    at_0_and_1 = SimpleNamespace(delta=np.array([0.0, 1.0]), lmp=lmp, lme=lme)  # piece by shift
+    *breaks, end = (float(p.end) for p in walk)
+    return tuple(
+        Piecewise(tuple(breaks), tuple(v[:, 0].tolist()), tuple((v[:, 1] - v[:, 0]).tolist()), end)
+        for v in (cost(s, at_0_and_1) for cost in (dc_cost_numeric, sw_cost_numeric))
+    )

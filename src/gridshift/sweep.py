@@ -9,10 +9,10 @@ A sweep, and the verification gate, carry the shift grid as columns from
 the LP solve to the CSV or the report: the dispatch comes as
 :class:`~gridshift.dispatch.DispatchColumns` (for a sweep off the pieces,
 for the gate from one stack of cold solves), the closed forms are
-evaluated on the whole grid with
-:meth:`~gridshift.closed_form.PiecewiseObjective.at` (by the gate on either
-side near the threshold, see :data:`THRESHOLD_BAND`), the settlement costs
-elementwise, and :func:`sweep_csv_lines` writes those arrays through
+evaluated on the whole grid with :meth:`~gridshift.closed_form.Piecewise.at`
+(by the gate on either side near the threshold, with its ``sides``; see
+:data:`THRESHOLD_BAND`), the settlement costs elementwise, and
+:func:`sweep_csv_lines` writes those arrays through
 :func:`~gridshift.grid_model.csv_lines`; :func:`sweep_points` wraps the same
 columns in :class:`SweepPoint` objects.  :func:`verify_scenario` reduces its
 columns to worst cases with numpy reductions, through which a NaN passes
@@ -370,13 +370,7 @@ def verify_scenario(s: ThreeBusScenario, resolution: int = 200) -> VerificationR
     )
 
     return VerificationReport(
-        threshold=t.value,
-        binding=t.binding,
-        points_total=int(deltas.size),
-        max_dc_deviation=max_dc,
-        max_sw_deviation=max_sw,
-        max_kkt_residual=max_kkt,
-        worst_dc_delta=at_dc,
-        worst_sw_delta=at_sw,
-        worst_kkt_delta=at_kkt,
+        threshold=t.value, binding=t.binding, points_total=int(deltas.size),
+        max_dc_deviation=max_dc, max_sw_deviation=max_sw, max_kkt_residual=max_kkt,
+        worst_dc_delta=at_dc, worst_sw_delta=at_sw, worst_kkt_delta=at_kkt,
     )

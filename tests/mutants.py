@@ -16,7 +16,8 @@ to a temporary directory (all three: ``pythonpath = ["src"]`` would
 otherwise import the checkout's own package), applies the mutant there,
 runs pytest, lists the failed tests on stderr, and prints the number of
 failed tests per test module: a mutant is killed when any test fails, and
-``missed killers`` lists the expected killers that passed.
+``missed killers`` lists the expected killers that passed.  The run exits 1
+when a mutant survives, or is killed while an expected killer passes.
 """
 
 from __future__ import annotations
@@ -289,6 +290,23 @@ MUTANTS = (
         "if True:",
         (_PART_WAYS + "[bland]", _TRACE + "test_rhs_stacks_match_the_pinned_digest"),
     ),
+    # The one piecewise-linear shape of both routes (closed_form.Piecewise,
+    # dispatch.settlements).
+    Mutant(
+        "break-takes-the-right-piece",
+        "src/gridshift/closed_form.py",
+        "value = choose(delta <= brk, line, value)",
+        "value = choose(delta < brk, line, value)",
+        ("tests/test_closed_form.py::TestObjectiveShapes::test_breakpoint_evaluates_on_left_branch",),
+    ),
+    Mutant(
+        "lp-system-cost-on-the-bill-loads",
+        "src/gridshift/dispatch.py",
+        "for cost in (dc_cost_numeric, sw_cost_numeric)",
+        "for cost in (dc_cost_numeric, dc_cost_numeric)",
+        ("tests/test_properties.py::test_pieces_match_closed_forms_on_the_grid_mix",
+         "tests/test_properties.py::test_pieces_match_closed_forms_on_the_edges"),
+    ),
     # The capacity grid's scatter of each key's fields (closed_form._keyed_alignment).
     Mutant(
         "grid-binding-case-left-invalid",
@@ -351,7 +369,7 @@ def main(names: list[str]) -> int:
     for name, outcome, by_module, missed in rows:
         cells = [str(by_module.get(c, ".")) for c in columns]
         print(f"| {name} | {outcome} | " + " | ".join(cells) + f" | {', '.join(missed) or '-'} |")
-    return 1 if any(outcome == "SURVIVED" for _, outcome, _, _ in rows) else 0
+    return 1 if any(outcome == "SURVIVED" or missed for _, outcome, _, missed in rows) else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scenario_gen
-from gridshift import closed_form
+from gridshift import closed_form, dispatch
 from gridshift.closed_form import (
     DegenerateWeightsError,
     ScenarioInvalidError,
@@ -21,25 +21,34 @@ from gridshift.grid_model import eta, tau, validate
 from gridshift.sweep import verify_scenario
 
 
+def _jump(objective):
+    """Right-limit value minus the (left-piece) value attained at the break."""
+    left, right = objective.sides(*objective.breaks)
+    return right - left
+
+
 class TestObjectiveShapes:
     def test_canonical_dc_segments(self):
         obj = objective_dc(scenario_gen.canonical_scenario())
-        assert obj.breakpoint == pytest.approx(0.1)
+        assert obj.breaks == (pytest.approx(0.1),)
         assert obj.domain == pytest.approx(1.0)
-        assert (obj.left_intercept, obj.left_slope) == (pytest.approx(2.0), pytest.approx(-2.0))
-        assert (obj.right_intercept, obj.right_slope) == (pytest.approx(2.0), pytest.approx(-1.0))
-        assert obj.discontinuity() == pytest.approx(0.1)
+        assert obj.intercepts == (pytest.approx(2.0), pytest.approx(2.0))
+        assert obj.slopes == (pytest.approx(-2.0), pytest.approx(-1.0))
+        assert _jump(obj) == pytest.approx(0.1)
 
     def test_canonical_sw_segments(self):
         obj = objective_sw(scenario_gen.canonical_scenario())
-        assert (obj.left_intercept, obj.left_slope) == (pytest.approx(4.0), pytest.approx(-2.0))
-        assert (obj.right_intercept, obj.right_slope) == (pytest.approx(5.0), pytest.approx(-1.0))
-        assert obj.discontinuity() == pytest.approx(1.1)
+        assert obj.intercepts == (pytest.approx(4.0), pytest.approx(5.0))
+        assert obj.slopes == (pytest.approx(-2.0), pytest.approx(-1.0))
+        assert _jump(obj) == pytest.approx(1.1)
 
     def test_breakpoint_evaluates_on_left_branch(self):
         obj = objective_dc(scenario_gen.canonical_scenario())
         assert obj.evaluate(0.1) == pytest.approx(1.8)
         assert obj.evaluate(0.1 + 1e-6) == pytest.approx(2.0 - (0.1 + 1e-6))
+        # Exactly at the break (0.1 plus rounding) the left piece applies.
+        (brk,) = obj.breaks
+        assert obj.evaluate(brk) == obj.sides(brk)[0] == pytest.approx(1.8)
 
     def test_evaluate_rejects_outside_domain(self):
         obj = objective_dc(scenario_gen.canonical_scenario())
@@ -56,11 +65,11 @@ class TestObjectiveShapes:
             s = scenario_gen.random_valid_scenario(rng)
             t = tau(s).value
             eta1 = eta(s, 1, "dc")
-            assert objective_dc(s).discontinuity() == pytest.approx(
+            assert _jump(objective_dc(s)) == pytest.approx(
                 eta1 * t, abs=1e-9
             )
             eta1_sw = eta(s, 1, "sw")
-            assert objective_sw(s).discontinuity() == pytest.approx(
+            assert _jump(objective_sw(s)) == pytest.approx(
                 eta1_sw * (s.l1 + t), abs=1e-9
             )
 
@@ -188,6 +197,29 @@ class TestAlignmentReport:
         monkeypatch.setattr(closed_form, "validate", counting_validate)
         classify_alignment(scenario_gen.canonical_scenario())
         assert len(calls) == 1
+
+    def test_negative_base_load_system_optimum_is_not_the_infimum(self):
+        # A valid scenario with l1 + tau < 0: the system cost jumps down at
+        # the threshold by eta1 (l1 + tau), so its right piece there lies
+        # below both candidates the optimum compares (the left-limit value
+        # at tau and the value at L).  Pinned as it stands, not as it should
+        # be: the optimum it reports is not the infimum of the system cost.
+        s = scenario_gen.zero_cost_scenario(e1=3.0, e2=0.5, alpha_dc=0.0, alpha_sw=0.0)
+        assert validate(s).valid
+        assert verify_scenario(s).passed
+        t = tau(s).value
+        assert t == 0.875 and s.l1 + t < 0.0
+        rep = classify_alignment(s)
+        assert (rep.delta_star_sw, rep.sw_at_sw_choice) == (1.0, pytest.approx(-6.875))
+        sw = objective_sw(s)
+        left, right = sw.sides(t)
+        assert right - left == pytest.approx(eta(s, 1, "sw") * (s.l1 + t))
+        assert right - left == pytest.approx(-7.875)
+        assert sw.at(t) == left
+        assert right == pytest.approx(-7.1875)
+        assert right < rep.sw_at_sw_choice
+        out, _ = dispatch.solve_ed_detailed(s, t)
+        assert dispatch.sw_cost_numeric(s, out) == pytest.approx(-7.1875)
 
 
 def _predicted_case(s):

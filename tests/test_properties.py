@@ -8,6 +8,7 @@ block size, ties between the two threshold terms and unequal agent weights.
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from gridshift.closed_form import (
     optimal_shift_dc,
     optimal_shift_sw,
 )
-from gridshift.dispatch import pieces
+from gridshift.dispatch import dc_cost_numeric, settlements, solve_ed_columns, sw_cost_numeric
 from gridshift.grid_model import (
     SCENARIO_KEYS,
     ThreeBusScenario,
@@ -28,7 +29,7 @@ from gridshift.grid_model import (
     tau,
     validate,
 )
-from gridshift.sweep import verify_scenario
+from gridshift.sweep import CROSS_PATH_TOL, THRESHOLD_BAND, delta_grid, verify_scenario
 
 PROPERTY_SETTINGS = dict(derandomize=True, deadline=None)
 
@@ -100,47 +101,42 @@ def test_valid_scenarios_verify(s):
 
 
 def _assert_pieces_match_closed_forms(s: ThreeBusScenario) -> None:
-    """The paper's formulas against the LP's own pieces, with no grid.
+    """The paper's formulas against the LP's own pieces.
 
     The LP breaks where the threshold says, and nowhere else.  On each piece
-    both settlements are linear in the shift; their slopes and intercepts,
-    from the piece's prices and emission rates, are the closed forms' left
-    and right coefficients, and the jump across the break is the closed
-    forms' repricing externality.  The LP's bilevel optimum, the lesser of
-    the left piece at the break and the last piece at ``L``, is the closed
-    forms' optimum in value, and in shift wherever the two candidates differ
-    by more than 1e-9 (closer ones are a tie that rounding decides).
+    the bill and the system cost that :func:`settlements` builds from the
+    piece's prices have the closed forms' intercept and slope, so the jump
+    across the break is the closed forms' repricing externality; and off
+    the threshold band the LP's function gives each grid shift's own
+    settlement.  The LP's bilevel optimum, the lesser of the left piece at
+    the break and the last piece at ``L``, is the closed forms' optimum in
+    value, and in shift wherever the two candidates differ by more than
+    1e-9 (closer ones are a tie that rounding decides).
     """
-    walk = pieces(s)
     t = tau(s).value
-    if len(walk) == 1:
-        assert abs(t - s.L) <= 1e-9
-    else:
-        assert len(walk) == 2
-        assert abs(walk[0].end - t) <= 1e-9
-    brk = walk[0].end
-    covered = {"dc": (0.0, s.L), "sw": (s.l1, s.l2)}  # bus-1 base and bus-2 load
-    for (agent, alpha), objective, optimal_shift in zip(
-        (("dc", s.alpha_dc), ("sw", s.alpha_sw)), objectives(s), (optimal_shift_dc, optimal_shift_sw)
+    out = solve_ed_columns(s, delta_grid(s.L, 41))
+    far = np.abs(out.delta - t) > THRESHOLD_BAND
+    for lp, closed, numeric, optimal_shift in zip(
+        settlements(s),
+        objectives(s),
+        (dc_cost_numeric, sw_cost_numeric),
+        (optimal_shift_dc, optimal_shift_sw),
     ):
-        base1, load2 = covered[agent]
-
-        def line(piece):  # (intercept, slope) of the settlement on a piece
-            eta1, eta2 = (alpha * piece.lmp[k] + (1.0 - alpha) * piece.lme[k] for k in (1, 2))
-            return eta1 * base1 + eta2 * load2, eta1 - eta2
-
-        closed = [
-            (objective.left_intercept, objective.left_slope),
-            (objective.right_intercept, objective.right_slope),
-        ]
-        for piece, expected in zip(walk, closed):
-            assert abs(line(piece)[0] - expected[0]) <= 1e-9
-            assert abs(line(piece)[1] - expected[1]) <= 1e-9
-        value = [a + b * brk for a, b in map(line, walk)]
-        if len(walk) == 2:
-            assert abs(value[1] - value[0] - objective.discontinuity()) <= 1e-9
-        intercept, slope = line(walk[-1])
-        at_break, at_end = value[0], intercept + slope * s.L
+        n = len(lp.intercepts)
+        assert n == len(lp.slopes) == len(lp.breaks) + 1
+        if n == 1:
+            assert abs(t - s.L) <= 1e-9
+        else:
+            assert n == 2
+            assert abs(lp.breaks[0] - closed.breaks[0]) <= 1e-9
+        for got, expected in ((lp.intercepts, closed.intercepts), (lp.slopes, closed.slopes)):
+            assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-9
+        assert np.max(np.abs(lp.at(out.delta) - numeric(s, out))[far], initial=0.0) <= CROSS_PATH_TOL
+        brk = lp.breaks[0] if lp.breaks else s.L
+        if n == 2:
+            (left, right), (closed_left, closed_right) = lp.sides(brk), closed.sides(brk)
+            assert abs(right - left - (closed_right - closed_left)) <= 1e-9
+        at_break, at_end = lp.at(brk), lp.at(s.L)
         try:
             best = optimal_shift(s)
         except DegenerateWeightsError:  # every shift costs the same

@@ -644,12 +644,12 @@ class TestVerification:
 
     def test_misplaced_threshold_fails(self, monkeypatch):
         # Off the band a point is compared with the segment on its side of
-        # the closed forms' breakpoint, so a breakpoint moved off the LP's
+        # the closed forms' break, so a break moved off the LP's
         # break fails, although each segment matches the LP on its side.
         real = sweep.objectives
 
         def moved(s):
-            return tuple(dataclasses.replace(f, breakpoint=f.breakpoint + 0.05) for f in real(s))
+            return tuple(dataclasses.replace(f, breaks=(f.breaks[0] + 0.05,)) for f in real(s))
 
         monkeypatch.setattr(sweep, "objectives", moved)
         report = verify_scenario(scenario_gen.canonical_scenario())
