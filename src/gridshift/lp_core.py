@@ -24,11 +24,15 @@ rows' final status on its own: phase 1 ends, unpriced, once no artificial
 is basic; then its infeasible rows stop, and the rest go on to phase 2, at
 whose end the run writes its rows, with the multipliers of its last
 pricing round as their duals and its point refreshed again only if phase 2
-pivoted.  A lone right-hand side is a run of one row, started without a
-sign-pattern test, with its ratio test, step and basic values in Python
-scalars; every run steps by bound lists made once per solve.  A run of any
-size makes the same products and solves on arrays of the same shapes, so a
-stack changes no solution's bits.
+pivoted.  A row whose basic values then lie outside their bounds by more
+than the infeasibility cutoff of its right-hand side raises
+:class:`SolverFailure`: the ratio tests could not keep its point feasible
+(a bound far beyond the right-hand side's scale rounds away the step that
+would), and such a point is not optimal.  A lone right-hand side is a run
+of one row, started without a sign-pattern test, with its ratio test, step
+and basic values in Python scalars; every run steps by bound lists made
+once per solve.  A run of any size makes the same products and solves on
+arrays of the same shapes, so a stack changes no solution's bits.
 :func:`kkt_residuals` certifies a stack the same way, and :func:`verify_kkt`
 is its one-LP face.
 """
@@ -51,7 +55,8 @@ UNBOUNDED = "unbounded"
 TOLERANCE = 1e-9
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 BLAND_TRIGGER = 20
-# Phase-1 residual above this (scaled by max |rhs|) means infeasible.
+# Phase-1 residual, or an optimal basic value outside its bounds, above this
+# (scaled by 1 + max |rhs|) means infeasible, or a breakdown.
 _INFEASIBILITY_CUTOFF = 1e-7
 # Entries of a direction vector smaller than this cannot block or pivot.
 _PIVOT_FLOOR = 1e-11
@@ -71,7 +76,8 @@ class LpInputError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The solver gave up: iteration budget exhausted or numerical breakdown."""
+    """The solver gave up: iteration budget exhausted or numerical breakdown
+    (a singular basis, or an optimal point outside its bounds)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,7 +224,7 @@ def _start(
     up the residual, starts basic."""
     m, n = A.shape
     lo, hi, zero, inf = lo_n.tolist(), hi_n.tolist(), [0.0] * m, [math.inf] * m
-    span = (hi_n - lo_n).tolist()  # in numpy: a span past the float range warns
+    span = [hv - lv for lv, hv in zip(lo, hi)]  # past the float range: inf, with no warning
     free = [lv == -math.inf and hv == math.inf for lv, hv in zip(lo, hi)]
     x = np.array([lv if lv > -math.inf else hv if hv < math.inf else 0.0 for lv, hv in zip(lo, hi)] + zero)
     sense = [
@@ -528,6 +534,36 @@ class _Run:
         return x
 
 
+def _check_bounds(run: _Run, b: np.ndarray, lo: list, hi: list) -> None:
+    """Raise :class:`SolverFailure` if a row of ``run``, at the end of phase
+    2, holds a basic value outside its bounds ``lo`` and ``hi`` by more than
+    ``_INFEASIBILITY_CUTOFF * (1 + max |rhs|)`` of its right-hand side in
+    ``b``: a point the ratio tests could not keep feasible is not optimal.
+
+    The basic values are read as the run holds them, a list for a lone row;
+    a right-hand side's scale is worked out only for a value outside its
+    bounds by more than the unscaled cutoff, and a NaN breaks no bound."""
+    basis, xb, cut = run.basis, run.xb, _INFEASIBILITY_CUTOFF
+    if len(run.rows) == 1:
+        for j, v in zip(basis, xb):
+            if v < lo[j] - cut or v > hi[j] + cut:
+                break
+        else:
+            return
+        xb = np.array([xb])
+    elif not ((xb < [lo[j] - cut for j in basis]) | (xb > [hi[j] + cut for j in basis])).any():
+        return
+    for i, row in enumerate(run.rows.tolist()):
+        slack = cut * (1.0 + float(np.abs(b[row]).max()))
+        for p, j in enumerate(basis):
+            v = float(xb[i, p])
+            if v < lo[j] - slack or v > hi[j] + slack:
+                raise SolverFailure(
+                    f"LP {row}: basic variable {j} ends at {v!r}, outside "
+                    f"[{lo[j]!r}, {hi[j]!r}]; numerical breakdown"
+                )
+
+
 def _lanes(keys: np.ndarray) -> list[np.ndarray]:
     """The positions of the equal rows of ``keys``, one array for each
     distinct row, in order of their first positions."""
@@ -560,7 +596,10 @@ def solve_rhs(lp: LinearProgram, rhs) -> LpSolutions:
     least one row, of finite numbers, and :class:`SolverFailure` on a
     breakdown: naming the first row of a run that exhausts the iteration
     budget ``max(200, 10 * (variables + rows))`` or whose phase-1 objective
-    diverges, and naming no row when a basis turns singular.
+    diverges; naming the row whose point ends phase 2 with a basic value
+    outside its bounds by more than ``_INFEASIBILITY_CUTOFF * (1 + max
+    |rhs|)`` of its right-hand side, with the variable and its value; and
+    naming no row when a basis turns singular.
     """
     try:
         b = np.array(rhs, dtype=float)
@@ -592,9 +631,10 @@ def _solve(
     Each run goes on its own from the start to its rows' final status.  At
     the end of phase 1 its infeasible rows stop, and the rest drive out the
     artificials left basic and go on to phase 2; at the end of phase 2 the
-    run writes its rows, priced by its last pricing round.  The runs are taken
-    depth-first, each run and each run it splits into in order of their
-    first rows."""
+    run writes its rows, priced by its last pricing round, and checks their
+    basic values against the bounds (:func:`_check_bounds`).  The runs are
+    taken depth-first, each run and each run it splits into in order of
+    their first rows."""
     k, m = b.shape
     n = c.size
     lo, hi, span, free_var, x, sense, residual = _start(A, b, lo_n, hi_n)
@@ -644,6 +684,7 @@ def _solve(
             end(run, rows, OPTIMAL)
             # A phase 2 without a pivot ends where the phase-1 refresh left it.
             xr = run.held[1] if run.held and run.held[0] == run.iterations else run.refresh(b)
+            _check_bounds(run, b, lo, second[2])
             duals[rows], reduced[rows] = _priced(c, A, run.y, run.basis)
             point = xr[:, :n]
             with np.errstate(over="ignore"):  # an objective past the float range is inf

@@ -6,18 +6,21 @@ fail on the mutant.  ``tests/test_mutant_table.py`` checks that every old
 text still occurs exactly once, so a refactor that moves the code has to
 move its mutants too.
 
-Run from the repository root (each mutant costs one run of the suite)::
+Run from the repository root (the whole table takes about a minute)::
 
     python tests/mutants.py                  # every mutant
     python tests/mutants.py NAME [NAME ...]  # the named mutants only
 
 For each mutant the runner copies ``src``, ``tests`` and ``pyproject.toml``
 to a temporary directory (all three: ``pythonpath = ["src"]`` would
-otherwise import the checkout's own package), applies the mutant there,
-runs pytest, lists the failed tests on stderr, and prints the number of
-failed tests per test module: a mutant is killed when any test fails, and
-``missed killers`` lists the expected killers that passed.  The run exits 1
-when a mutant survives, or is killed while an expected killer passes.
+otherwise import the checkout's own package) and applies the mutant there.
+It then runs the mutant's expected killers, all of them, and the whole
+suite only when none of them fails.  It lists the failed tests on stderr
+and prints a table: which tests ran (``killers`` or ``suite``), the wall
+time, and the number of failed tests per test module among those that ran.
+A mutant is killed when any test fails, and ``missed killers`` lists the
+expected killers that passed.  The run exits 1 when a mutant survives, or
+is killed while an expected killer passes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,6 +55,7 @@ _SCAN = "tests/test_lp_core.py::TestRatioTests::test_stacked_scan_equals_the_sca
 _PART_WAYS = _SOLVE_MANY + "test_rhs_stack_whose_rows_part_ways_equals_lone_solves"
 _HEATMAP = "tests/test_sweep.py::TestHeatmapArrayRoute::"
 _WORK = "tests/test_lp_core.py::TestWorkCounts::"
+_FAR = "tests/test_cli.py::TestErrorPaths::test_line_far_from_binding_gives_no_wrong_numbers"
 
 MUTANTS = (
     # The verdict of a verify report.
@@ -290,6 +295,31 @@ MUTANTS = (
         "if True:",
         (_PART_WAYS + "[bland]", _TRACE + "test_rhs_stacks_match_the_pinned_digest"),
     ),
+    # An optimal point keeps its bounds (lp_core._check_bounds), and a span
+    # past the float range is inf with no warning (lp_core._start).
+    Mutant(
+        "bound-check-never-fires",
+        "src/gridshift/lp_core.py",
+        "            _check_bounds(run, b, lo, second[2])\n",
+        "",
+        (_FAR + "[2e14]", _FAR + "[1e17]",
+         _SOLVE_MANY + "test_optimal_point_outside_its_bounds_is_a_solver_failure"),
+    ),
+    Mutant(
+        "bound-slack-unscaled",
+        "src/gridshift/lp_core.py",
+        "slack = cut * (1.0 + float(np.abs(b[row]).max()))",
+        "slack = cut",
+        (_SOLVE_MANY + "test_bound_slack_scales_with_the_rhs[False]",
+         _SOLVE_MANY + "test_bound_slack_scales_with_the_rhs[True]"),
+    ),
+    Mutant(
+        "start-span-in-numpy-warns",
+        "src/gridshift/lp_core.py",
+        "span = [hv - lv for lv, hv in zip(lo, hi)]",
+        "span = (hi_n - lo_n).tolist()",
+        (_FAR + "[1e308]",),
+    ),
     # The one piecewise-linear shape of both routes (closed_form.Piecewise,
     # dispatch.settlements).
     Mutant(
@@ -328,25 +358,34 @@ def apply(mutant: Mutant, root: pathlib.Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run(mutant: Mutant) -> list[str]:
-    """The ids of the tests that fail with ``mutant`` applied to a copy."""
+def failures(copy: pathlib.Path, args: list[str]) -> list[str]:
+    """The ids of the tests that fail in a pytest run of ``args`` in ``copy``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *args],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    if done.returncode not in (0, 1):
+        failed.append(f"<pytest exit {done.returncode}>")
+    return failed
+
+
+def run(mutant: Mutant) -> tuple[str, list[str]]:
+    """Which tests ran with ``mutant`` applied to a copy (``killers`` or
+    ``suite``), and the ids of those that failed: its expected killers run
+    first, all of them, and the whole suite only when none of them fails."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         apply(mutant, copy)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        done = subprocess.run(
-            # The table's own check fails on every mutant, so it is left out.
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             "--ignore=tests/test_mutant_table.py"],
-            cwd=copy, env=env, capture_output=True, text=True,
-        )
-    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-    if done.returncode not in (0, 1):
-        failed.append(f"<pytest exit {done.returncode}>")
-    return failed
+        failed = failures(copy, list(mutant.killers))
+        if failed:
+            return "killers", failed
+        # The table's own check fails on every mutant, so it is left out.
+        return "suite", failures(copy, ["--ignore=tests/test_mutant_table.py"])
 
 
 def main(names: list[str]) -> int:
@@ -357,19 +396,21 @@ def main(names: list[str]) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     rows, modules = [], set()
     for mutant in chosen:
-        failed = run(mutant)
+        began = time.perf_counter()
+        ran, failed = run(mutant)
+        seconds = time.perf_counter() - began
         by_module = collections.Counter(test.split("::")[0].rsplit("/", 1)[-1] for test in failed)
         modules.update(by_module)
         missed = [k for k in mutant.killers if k not in failed]
-        rows.append((mutant.name, "killed" if failed else "SURVIVED", by_module, missed))
-        print(f"{mutant.name}: {len(failed)} failed", *failed, sep="\n    ", file=sys.stderr)
+        rows.append((mutant.name, "killed" if failed else "SURVIVED", ran, seconds, by_module, missed))
+        print(f"{mutant.name}: {len(failed)} failed ({ran})", *failed, sep="\n    ", file=sys.stderr)
     columns = sorted(modules)
-    print("| mutant | outcome | " + " | ".join(columns) + " | missed killers |")
-    print("|---|---|" + "---|" * len(columns) + "---|")
-    for name, outcome, by_module, missed in rows:
+    print("| mutant | outcome | ran | s | " + " | ".join(columns) + " | missed killers |")
+    print("|---|---|---|---|" + "---|" * len(columns) + "---|")
+    for name, outcome, ran, seconds, by_module, missed in rows:
         cells = [str(by_module.get(c, ".")) for c in columns]
-        print(f"| {name} | {outcome} | " + " | ".join(cells) + f" | {', '.join(missed) or '-'} |")
-    return 1 if any(outcome == "SURVIVED" or missed for _, outcome, _, missed in rows) else 0
+        print(f"| {name} | {outcome} | {ran} | {seconds:.1f} | " + " | ".join(cells) + f" | {', '.join(missed) or '-'} |")
+    return 1 if any(outcome == "SURVIVED" or missed for _, outcome, *_, missed in rows) else 0
 
 
 if __name__ == "__main__":

@@ -476,3 +476,32 @@ class TestErrorPaths:
         for mode, expected in (("sweep", 0), ("verify", 3), ("heatmap", 0), ("classify", 0)):
             rc = cli.main([mode, "--scenario", str(path), "--out", str(out)])
             assert (rc, capsys.readouterr().err) == (expected, ""), mode
+
+    @pytest.mark.parametrize("F01", ["2e14", "1e15", "1e17", "1e100", "1e308"])
+    def test_line_far_from_binding_gives_no_wrong_numbers(self, F01, tmp_path, capsys):
+        # Canonical with F01 far past the loads: phase 1 starts the flow at
+        # -F01 and moves it by ~F01, whose rounding can leave an "optimal"
+        # point outside its bounds.  That point is a solver breakdown (exit
+        # 3, nothing written), never wrong numbers; verify's stack meets it
+        # from 2e14 on, sweep's lone solve from 1e17 on.  The closed forms
+        # (classify, heatmap) stay right.
+        path = tmp_path / "far.txt"
+        write_scenario_file(scenario_gen.canonical_scenario(F01=float(F01)), path)
+        lone_breaks = float(F01) >= 1e17
+        for mode in ("sweep", "verify", "classify", "heatmap"):
+            out = tmp_path / f"{mode}.csv"
+            rc = cli.main([mode, "--scenario", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            if mode == "verify" or (mode == "sweep" and lone_breaks):
+                assert rc == 3, mode
+                assert re.fullmatch(r"error: solver breakdown: LP \d+: .*; numerical breakdown\n", err), err
+                assert not out.exists(), mode
+            else:
+                assert (rc, err) == (0, ""), mode
+        if not lone_breaks:
+            # Sweep's numbers match the closed forms.
+            header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+            columns = header.split(",")
+            for name in ("dc_abs_diff", "sw_abs_diff"):
+                k = columns.index(name)
+                assert max(float(row.split(",")[k]) for row in rows) <= 8.9e-16, name

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -481,6 +482,41 @@ class TestSolveMany:
         # A lone cube runs out too.
         with pytest.raises(SolverFailure, match=r"LP 0: iteration budget 240 exhausted"):
             solve_rhs(cube, [b])
+
+    def test_optimal_point_outside_its_bounds_is_a_solver_failure(self):
+        # Canonical's dispatch LP with F01 far past the loads: phase 1 moves
+        # the flow from -F01 by ~F01, and the rounding of that step leaves a
+        # generator's basic value below zero.  Alone at 1e17 the point is
+        # refreshed after phase 2; in verify's stack at 2e14 the failing
+        # row's run takes no phase-2 pivot and keeps its phase-1 point.
+        s = parse_scenario_file(bundled_scenario_path("canonical"))
+        with pytest.raises(SolverFailure, match=r"^LP 0: basic variable 1 ends at -0\.6\d*, outside \[0\.0, inf\]"):
+            solve(build_ed(dataclasses.replace(s, F01=1e17), 0.0))
+        lp = build_ed(dataclasses.replace(s, F01=2e14), 0.0)
+        assert solve(lp).status == OPTIMAL
+        deltas = np.linspace(0.0, s.L, 200)
+        rhs = np.array([np.full(200, s.l0), s.l1 + deltas, s.l2 - deltas]).T
+        with pytest.raises(SolverFailure, match=r"^LP 120: basic variable 0 ends at -0\.003"):
+            solve_rhs(lp, rhs)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bound_slack_scales_with_the_rhs(self, stacked):
+        # A basic value may leave its bounds by 1e-7 * (1 + max |rhs|) of its
+        # own right-hand side, here row 1's (max 2, so 3e-7 in all), and a
+        # NaN leaves none.
+        b = np.array([[0.0, 0.0], [2.0, -1.0], [0.0, 0.0]])
+        lo, hi = [0.0, -1.0, 0.0], [INF, 1.0, 0.0]
+
+        def check(xb):
+            rows, xb = (np.array([1, 2]), np.array([xb, [0.0, 0.0]])) if stacked else (np.array([1]), xb)
+            lp_core._check_bounds(types.SimpleNamespace(basis=[0, 2], rows=rows, xb=xb), b, lo, hi)
+
+        check([-2.9e-7, 2.9e-7])
+        check([np.nan, 0.0])
+        with pytest.raises(SolverFailure, match=r"^LP 1: basic variable 0 ends at -3\.1e-07, outside \[0\.0, inf\]"):
+            check([-3.1e-7, 0.0])
+        with pytest.raises(SolverFailure, match=r"^LP 1: basic variable 2 ends at 3\.1e-07, outside \[0\.0, 0\.0\]"):
+            check([0.0, 3.1e-7])
 
     def test_singular_basis_is_a_solver_failure(self, monkeypatch):
         real = lp_core._lapack_solve

@@ -25,3 +25,11 @@ def test_every_killer_names_a_test():
             for name in classes:
                 assert re.search(rf"^\s*class {name}\b", text, re.M), killer
             assert re.search(rf"^\s*def {test}\(", text, re.M), killer
+
+
+def test_ci_runs_the_whole_table():
+    # A list of mutant names in the workflow would guard only part of the
+    # table, and a mutant added later would go unguarded.
+    workflow = (mutants.ROOT / ".github/workflows/tests.yml").read_text()
+    calls = [line.strip() for line in workflow.splitlines() if "tests/mutants.py" in line]
+    assert calls == ["run: python tests/mutants.py"]
