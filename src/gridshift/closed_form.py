@@ -34,7 +34,11 @@ from .grid_model import (
 )
 
 #: Two candidate optima closer than this are considered the same choice, and
-#: an exact tie between them resolves to the threshold.
+#: an exact tie between them resolves to the threshold.  Mixed units: MW for
+#: shifts (a shift's distance past the block, to the threshold or to the
+#: other optimum, and the threshold's distance below the cutoff), but a
+#: blended rate (alpha in $/MWh plus 1 - alpha in tCO2/MWh) for the bus-2
+#: rate eta2 that :func:`cutoff` requires to be above zero.
 DECISION_TOL = 1e-9
 
 

@@ -22,6 +22,7 @@ route, as one :class:`DispatchOutcome`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 from collections.abc import Iterable, Sequence
@@ -53,7 +54,8 @@ _BALANCE.setflags(write=False)
 _SHIFT_DIRECTION = np.array([0.0, 1.0, -1.0])
 _SHIFT_DIRECTION.setflags(write=False)
 
-# A basic variable this close to one of its bounds marks the vertex (and
+# A basic variable this close to one of its bounds, in MW (every dispatch
+# variable is a generation, a curtailment or a flow), marks the vertex (and
 # possibly the duals) as degenerate.
 _DEGENERACY_TOL = 1e-7
 
@@ -223,6 +225,18 @@ def _checked(s: ThreeBusScenario, deltas: Sequence[float], statuses: Sequence[st
                 raise lp_core.SolverFailure(f"unexpected dispatch status {status!r}")
 
 
+@contextlib.contextmanager
+def _naming_shifts(deltas: Sequence[float]):
+    """Re-raise a solver failure that names a right-hand side of a stack
+    whose rows are the shifts ``deltas`` as one that names its shift."""
+    try:
+        yield
+    except lp_core.SolverFailure as exc:
+        if exc.row is None:
+            raise
+        raise lp_core.SolverFailure(f"shift {float(deltas[exc.row]):g}: {exc.args[0]}") from exc
+
+
 def _in_block(s: ThreeBusScenario, deltas: Iterable[float]) -> np.ndarray:
     """``deltas`` as an array, checked to lie in the block ``[0, L]``."""
     deltas = np.fromiter(deltas, dtype=float)
@@ -243,7 +257,8 @@ def _solve_ed_cold(
     deltas = _in_block(s, deltas)
     lp = build_ed(s, 0.0)
     rhs = np.array([np.full(deltas.shape, s.l0), s.l1 + deltas, s.l2 - deltas]).T
-    sols = lp_core.solve_rhs(lp, rhs)
+    with _naming_shifts(deltas):
+        sols = lp_core.solve_rhs(lp, rhs)
     _checked(s, deltas, sols.status)
     # The shifts share a handful of bases: price each distinct one once.
     key = sols.basis @ len(VARIABLE_NAMES) ** np.arange(sols.basis.shape[1])
@@ -280,7 +295,8 @@ def pieces(s: ThreeBusScenario) -> list[Piece]:
 
 def _walk(s: ThreeBusScenario, lp: lp_core.LinearProgram) -> list[Piece]:
     lo, hi = lp.lower_bounds, lp.upper_bounds
-    sol = lp_core.solve(lp)
+    with _naming_shifts([0.0]):
+        sol = lp_core.solve(lp)
     _checked(s, [0.0], [sol.status])
     basis, flows, start = np.array(sol.basis), sol.primal, 0.0
     walk = []

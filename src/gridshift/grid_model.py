@@ -19,6 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+#: Slack of the setting conditions (:func:`validate`) and of the tie between
+#: the threshold's two capacity terms.  Mixed units: MW for the load, line
+#: and threshold margins and for the tie, but $/MWh for the price-order
+#: margin ``c2 - c1``.
 TOLERANCE = 1e-9
 
 SCENARIO_KEYS = (

@@ -1,10 +1,11 @@
 """Dense two-phase simplex for small linear programs with variable bounds.
 
 Solves ``min c.x  subject to  A x = b,  lo <= x <= hi`` and reports the
-optimal point together with the equality-constraint duals and reduced costs
-of the terminating basis.  Nonbasic variables are kept explicitly at their
-lower or upper bound (no slack reformulation), so bound flips are ordinary
-pivots and the duals come straight out of the final basis factorization.
+optimal point together with the equality-constraint duals of the
+terminating basis, from which the reduced costs follow.  Nonbasic variables
+are kept explicitly at their lower or upper bound (no slack reformulation),
+so bound flips are ordinary pivots and the duals come straight out of the
+final basis factorization.
 
 The implementation favours determinism and transparency over large-scale
 performance: dense numpy algebra, Dantzig pricing with a switch to Bland's
@@ -51,7 +52,12 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Absolute tolerance for feasibility, pricing, and degeneracy decisions.
+# Absolute tolerance for feasibility, pricing, and degeneracy decisions, in
+# the LP's own units: a variable's value, range or step (lo <= hi, a fixed
+# variable, a degenerate step), a reduced cost (pricing), and a pivot-row
+# entry (drive-out).  Mixed units: dispatch reuses it for its walk's rates
+# and pivot row (MW per MW of shift) and in MW for its left-piece rule
+# ``TOLERANCE * max(1, L)``.
 TOLERANCE = 1e-9
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 BLAND_TRIGGER = 20
@@ -77,7 +83,18 @@ class LpInputError(ValueError):
 
 class SolverFailure(RuntimeError):
     """The solver gave up: iteration budget exhausted or numerical breakdown
-    (a singular basis, or an optimal point outside its bounds)."""
+    (a singular basis, or an optimal point outside its bounds).
+
+    ``row`` is the index, in the stack, of the right-hand side the failure
+    names, which its message then starts with (``LP <row>: ``), or None
+    where it names none, as for a singular basis."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
+
+    def __str__(self) -> str:
+        return self.args[0] if self.row is None else f"LP {self.row}: {self.args[0]}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,16 +172,15 @@ class LpSolution:
     """Result of :func:`solve`: one row of :class:`LpSolutions`.
 
     ``duals`` are the simplex multipliers of the terminating basis, i.e. the
-    sensitivity of the optimal objective to each equality right-hand side.
-    ``reduced_costs`` are ``objective - duals @ eq_matrix`` with basic entries
-    zeroed; ``basis`` is the sorted index set of basic structural variables.
+    sensitivity of the optimal objective to each equality right-hand side;
+    the reduced costs are ``objective - duals @ eq_matrix``.  ``basis`` is
+    the sorted index set of basic structural variables.
     For non-optimal statuses the numeric fields are ``None``.
     """
 
     status: str
     primal: np.ndarray | None
     duals: np.ndarray | None
-    reduced_costs: np.ndarray | None
     basis: tuple[int, ...]
     objective_value: float | None
     iterations: int
@@ -174,18 +190,16 @@ class LpSolutions(NamedTuple):
     """Result of :func:`solve_rhs`: the fields of :class:`LpSolution` as
     columns, one row per LP of the stack.
 
-    ``status`` holds each LP's label; ``primal``, ``duals``,
-    ``reduced_costs`` and ``objective_value`` are NaN in the rows of LPs that
-    are not optimal.  ``basis`` holds every row's sorted basis (the last
-    one, in a row that is not optimal), where an index of ``n`` (the number
-    of variables) or more stands for the zero-valued placeholder of a
-    linearly dependent row.
+    ``status`` holds each LP's label; ``primal``, ``duals`` and
+    ``objective_value`` are NaN in the rows of LPs that are not optimal.
+    ``basis`` holds every row's sorted basis (the last one, in a row that is
+    not optimal), where an index of ``n`` (the number of variables) or more
+    stands for the zero-valued placeholder of a linearly dependent row.
     """
 
     status: tuple[str, ...]
     primal: np.ndarray
     duals: np.ndarray
-    reduced_costs: np.ndarray
     basis: np.ndarray
     objective_value: np.ndarray
     iterations: np.ndarray
@@ -196,13 +210,12 @@ def _solution(sols: LpSolutions, i: int) -> LpSolution:
     placeholders of linearly dependent rows in its basis."""
     iterations = int(sols.iterations[i])
     if sols.status[i] != OPTIMAL:
-        return LpSolution(sols.status[i], None, None, None, (), None, iterations)
+        return LpSolution(sols.status[i], None, None, (), None, iterations)
     n = sols.primal.shape[1]
     return LpSolution(
         OPTIMAL,
         sols.primal[i],
         sols.duals[i],
-        sols.reduced_costs[i],
         tuple(j for j in sols.basis[i].tolist() if j < n),
         float(sols.objective_value[i]),
         iterations,
@@ -257,15 +270,6 @@ def _drive_out(AT: np.ndarray, A: np.ndarray, basis, sense: np.ndarray) -> bool:
             sense[entering] = 0.0
             swapped = True
     return swapped
-
-
-def _priced(c: np.ndarray, A: np.ndarray, y: np.ndarray, basis: list) -> tuple[np.ndarray, np.ndarray]:
-    """The duals and reduced costs, each a row of one, of ``basis`` whose
-    multipliers under the objective ``c`` are ``y`` (a stack of one column).
-    Basic variables have a reduced cost of zero."""
-    reduced = c - (y.transpose(0, 2, 1) @ A)[:, 0]
-    reduced[0].put([j for j in basis if j < c.size], 0.0)
-    return y[..., 0], reduced
 
 
 def _ratio_test(
@@ -499,8 +503,9 @@ class _Run:
         if self.iterations > max_iterations:
             m = len(self.basis)
             raise SolverFailure(
-                f"LP {self.rows[0]}: iteration budget {max_iterations} exhausted "
-                f"({self.xn.size - m} variables, {m} rows)"
+                f"iteration budget {max_iterations} exhausted "
+                f"({self.xn.size - m} variables, {m} rows)",
+                int(self.rows[0]),
             )
         sense, xn = self.sense, self.xn
         if block < 0:
@@ -559,8 +564,9 @@ def _check_bounds(run: _Run, b: np.ndarray, lo: list, hi: list) -> None:
             v = float(xb[i, p])
             if v < lo[j] - slack or v > hi[j] + slack:
                 raise SolverFailure(
-                    f"LP {row}: basic variable {j} ends at {v!r}, outside "
-                    f"[{lo[j]!r}, {hi[j]!r}]; numerical breakdown"
+                    f"basic variable {j} ends at {v!r}, outside "
+                    f"[{lo[j]!r}, {hi[j]!r}]; numerical breakdown",
+                    row,
                 )
 
 
@@ -642,12 +648,11 @@ def _solve(
     cost[n:] = 1.0
     first = (cost, lo, hi, span, free_var, max_iterations, True)
     second = None  # set up when a run first reaches phase 2
-    # The numeric columns, one NaN block cut in four, stay NaN in the rows
+    # The numeric columns, one NaN block cut in three, stay NaN in the rows
     # that do not end optimal.
-    nan = np.empty(k * (2 * n + m + 1))
+    nan = np.empty(k * (n + m + 1))
     nan.fill(np.nan)
-    primal, duals = nan[: k * n].reshape(k, n), nan[k * n : k * (n + m)].reshape(k, m)
-    reduced, objective = nan[k * (n + m) : -k].reshape(k, n), nan[-k:]
+    primal, duals, objective = nan[: k * n].reshape(k, n), nan[k * n : -k].reshape(k, m), nan[-k:]
     status, basis, iterations = [OPTIMAL] * k, np.empty((k, m), dtype=int), np.empty(k, dtype=int)
 
     def end(run: _Run, rows, label: str) -> None:
@@ -676,7 +681,7 @@ def _solve(
         if run.ray:
             if run.phase is first:
                 raise SolverFailure(
-                    f"LP {run.rows[0]}: phase-1 objective diverged; numerical breakdown"
+                    "phase-1 objective diverged; numerical breakdown", int(run.rows[0])
                 )
             end(run, rows, UNBOUNDED)
             continue
@@ -685,7 +690,7 @@ def _solve(
             # A phase 2 without a pivot ends where the phase-1 refresh left it.
             xr = run.held[1] if run.held and run.held[0] == run.iterations else run.refresh(b)
             _check_bounds(run, b, lo, second[2])
-            duals[rows], reduced[rows] = _priced(c, A, run.y, run.basis)
+            duals[rows] = run.y[..., 0]
             point = xr[:, :n]
             with np.errstate(over="ignore"):  # an objective past the float range is inf
                 primal[rows], objective[rows] = point, (c @ point[..., None])[:, 0]
@@ -729,7 +734,7 @@ def _solve(
             piece.phase, piece.bland, piece.degenerate = second, False, 0
             piece.sense[n:] = 0.0
             todo.append(piece)
-    return LpSolutions(tuple(status), primal, duals, reduced, basis, objective, iterations)
+    return LpSolutions(tuple(status), primal, duals, basis, objective, iterations)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -760,11 +765,11 @@ class KktReport:
 def verify_kkt(lp: LinearProgram, sol: LpSolution, tolerance: float = 1e-8) -> KktReport:
     """Check primal feasibility, dual sign conditions, and complementarity.
 
-    The reduced costs are recomputed from ``sol.duals`` rather than trusted
-    from the solution, so this is an independent certificate of optimality:
-    all three residuals within ``tolerance`` proves ``sol`` optimal for ``lp``
-    up to that tolerance, and a NaN residual is a violation.  Requires
-    ``sol.status == OPTIMAL`` and a point and duals of ``lp``'s shapes.
+    The reduced costs are formed here from ``sol.duals`` and the LP, so this
+    is an independent certificate of optimality: all three residuals within
+    ``tolerance`` proves ``sol`` optimal for ``lp`` up to that tolerance,
+    and a NaN residual is a violation.  Requires ``sol.status == OPTIMAL``
+    and a point and duals of ``lp``'s shapes.
     """
     if sol.status != OPTIMAL:
         raise LpInputError("KKT verification needs an optimal solution")

@@ -55,16 +55,23 @@ from .dispatch import (
 )
 from .grid_model import ThreeBusScenario, csv_lines, csv_number, csv_row, tau, threshold_grid
 
-#: Grid points this close to the threshold are checked against the nearer
-#: segment of the closed forms: a cold solve of the degenerate vertex there
+#: Grid points this close to the threshold (in MW of shift) are checked
+#: against the nearer segment of the closed forms: a cold solve of the degenerate vertex there
 #: may stop in either optimal basis, and the LP's break matches the
 #: threshold only to rounding, so such a point may be priced on either side.
 THRESHOLD_BAND = 1e-6
 
-#: Cross-path agreement tolerance for the two settlement objectives.
+#: Cross-path agreement tolerance for the two settlement objectives, in
+#: blended settlement units (alpha in $/h plus 1 - alpha in tCO2/h) of the
+#: gap between a closed form and the LP route.  Mixed units: the sweep's
+#: ``regime`` column also reads a bus-1 price lambda1 within it of zero, in
+#: $/MWh, as renewable.
 CROSS_PATH_TOL = 1e-6
 
 #: Worst acceptable optimality-condition residual on any dispatch solve.
+#: Mixed units: MW for primal feasibility (balance residuals and bound
+#: breaches), $/MWh for dual feasibility (reduced costs), and $/h for
+#: complementary slackness (a reduced cost times a distance to its bound).
 KKT_TOL = 1e-8
 
 SWEEP_HEADER = (

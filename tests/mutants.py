@@ -320,6 +320,14 @@ MUTANTS = (
         "span = (hi_n - lo_n).tolist()",
         (_FAR + "[1e308]",),
     ),
+    # A breakdown in a dispatch solve names its shift (dispatch._naming_shifts).
+    Mutant(
+        "breakdown-names-the-stack-row",
+        "src/gridshift/dispatch.py",
+        'f"shift {float(deltas[exc.row]):g}: {exc.args[0]}"',
+        'f"shift {exc.row}: {exc.args[0]}"',
+        (_FAR + "[2e14]", _FAR + "[1e15]"),
+    ),
     # The one piecewise-linear shape of both routes (closed_form.Piecewise,
     # dispatch.settlements).
     Mutant(

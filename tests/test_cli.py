@@ -483,18 +483,21 @@ class TestErrorPaths:
         # -F01 and moves it by ~F01, whose rounding can leave an "optimal"
         # point outside its bounds.  That point is a solver breakdown (exit
         # 3, nothing written), never wrong numbers; verify's stack meets it
-        # from 2e14 on, sweep's lone solve from 1e17 on.  The closed forms
-        # (classify, heatmap) stay right.
+        # from 2e14 on, sweep's lone solve from 1e17 on, and the line names
+        # the shift it met it at (grid points 120 and 112 of 200, else the
+        # walk's cold start at 0).  The closed forms (classify, heatmap)
+        # stay right.
         path = tmp_path / "far.txt"
         write_scenario_file(scenario_gen.canonical_scenario(F01=float(F01)), path)
         lone_breaks = float(F01) >= 1e17
+        shift = {"2e14": "0.603015", "1e15": "0.562814"}.get(F01, "0")
         for mode in ("sweep", "verify", "classify", "heatmap"):
             out = tmp_path / f"{mode}.csv"
             rc = cli.main([mode, "--scenario", str(path), "--out", str(out)])
             err = capsys.readouterr().err
             if mode == "verify" or (mode == "sweep" and lone_breaks):
                 assert rc == 3, mode
-                assert re.fullmatch(r"error: solver breakdown: LP \d+: .*; numerical breakdown\n", err), err
+                assert re.fullmatch(rf"error: solver breakdown: shift {shift}: .*; numerical breakdown\n", err), err
                 assert not out.exists(), mode
             else:
                 assert (rc, err) == (0, ""), mode

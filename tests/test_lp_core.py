@@ -41,7 +41,6 @@ class TestSolveBasics:
         assert sol.status == OPTIMAL
         np.testing.assert_allclose(sol.primal, [5.0, 0.0])
         np.testing.assert_allclose(sol.duals, [-1.0])
-        np.testing.assert_allclose(sol.reduced_costs, [0.0, 1.0])
         assert sol.objective_value == pytest.approx(-5.0)
         assert 0 < sol.iterations <= 10
 
@@ -149,7 +148,6 @@ class TestKktCertificate:
             status=sol.status,
             primal=sol.primal + 1e-3,
             duals=sol.duals,
-            reduced_costs=sol.reduced_costs,
             basis=sol.basis,
             objective_value=sol.objective_value,
             iterations=sol.iterations,
@@ -255,19 +253,20 @@ def trace_lps() -> list[LinearProgram]:
 
 def trace_digest(solutions) -> str:
     """SHA-256 over each solution's status, basis, pivot count and the
-    bytes of its primal point, duals and reduced costs."""
+    bytes of its primal point and duals."""
     h = hashlib.sha256()
     for sol in solutions:
         h.update(repr((sol.status, sol.basis, sol.iterations)).encode())
-        for values in (sol.primal, sol.duals, sol.reduced_costs):
+        for values in (sol.primal, sol.duals):
             h.update(b"-" if values is None else values.tobytes())
     return h.hexdigest()
 
 
-#: ``trace_digest`` of ``solve`` over ``trace_lps()``, recorded before the
-#: solver ran its LPs in lock-step; any change to a pivot, a tie-break or
-#: the arithmetic behind a reported number moves it.
-TRACE_SHA256 = "ed5f348e2cefc7f5d735f56480c7448940f35a41f62397d838101098a07f4a70"
+#: ``trace_digest`` of ``solve`` over ``trace_lps()``: the solutions recorded
+#: before the solver ran its LPs in lock-step, hashed without the reduced
+#: costs that solutions no longer carry; any change to a pivot, a tie-break
+#: or the arithmetic behind a reported number moves it.
+TRACE_SHA256 = "71b3ed0bf86922609a26f1599254778dd5885da516cc339f611fade799f23bbf"
 
 
 class TestPinnedTrace:
@@ -496,8 +495,9 @@ class TestSolveMany:
         assert solve(lp).status == OPTIMAL
         deltas = np.linspace(0.0, s.L, 200)
         rhs = np.array([np.full(200, s.l0), s.l1 + deltas, s.l2 - deltas]).T
-        with pytest.raises(SolverFailure, match=r"^LP 120: basic variable 0 ends at -0\.003"):
+        with pytest.raises(SolverFailure, match=r"^LP 120: basic variable 0 ends at -0\.003") as failure:
             solve_rhs(lp, rhs)
+        assert failure.value.row == 120
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_bound_slack_scales_with_the_rhs(self, stacked):
@@ -521,8 +521,9 @@ class TestSolveMany:
     def test_singular_basis_is_a_solver_failure(self, monkeypatch):
         real = lp_core._lapack_solve
         monkeypatch.setattr(lp_core, "_lapack_solve", lambda a, b: real(np.zeros_like(a), b))
-        with pytest.raises(SolverFailure, match="singular basis"):
+        with pytest.raises(SolverFailure, match="^singular basis") as failure:
             solve(toy_lp())
+        assert failure.value.row is None
 
     def test_singular_basis_under_the_numpy_fallback(self, monkeypatch):
         # np.linalg.solve, the fallback for a numpy without the LAPACK
@@ -643,17 +644,18 @@ class TestSolveMany:
         assert infeasible >= 20
 
     def test_only_rows_that_end_optimal_are_priced(self, monkeypatch):
-        # A run prices its basis at the end of phase 2 only: rows that end
-        # phase 1 infeasible stop there, alone, in a stack of their own, or
-        # beside an optimal row.  The LPs are those of the test above.
+        # A run writes its duals at the end of phase 2 only, where it checks
+        # its bounds: rows that end phase 1 infeasible stop there, alone, in
+        # a stack of their own, or beside an optimal row.  The LPs are those
+        # of the test above.
         priced = []
-        real = lp_core._priced
+        real = lp_core._check_bounds
 
-        def record(c, A, y, basis):
-            priced.extend(np.reshape(basis, (-1, A.shape[0])).tolist())
-            return real(c, A, y, basis)
+        def record(run, *args):
+            priced.append(list(run.basis))
+            return real(run, *args)
 
-        monkeypatch.setattr(lp_core, "_priced", record)
+        monkeypatch.setattr(lp_core, "_check_bounds", record)
         rng = np.random.default_rng(0)
         infeasible = 0
         for _ in range(100):
